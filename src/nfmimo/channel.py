@@ -26,7 +26,6 @@ from .geometry import (
     SubarrayPartition,
     Vec3,
     element_rowcol,
-    element_to_subarray,
     k_index,
     los_arrival_angles,
     make_partition,
@@ -196,32 +195,37 @@ def tau_los(t: float, cfg: ScenarioConfig) -> float:
     return xi / cfg.c
 
 
-def nlos_delays(t: float, cfg: ScenarioConfig, field: ScattererField) -> np.ndarray:
-    """Per-ray delays (xi_T + xi_R(t)) / c, midpoint-to-midpoint legs."""
+def nlos_delays(t, cfg: ScenarioConfig, field: ScattererField) -> np.ndarray:
+    """Per-ray delays (xi_T + xi_R(t)) / c, midpoint-to-midpoint legs.
+
+    t is one time (shape (n_rays,)) or a 1-D array of times (one row each).
+    """
     pos = field.positions()
     bs = cfg.bs_midpoint()
-    mr = cfg.mr_midpoint(t)
+    mr = np.array([cfg.mr_midpoint(ti).as_tuple() for ti in np.atleast_1d(t).tolist()])
+    mx, my, mz = mr.T[:, :, None]
     xi_t = np.sqrt((pos[:, 0] - bs.x) ** 2 + (pos[:, 1] - bs.y) ** 2 + (pos[:, 2] - bs.z) ** 2)
-    xi_r = np.sqrt((pos[:, 0] - mr.x) ** 2 + (pos[:, 1] - mr.y) ** 2 + (pos[:, 2] - mr.z) ** 2)
-    return (xi_t + xi_r) / cfg.c
+    xi_r = np.sqrt((pos[:, 0] - mx) ** 2 + (pos[:, 1] - my) ** 2 + (pos[:, 2] - mz) ** 2)
+    delays = (xi_t + xi_r) / cfg.c
+    return delays if np.ndim(t) else delays[0]
 
 
 def _subarray_center_of(p_h: int, p_v: int, partition: SubarrayPartition) -> Vec3:
-    sh = element_to_subarray(p_h, partition.p_max_h)
-    sv = element_to_subarray(p_v, partition.p_max_v)
+    sh, sv = partition.subarray_of_element(p_h, p_v)
     return partition.centers[sh - 1][sv - 1]
 
 
-def _mr_terms(az_r, el_r, q: int, t: float, cfg: ScenarioConfig):
+def _mr_terms(az_r, el_r, kq, t, cfg: ScenarioConfig):
     """Receive steering and Doppler phase pieces shared by every path type.
 
-    Works elementwise for array-valued angles; returns their ordered sum.
+    kq is the receive element's k_index. Works elementwise (broadcasting)
+    for array-valued angles, kq and t; returns their ordered sum.
     """
     k = TWO_PI / cfg.wavelength
-    kq = k_index(q, cfg.Q)
-    term_az = k * kq * cfg.delta_R * np.cos(az_r - cfg.psi_R) * np.cos(el_r) * math.cos(cfg.theta_R)
+    cos_el = np.cos(el_r)
+    term_az = k * kq * cfg.delta_R * np.cos(az_r - cfg.psi_R) * cos_el * math.cos(cfg.theta_R)
     term_el = k * kq * cfg.delta_R * np.sin(el_r) * math.sin(cfg.theta_R)
-    term_dop = k * cfg.v_R * t * np.cos(az_r - cfg.eta_R) * np.cos(el_r)
+    term_dop = k * cfg.v_R * t * np.cos(az_r - cfg.eta_R) * cos_el
     return term_az + term_el + term_dop
 
 
@@ -235,8 +239,6 @@ def los_phase(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, f
     """
     partition = model.partition_for(cfg)
     p_h, p_v = _grid_index(p, cfg)
-    if not 1 <= q <= cfg.Q:
-        raise ValueError(f"q must be in [1, {cfg.Q}], got {q}")
     center = _subarray_center_of(p_h, p_v, partition)
     d_q = mr_element_position(q, t, cfg)
     az_t, el_t = ray_angles(center, d_q, AngleConvention.LOS_DEPARTURE)
@@ -244,10 +246,65 @@ def los_phase(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, f
     k = TWO_PI / cfg.wavelength
     phase = k * k_index(p_h, cfg.P_h) * cfg.delta_T * math.cos(az_t - cfg.psi_T) * math.cos(el_t)
     phase += k * k_index(p_v, cfg.P_v) * cfg.delta_T * math.sin(el_t)
-    phase += _mr_terms(az_r, el_r, q, t, cfg)
+    phase += _mr_terms(az_r, el_r, k_index(q, cfg.Q), t, cfg)
     freq = cfg.f_c if f is None else f
     phase += -TWO_PI * freq * tau_los(t, cfg)
     return float(phase)
+
+
+def nlos_phase_table(
+    points,
+    cfg: ScenarioConfig,
+    model: WavefrontModel,
+    field: ScattererField,
+    f: float | None = None,
+) -> np.ndarray:
+    """Deterministic per-ray phases (steering + Doppler + bulk) at a batch of points.
+
+    points is a sequence of (p, q, t); the result has one row of n_rays
+    phases per point, random phase excluded. Departure angles per ray are
+    taken at the tile midpoint containing p; arrival angles at the receive
+    element q. Bulk propagation rides the midpoint-to-midpoint legs through
+    the per-ray delay, as in los_phase.
+    """
+    partition = model.partition_for(cfg)
+    # The departure part depends on p alone and the arrival part on (q, t)
+    # alone, so each is evaluated once per distinct value and the rows are
+    # gathered per point; the sum keeps the scalar evaluation's order.
+    departures: dict[tuple[int, int], int] = {}
+    arrivals: dict[tuple[int, float], int] = {}
+    rows = [
+        (departures.setdefault(_grid_index(p, cfg), len(departures)), arrivals.setdefault((q, t), len(arrivals)))
+        for p, q, t in points
+    ]
+    i_dep, i_arr = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    dep = [
+        (*_subarray_center_of(p_h, p_v, partition).as_tuple(), k_index(p_h, cfg.P_h), k_index(p_v, cfg.P_v))
+        for p_h, p_v in departures
+    ]
+    arr = [(*mr_element_position(q, t, cfg).as_tuple(), k_index(q, cfg.Q), t) for q, t in arrivals]
+    # (n, 1) columns broadcast against the (n_rays,) ray coordinates.
+    cx, cy, cz, kh, kv = np.array(dep, dtype=float).reshape(-1, 5).T[:, :, None]
+    rx, ry, rz, kq, ts = np.array(arr, dtype=float).reshape(-1, 5).T[:, :, None]
+    pos = field.positions()
+
+    dx_t = pos[:, 0] - cx
+    dy_t = pos[:, 1] - cy
+    az_t = np.arctan2(dy_t, dx_t)
+    el_t = np.arctan2(pos[:, 2] - cz, np.hypot(dx_t, dy_t))
+
+    dx_r = pos[:, 0] - rx
+    dy_r = pos[:, 1] - ry
+    az_r = np.arctan2(dy_r, dx_r)
+    el_r = np.arctan2(pos[:, 2] - rz, np.hypot(dx_r, dy_r))
+
+    k = TWO_PI / cfg.wavelength
+    departure = k * kh * cfg.delta_T * np.cos(az_t - cfg.psi_T) * np.cos(el_t)
+    departure += k * kv * cfg.delta_T * np.sin(el_t)
+    phase = departure[i_dep] + _mr_terms(az_r, el_r, kq, ts, cfg)[i_arr]
+    freq = cfg.f_c if f is None else f
+    phase += (-TWO_PI * freq * nlos_delays(ts[:, 0], cfg, field))[i_arr]
+    return phase
 
 
 def nlos_ray_phases(
@@ -259,37 +316,8 @@ def nlos_ray_phases(
     field: ScattererField,
     f: float | None = None,
 ) -> np.ndarray:
-    """Deterministic per-ray phase (steering + Doppler + bulk), random phase excluded.
-
-    Departure angles per ray are taken at the tile midpoint containing p;
-    arrival angles at the receive element q. Bulk propagation rides the
-    midpoint-to-midpoint legs through the per-ray delay, as in los_phase.
-    """
-    partition = model.partition_for(cfg)
-    p_h, p_v = _grid_index(p, cfg)
-    if not 1 <= q <= cfg.Q:
-        raise ValueError(f"q must be in [1, {cfg.Q}], got {q}")
-    center = _subarray_center_of(p_h, p_v, partition)
-    d_q = mr_element_position(q, t, cfg)
-    pos = field.positions()
-
-    dx_t = pos[:, 0] - center.x
-    dy_t = pos[:, 1] - center.y
-    az_t = np.arctan2(dy_t, dx_t)
-    el_t = np.arctan2(pos[:, 2] - center.z, np.hypot(dx_t, dy_t))
-
-    dx_r = pos[:, 0] - d_q.x
-    dy_r = pos[:, 1] - d_q.y
-    az_r = np.arctan2(dy_r, dx_r)
-    el_r = np.arctan2(pos[:, 2] - d_q.z, np.hypot(dx_r, dy_r))
-
-    k = TWO_PI / cfg.wavelength
-    phase = k * k_index(p_h, cfg.P_h) * cfg.delta_T * np.cos(az_t - cfg.psi_T) * np.cos(el_t)
-    phase += k * k_index(p_v, cfg.P_v) * cfg.delta_T * np.sin(el_t)
-    phase += _mr_terms(az_r, el_r, q, t, cfg)
-    freq = cfg.f_c if f is None else f
-    phase += -TWO_PI * freq * nlos_delays(t, cfg, field)
-    return phase
+    """nlos_phase_table at the single point (p, q, t): one phase per ray."""
+    return nlos_phase_table([(p, q, t)], cfg, model, field, f)[0]
 
 
 def cir_los(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel) -> complex:
@@ -440,7 +468,7 @@ def matrix_parts(
         el_r = el_t
         a1 = k * cfg.delta_T * np.cos(az_t - cfg.psi_T) * np.cos(el_t)
         a2 = k * cfg.delta_T * np.sin(el_t)
-        mr_los = _mr_terms(az_r, el_r, q, t, cfg)
+        mr_los = _mr_terms(az_r, el_r, k_index(q, cfg.Q), t, cfg)
         los_phases = kh * a1[s_of_p] + kv * a2[s_of_p] + mr_los[s_of_p] + bulk_los
         H_los[q - 1, :] = np.exp(1j * los_phases)
 
@@ -449,7 +477,7 @@ def matrix_parts(
         dy_r = pos[:, 1] - d_q.y
         az_arr = np.arctan2(dy_r, dx_r)
         el_arr = np.arctan2(pos[:, 2] - d_q.z, np.hypot(dx_r, dy_r))
-        arr_phases[q - 1, :] = _mr_terms(az_arr, el_arr, q, t, cfg) + bulk_nlos
+        arr_phases[q - 1, :] = _mr_terms(az_arr, el_arr, k_index(q, cfg.Q), t, cfg) + bulk_nlos
 
     return H_los, dep_phasors, arr_phases, t_los, delays
 

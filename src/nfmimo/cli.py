@@ -161,6 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     kind = args.command.replace("-", "_")
     try:
+        if args.realizations < 1:
+            raise ValueError(f"--realizations must be >= 1, got {args.realizations}")
         cfg = load_config(args.config)
         exp = Experiment(kind=kind, sweep=_sweep_from_args(kind, args), seed=args.seed, output=args.out)
         manifest = run_experiment(exp, cfg)

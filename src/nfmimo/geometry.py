@@ -46,6 +46,11 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
+def _finite_number(v) -> bool:
+    """A finite int or float; bool is rejected although it subclasses int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Immutable scenario description shared by every module.
@@ -81,36 +86,30 @@ class ScenarioConfig:
     cluster_level_angles: bool = True
 
     def __post_init__(self) -> None:
-        if self.f_c <= 0:
-            raise ValueError(f"f_c must be positive, got {self.f_c}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        lam = self.c / self.f_c
-        if self.delta_T is None:
-            object.__setattr__(self, "delta_T", lam / 2)
-        if self.delta_R is None:
-            object.__setattr__(self, "delta_R", lam / 2)
+        # f_c and c come first: the spacing defaults below depend on them.
+        for name in ("f_c", "c", "H_0", "D_0", "delta_T", "delta_R"):
+            if name.startswith("delta_") and getattr(self, name) is None:
+                object.__setattr__(self, name, self.wavelength / 2)
+            v = getattr(self, name)
+            if not (_finite_number(v) and v > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         if self.r_max is None:
             object.__setattr__(self, "r_max", self.D_0)
-        for name in ("H_0", "D_0", "delta_T", "delta_R"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         for name in ("P_h", "P_v", "Q", "L_clusters", "N_rays"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         for name in ("psi_T", "psi_R", "theta_R", "eta_R", "mu_alpha", "mu_beta"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not _finite_number(v):
                 raise ValueError(f"{name} must be a finite angle in radians, got {v!r}")
         for name in ("v_R", "K", "kappa", "rho_snr"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if not (_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if not (math.isfinite(self.r_min) and self.r_min > 0):
+        if not (_finite_number(self.r_min) and self.r_min > 0):
             raise ValueError(f"r_min must be positive and finite, got {self.r_min!r}")
-        if not (math.isfinite(self.r_max) and self.r_max >= self.r_min):
+        if not (_finite_number(self.r_max) and self.r_max >= self.r_min):
             raise ValueError(
                 f"r_max must be finite and >= r_min ({self.r_min}), got {self.r_max!r}"
             )

@@ -62,6 +62,8 @@ class Experiment:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; expected one of {', '.join(EXPERIMENT_KINDS)}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "output", Path(self.output))
 
 

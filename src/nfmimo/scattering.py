@@ -72,41 +72,61 @@ class Ray:
             raise ValueError(f"phase must lie in [-pi, pi), got {self.phase}")
 
 
-@dataclass(frozen=True)
 class ScattererField:
-    """L clusters of N rays each, immutable once generated.
+    """L clusters of rays, immutable once generated.
 
-    seed records the integer seed when the field came from one; fields
-    rebuilt from external data carry seed = None.
+    Stored as read-only arrays in cluster-major order: positions (n_rays, 3),
+    phases (n_rays,), and the ray count of each cluster. The Ray view in
+    `clusters` is built on first use. seed records the integer seed when the
+    field came from one; fields rebuilt from external data carry seed = None.
     """
 
-    clusters: tuple[tuple[Ray, ...], ...]
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.clusters) == 0 or any(len(c) == 0 for c in self.clusters):
+    def __init__(self, clusters: tuple[tuple[Ray, ...], ...], seed: int | None = None) -> None:
+        if len(clusters) == 0 or any(len(c) == 0 for c in clusters):
             raise ValueError("a scatterer field needs at least one ray in every cluster")
+        rays = [r for c in clusters for r in c]
+        self._set([r.position.as_tuple() for r in rays], [r.phase for r in rays], tuple(map(len, clusters)), seed)
+        self._clusters = tuple(tuple(c) for c in clusters)
+
+    @classmethod
+    def _from_arrays(cls, positions, phases, cluster_sizes: tuple[int, ...], seed: int | None) -> "ScattererField":
+        """Field from already valid cluster-major positions and phases; the Ray view is built on demand."""
+        field = cls.__new__(cls)
+        field._set(positions, phases, cluster_sizes, seed)
+        return field
+
+    def _set(self, positions, phases, sizes: tuple[int, ...], seed: int | None) -> None:
+        self._positions = np.array(positions, dtype=float).reshape(-1, 3)
+        self._phases = np.array(phases, dtype=float)
+        self._positions.setflags(write=False)
+        self._phases.setflags(write=False)
+        self._sizes, self.seed, self._clusters = sizes, seed, None
+
+    @property
+    def clusters(self) -> tuple[tuple[Ray, ...], ...]:
+        if self._clusters is None:
+            rays = iter([Ray(Vec3(*xyz), ph) for xyz, ph in zip(self._positions.tolist(), self._phases.tolist())])
+            self._clusters = tuple(tuple(next(rays) for _ in range(n)) for n in self._sizes)
+        return self._clusters
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self._sizes)
 
     @property
     def n_rays(self) -> int:
-        return sum(len(c) for c in self.clusters)
+        return len(self._phases)
 
     def rays(self) -> tuple[Ray, ...]:
         return tuple(r for cluster in self.clusters for r in cluster)
 
     def positions(self) -> np.ndarray:
-        """All ray positions as an (n_rays, 3) array, cluster-major order."""
-        return np.array(
-            [[r.position.x, r.position.y, r.position.z] for c in self.clusters for r in c],
-            dtype=float,
-        )
+        """All ray positions as a read-only (n_rays, 3) array, cluster-major order."""
+        return self._positions
 
     def phases(self) -> np.ndarray:
-        return np.array([r.phase for c in self.clusters for r in c], dtype=float)
+        """All random ray phases as a read-only (n_rays,) array, cluster-major order."""
+        return self._phases
 
     def to_csv(self, path: str | Path) -> None:
         """Write rows (cluster, ray, x, y, z, phase) with 1-based indices."""
@@ -144,7 +164,7 @@ def _place_ray(
     mean_el: float,
     origin: Vec3,
     mr0: Vec3,
-) -> Vec3:
+) -> tuple[float, float, float]:
     """Draw one scatterer position; resample below-ground or degenerate draws.
 
     Draw order per attempt: azimuth, elevation, radius. The position must
@@ -154,19 +174,18 @@ def _place_ray(
     for _ in range(_MAX_PLACEMENT_ATTEMPTS):
         az = sample_von_mises(mean_az, cfg.kappa, rng)
         el = sample_von_mises(mean_el, cfg.kappa, rng)
-        r = rng.uniform(cfg.r_min, cfg.r_max)
-        pos = Vec3(
-            origin.x + r * math.cos(el) * math.cos(az),
-            origin.y + r * math.cos(el) * math.sin(az),
-            origin.z + r * math.sin(el),
-        )
-        if pos.z < 0.0:
+        # rng.uniform(r_min, r_max) computed the same way, without its per-call overhead
+        r = cfg.r_min + (cfg.r_max - cfg.r_min) * rng.random()
+        x = origin.x + r * math.cos(el) * math.cos(az)
+        y = origin.y + r * math.cos(el) * math.sin(az)
+        z = origin.z + r * math.sin(el)
+        if z < 0.0:
             continue
-        if pos.horizontal_distance_to(origin) <= _MIN_HORIZONTAL_CLEARANCE:
+        if math.hypot(x - origin.x, y - origin.y) <= _MIN_HORIZONTAL_CLEARANCE:
             continue
-        if pos.horizontal_distance_to(mr0) <= _MIN_HORIZONTAL_CLEARANCE:
+        if math.hypot(x - mr0.x, y - mr0.y) <= _MIN_HORIZONTAL_CLEARANCE:
             continue
-        return pos
+        return x, y, z
     raise ValueError(
         "could not place a scatterer above ground after "
         f"{_MAX_PLACEMENT_ATTEMPTS} attempts; the angle configuration "
@@ -191,7 +210,8 @@ def generate_scatterers(cfg: ScenarioConfig, rng: int | np.random.Generator) -> 
         rng = np.random.default_rng(seed)
     origin = cfg.bs_midpoint()
     mr0 = cfg.mr_midpoint(0.0)
-    clusters = []
+    coords: list[tuple[float, float, float]] = []
+    phases: list[float] = []
     for _ in range(cfg.L_clusters):
         if cfg.cluster_level_angles:
             mean_az = sample_von_mises(cfg.mu_alpha, cfg.kappa, rng)
@@ -199,14 +219,11 @@ def generate_scatterers(cfg: ScenarioConfig, rng: int | np.random.Generator) -> 
         else:
             mean_az = cfg.mu_alpha
             mean_el = cfg.mu_beta
-        rays = []
         for _ in range(cfg.N_rays):
-            pos = _place_ray(cfg, rng, mean_az, mean_el, origin, mr0)
-            # numpy's uniform is half-open, so the draw already sits in [-pi, pi)
-            phase = float(rng.uniform(-math.pi, math.pi))
-            rays.append(Ray(position=pos, phase=phase))
-        clusters.append(tuple(rays))
-    return ScattererField(clusters=tuple(clusters), seed=seed)
+            coords.append(_place_ray(cfg, rng, mean_az, mean_el, origin, mr0))
+            # rng.uniform(-pi, pi) computed the same way: half-open, so in [-pi, pi)
+            phases.append(-math.pi + 2.0 * math.pi * rng.random())
+    return ScattererField._from_arrays(coords, phases, (cfg.N_rays,) * cfg.L_clusters, seed)
 
 
 def field_for_realization(cfg: ScenarioConfig, master_seed: int, index: int) -> ScattererField:
@@ -214,10 +231,13 @@ def field_for_realization(cfg: ScenarioConfig, master_seed: int, index: int) -> 
 
     Each realization owns a private stream derived from (master seed,
     index), so ensembles reproduce identically regardless of evaluation
-    order or thread scheduling.
+    order or thread scheduling. Both must be non-negative integers; every
+    such pair, however large, has its own stream.
     """
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
-    rng = np.random.default_rng([int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(index)])
-    field = generate_scatterers(cfg, rng)
-    return ScattererField(clusters=field.clusters, seed=int(master_seed))
+    field = generate_scatterers(cfg, np.random.default_rng([int(master_seed), int(index)]))
+    field.seed = int(master_seed)
+    return field

@@ -28,7 +28,8 @@ from .channel import (
     los_phase,
     matrix_parts,
     nlos_delays,
-    nlos_ray_phases,
+    nlos_phase_table,
+    nlos_ray_phases,  # noqa: F401 - the one-point view; perfbench's tracer wraps it here
     rician_weights,
     tau_los,
 )
@@ -37,10 +38,8 @@ from .scattering import ScattererField, field_for_realization
 
 THREADS_ENV_VAR = "NFMIMO_THREADS"
 
-# Seeds feed numpy SeedSequence entry lists; the mask keeps arbitrary Python
-# ints in 64-bit range and the stream tag separates phase redraws from the
-# field-generation stream keyed on (seed, index).
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+# Seeds feed numpy SeedSequence entry lists; the stream tag separates phase
+# redraws from the field-generation stream keyed on (seed, index).
 _PHASE_STREAM = 1
 
 # Operation tally for evaluating one angle set (one tile midpoint toward one
@@ -53,8 +52,12 @@ RO_NLOS_PER_ANGLE_SET = 10 + 4 + 4 + 2 + 64 + 4
 RO_PER_ANGLE_SET = RO_LOS_PER_ANGLE_SET + RO_NLOS_PER_ANGLE_SET
 
 
-def worker_count() -> int:
-    """Thread count for realization-level parallelism, from the environment."""
+def worker_count(n_tasks: int | None = None) -> int:
+    """Thread count for realization-level parallelism, from the environment.
+
+    The requested count is capped at the CPU count and, when given, at the
+    number of tasks: more threads than either only adds contention.
+    """
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not raw:
         return 1
@@ -64,7 +67,8 @@ def worker_count() -> int:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
-    return n
+    n = min(n, os.cpu_count() or 1)
+    return n if n_tasks is None else max(1, min(n, n_tasks))
 
 
 def _map_realizations(fn, n: int) -> list:
@@ -74,8 +78,8 @@ def _map_realizations(fn, n: int) -> list:
     reduction below walks results in index order, so any thread count
     produces identical output.
     """
-    workers = worker_count()
-    if workers <= 1 or n <= 1:
+    workers = worker_count(n)
+    if workers <= 1:
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, range(n)))
@@ -176,6 +180,41 @@ def _validate_pair(base_p, dp, base_q, dq, cfg: ScenarioConfig):
     return p1, (int(p2[0]), int(p2[1])), int(q2)
 
 
+def _field_mean(sample, cfg: ScenarioConfig, n_realizations: int, seed: int):
+    """Mean of sample(field) over the fields of realizations 0..n-1, summed in index order."""
+    if n_realizations < 1:
+        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    samples = _map_realizations(lambda i: sample(field_for_realization(cfg, seed, i)), n_realizations)
+    return sum(samples) / n_realizations
+
+
+def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_realizations: int, seed: int):
+    """Unweighted direct and scattered correlation of point base with each of others.
+
+    Points are (p, q, t). The direct part is the deterministic conjugate
+    phasor product; the scattered part averages, over n_realizations
+    independent fields, the per-field mean of deterministic per-ray
+    conjugate phasors (random phases cancel ray-by-ray; cross-ray terms
+    average to zero and are dropped analytically). One nlos_phase_table
+    call per field evaluates every point.
+    """
+    los_base = los_phase(*base, cfg, model)
+    rho_los = np.array([np.exp(1j * (los_base - los_phase(*pt, cfg, model))) for pt in others])
+    points = [base, *others]
+
+    def one(fld: ScattererField) -> np.ndarray:
+        phases = nlos_phase_table(points, cfg, model, fld)
+        return np.exp(1j * (phases[0] - phases[1:])).mean(axis=1)
+
+    return rho_los, _field_mean(one, cfg, n_realizations, seed)
+
+
+def _rician_mix(cfg: ScenarioConfig, rho_los, rho_nlos):
+    """K/(K+1) times the direct part plus 1/(K+1) times the scattered part."""
+    w_los, w_nlos = rician_weights(cfg.K)
+    return (w_los * w_los) * rho_los + (w_nlos * w_nlos) * rho_nlos
+
+
 def st_ccf_parts(
     dp: tuple[int, int],
     dq: int,
@@ -191,28 +230,12 @@ def st_ccf_parts(
 ) -> tuple[complex, complex, int]:
     """Direct and scattered correlation parts, unweighted, plus exclusion count.
 
-    The direct part is the deterministic conjugate phasor product; the
-    scattered part averages, over n_realizations independent fields, the
-    per-field mean of deterministic per-ray conjugate phasors (random
-    phases cancel ray-by-ray; cross-ray terms average to zero and are
-    dropped analytically).
+    The one-offset view of spatial_ccf_series before Rician weighting; the
+    exclusion count is always 0 (see CorrelationSeries.n_excluded).
     """
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     p1, p2, q2 = _validate_pair(base_p, dp, base_q, dq, cfg)
-    rho_los = complex(
-        np.exp(1j * (los_phase(p1, base_q, t, cfg, model) - los_phase(p2, q2, t + dt, cfg, model)))
-    )
-
-    def one(i: int) -> complex:
-        fld = field_for_realization(cfg, seed, i)
-        ph1 = nlos_ray_phases(p1, base_q, t, cfg, model, fld)
-        ph2 = nlos_ray_phases(p2, q2, t + dt, cfg, model, fld)
-        return complex(np.exp(1j * (ph1 - ph2)).mean())
-
-    samples = _map_realizations(one, n_realizations)
-    rho_nlos = complex(sum(samples) / n_realizations)
-    return rho_los, rho_nlos, 0
+    rho_los, rho_nlos = _ccf_parts((p1, base_q, t), [(p2, q2, t + dt)], cfg, model, n_realizations, seed)
+    return complex(rho_los[0]), complex(rho_nlos[0]), 0
 
 
 def st_ccf(
@@ -236,8 +259,7 @@ def st_ccf(
     rho_los, rho_nlos, _ = st_ccf_parts(
         dp, dq, dt, t, cfg, model, n_realizations, seed=seed, base_p=base_p, base_q=base_q
     )
-    w_los, w_nlos = rician_weights(cfg.K)
-    return (w_los * w_los) * rho_los + (w_nlos * w_nlos) * rho_nlos
+    return _rician_mix(cfg, rho_los, rho_nlos)
 
 
 def temporal_acf(
@@ -262,27 +284,8 @@ def frequency_cf(
     *,
     seed: int = 0,
 ) -> complex:
-    """Frequency correlation at offset df for one antenna pair.
-
-    In the conjugate product of the frequency response at f_c and f_c + df
-    all steering terms cancel (same pair, same time), leaving per-path
-    phasors exp(j 2 pi df tau); the direct part uses the midpoint delay and
-    the scattered part the per-field normalized per-ray sum.
-    """
-    if df < 0:
-        raise ValueError(f"df must be >= 0, got {df}")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    rho_los = complex(np.exp(1j * 2.0 * math.pi * df * tau_los(t, cfg)))
-
-    def one(i: int) -> complex:
-        fld = field_for_realization(cfg, seed, i)
-        return complex(np.exp(1j * 2.0 * math.pi * df * nlos_delays(t, cfg, fld)).mean())
-
-    samples = _map_realizations(one, n_realizations)
-    rho_nlos = complex(sum(samples) / n_realizations)
-    w_los, w_nlos = rician_weights(cfg.K)
-    return (w_los * w_los) * rho_los + (w_nlos * w_nlos) * rho_nlos
+    """Frequency correlation at offset df for one antenna pair: frequency_cf_series at one offset."""
+    return complex(frequency_cf_series([df], t, cfg, model, n_realizations, seed=seed).values[0])
 
 
 def spatial_ccf_series(
@@ -306,43 +309,16 @@ def spatial_ccf_series(
     """
     if not offsets:
         raise ValueError("at least one antenna offset is required")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     pairs = [_validate_pair(base_p, dp, base_q, dq, cfg) for dp in offsets]
-    w_los, w_nlos = rician_weights(cfg.K)
-    los_vals = np.array(
-        [
-            np.exp(
-                1j
-                * (
-                    los_phase(p1, base_q, t, cfg, model)
-                    - los_phase(p2, q2, t + dt, cfg, model)
-                )
-            )
-            for p1, p2, q2 in pairs
-        ]
-    )
-
-    def one(i: int) -> np.ndarray:
-        fld = field_for_realization(cfg, seed, i)
-        ph1 = nlos_ray_phases(pairs[0][0], base_q, t, cfg, model, fld)
-        out = np.empty(len(pairs), dtype=complex)
-        for j, (_, p2, q2) in enumerate(pairs):
-            ph2 = nlos_ray_phases(p2, q2, t + dt, cfg, model, fld)
-            out[j] = np.exp(1j * (ph1 - ph2)).mean()
-        return out
-
-    acc = np.zeros(len(pairs), dtype=complex)
-    for sample in _map_realizations(one, n_realizations):
-        acc += sample
-    values = (w_los * w_los) * los_vals + (w_nlos * w_nlos) * (acc / n_realizations)
+    others = [(p2, q2, t + dt) for _, p2, q2 in pairs]
+    rho_los, rho_nlos = _ccf_parts((pairs[0][0], base_q, t), others, cfg, model, n_realizations, seed)
     axis = np.array(
         [math.hypot(dp[0] * cfg.delta_T, dp[1] * cfg.delta_T) / cfg.wavelength for dp in offsets]
     )
     return CorrelationSeries(
         axis_name="spacing_wavelengths",
         lag_axis=axis,
-        values=values,
+        values=_rician_mix(cfg, rho_los, rho_nlos),
         t=t,
         model_label=model.label,
         n_realizations=n_realizations,
@@ -362,39 +338,15 @@ def temporal_acf_series(
     """temporal_acf over a list of time lags, sharing fields across lags."""
     if not dts:
         raise ValueError("at least one time lag is required")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    for dt in dts:
-        if dt < 0:
-            raise ValueError(f"time lags must be >= 0, got {dt}")
-    w_los, w_nlos = rician_weights(cfg.K)
+    if min(dts) < 0:
+        raise ValueError(f"time lags must be >= 0, got {min(dts)}")
     base = (1, 1)
-    los_vals = np.array(
-        [
-            np.exp(
-                1j * (los_phase(base, 1, t, cfg, model) - los_phase(base, 1, t + dt, cfg, model))
-            )
-            for dt in dts
-        ]
-    )
-
-    def one(i: int) -> np.ndarray:
-        fld = field_for_realization(cfg, seed, i)
-        ph1 = nlos_ray_phases(base, 1, t, cfg, model, fld)
-        out = np.empty(len(dts), dtype=complex)
-        for j, dt in enumerate(dts):
-            ph2 = nlos_ray_phases(base, 1, t + dt, cfg, model, fld)
-            out[j] = np.exp(1j * (ph1 - ph2)).mean()
-        return out
-
-    acc = np.zeros(len(dts), dtype=complex)
-    for sample in _map_realizations(one, n_realizations):
-        acc += sample
-    values = (w_los * w_los) * los_vals + (w_nlos * w_nlos) * (acc / n_realizations)
+    others = [(base, 1, t + dt) for dt in dts]
+    rho_los, rho_nlos = _ccf_parts((base, 1, t), others, cfg, model, n_realizations, seed)
     return CorrelationSeries(
         axis_name="dt_s",
         lag_axis=np.asarray(dts, dtype=float),
-        values=values,
+        values=_rician_mix(cfg, rho_los, rho_nlos),
         t=t,
         model_label=model.label,
         n_realizations=n_realizations,
@@ -411,31 +363,29 @@ def frequency_cf_series(
     *,
     seed: int = 0,
 ) -> CorrelationSeries:
-    """frequency_cf over a list of frequency offsets, sharing fields."""
+    """Frequency correlation over a list of frequency offsets, sharing fields.
+
+    In the conjugate product of the frequency response at f_c and f_c + df
+    all steering terms cancel (same pair, same time), leaving per-path
+    phasors exp(j 2 pi df tau); the direct part uses the midpoint delay and
+    the scattered part the per-field normalized per-ray sum.
+    """
     if not dfs:
         raise ValueError("at least one frequency offset is required")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    for df in dfs:
-        if df < 0:
-            raise ValueError(f"frequency offsets must be >= 0, got {df}")
-    w_los, w_nlos = rician_weights(cfg.K)
+    if min(dfs) < 0:
+        raise ValueError(f"frequency offsets df must be >= 0, got {min(dfs)}")
     dfs_arr = np.asarray(dfs, dtype=float)
-    los_vals = np.exp(1j * 2.0 * math.pi * dfs_arr * tau_los(t, cfg))
+    rho_los = np.exp(1j * 2.0 * math.pi * dfs_arr * tau_los(t, cfg))
 
-    def one(i: int) -> np.ndarray:
-        fld = field_for_realization(cfg, seed, i)
+    def one(fld: ScattererField) -> np.ndarray:
         delays = nlos_delays(t, cfg, fld)
         return np.exp(1j * 2.0 * math.pi * dfs_arr[:, None] * delays[None, :]).mean(axis=1)
 
-    acc = np.zeros(len(dfs), dtype=complex)
-    for sample in _map_realizations(one, n_realizations):
-        acc += sample
-    values = (w_los * w_los) * los_vals + (w_nlos * w_nlos) * (acc / n_realizations)
+    rho_nlos = _field_mean(one, cfg, n_realizations, seed)
     return CorrelationSeries(
         axis_name="df_hz",
         lag_axis=dfs_arr,
-        values=values,
+        values=_rician_mix(cfg, rho_los, rho_nlos),
         t=t,
         model_label=model.label,
         n_realizations=n_realizations,
@@ -516,7 +466,7 @@ def mean_capacity(
                 return capacity(real, rho_snr)
             return _capacity_unnormalized(real.H, rho_snr)
         parts = matrix_parts(t, cfg, model, fld)
-        rng = np.random.default_rng([seed & _SEED_MASK, i, _PHASE_STREAM])
+        rng = np.random.default_rng([seed, i, _PHASE_STREAM])
         total = 0.0
         for _ in range(phase_draws):
             phases = rng.uniform(-math.pi, math.pi, fld.n_rays)

@@ -72,6 +72,15 @@ def test_default_profile_values():
         {"L_clusters": 0},
         {"N_rays": 0},
         {"r_min": -1.0},
+        {"f_c": math.nan, "delta_T": 0.03, "delta_R": 0.03},
+        {"f_c": math.inf},
+        {"c": math.inf},
+        {"c": math.nan},
+        {"K": True},
+        {"kappa": False},
+        {"H_0": True},
+        {"P_h": True},
+        {"r_min": "5"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

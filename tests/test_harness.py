@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -278,6 +279,7 @@ def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
 def test_bad_thread_env_rejected(monkeypatch):
     from nfmimo.stats import worker_count
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv(THREADS_ENV_VAR, "zero")
     with pytest.raises(ValueError):
         worker_count()
@@ -286,6 +288,22 @@ def test_bad_thread_env_rejected(monkeypatch):
         worker_count()
     monkeypatch.setenv(THREADS_ENV_VAR, "3")
     assert worker_count() == 3
+
+
+def test_thread_count_capped(monkeypatch):
+    # Inspects the computed count only; no thread is started.
+    from nfmimo.stats import worker_count
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv(THREADS_ENV_VAR, "100000")
+    assert worker_count() == 8
+    assert worker_count(5) == 5
+    assert worker_count(0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+    monkeypatch.setenv(THREADS_ENV_VAR, "2.5")
+    with pytest.raises(ValueError, match=THREADS_ENV_VAR):
+        worker_count(5)
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +391,35 @@ def test_cli_seeded_runs_identical(tmp_path):
         assert rc == 0
     name = "spatial_ccf__spherical.csv"
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("sub", ["complexity-sweep", "rayleigh-table", "temporal-acf", "capacity-sweep"])
+def test_cli_rejects_nonpositive_realizations(tmp_path, capsys, sub):
+    for bad in ("0", "-5"):
+        rc = main([sub, "--realizations", bad, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--realizations" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["complexity-sweep", "spatial-ccf"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, sub):
+    rc = main([sub, "--seed", "-1", "--realizations", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ('{"f_c": NaN, "delta_T": 0.03, "delta_R": 0.03}', "f_c"),
+        ('{"c": Infinity}', "c"),
+        ('{"K": true}', "K"),
+    ],
+)
+def test_cli_rejects_bad_config_numbers(tmp_path, capsys, text, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc = main(["rayleigh-table", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"{name} must" in capsys.readouterr().err

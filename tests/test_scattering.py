@@ -6,7 +6,9 @@ each other; scalar expected values are frozen from an independent series
 evaluation of the Bessel function.
 """
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,42 @@ def test_field_for_realization_streams():
     assert not np.array_equal(a.positions(), b.positions())
     assert np.array_equal(a.positions(), c.positions())
     assert np.array_equal(a.phases(), c.phases())
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3)])
+def test_field_golden(seed, index):
+    # Recorded with ScattererField.to_csv from the Ray-by-Ray generator;
+    # pins the draw order of the RNG stream.
+    table = np.loadtxt(
+        Path(__file__).parent / "data" / f"field_seed{seed}_index{index}.csv",
+        delimiter=",",
+        skiprows=1,
+    )
+    field = field_for_realization(ScenarioConfig(), seed, index)
+    np.testing.assert_allclose(field.positions(), table[:, 2:5], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(field.phases(), table[:, 5], rtol=1e-12, atol=0)
+
+
+def test_field_seeds_do_not_alias():
+    cfg = ScenarioConfig(L_clusters=1, N_rays=3)
+    with pytest.raises(ValueError, match="seed"):
+        field_for_realization(cfg, -1, 0)
+    fields = [field_for_realization(cfg, s, 0).positions() for s in (0, 2**64 - 1, 2**64)]
+    for a, b in itertools.combinations(fields, 2):
+        assert not np.array_equal(a, b)
+
+
+def test_field_arrays_cached_read_only():
+    field = generate_scatterers(ScenarioConfig(L_clusters=2, N_rays=3), 1)
+    assert field.positions() is field.positions()
+    with pytest.raises(ValueError):
+        field.positions()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        field.phases()[0] = 0.0
+    assert [r.position.as_tuple() for r in field.rays()] == [tuple(p) for p in field.positions().tolist()]
+    assert [r.phase for r in field.rays()] == field.phases().tolist()
+    rebuilt = ScattererField(clusters=field.clusters, seed=field.seed)
+    assert np.array_equal(rebuilt.positions(), field.positions())
 
 
 def test_generation_failure_reports_configuration():

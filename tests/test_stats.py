@@ -14,6 +14,7 @@ from nfmimo.channel import (
 from nfmimo.geometry import ScenarioConfig
 from nfmimo.scattering import field_for_realization
 from nfmimo.stats import (
+    THREADS_ENV_VAR,
     RO_LOS_PER_ANGLE_SET,
     RO_NLOS_PER_ANGLE_SET,
     RO_PER_ANGLE_SET,
@@ -199,6 +200,56 @@ def test_frequency_series_matches_scalar():
     for j, df in enumerate(dfs):
         scalar = frequency_cf(df, 0.0, cfg, SPHERICAL, 3, seed=4)
         assert abs(series.values[j] - scalar) < 1e-12
+
+
+CCF_CFG = ScenarioConfig(P_h=8, P_v=8, Q=2, K=0.7, L_clusters=2, N_rays=5)
+
+
+def _per_lag_ccf(points, cfg, model, n_realizations, seed):
+    """Reference: Rician-weighted correlation of points[0] with each later point, one lag at a time."""
+    w_los, w_nlos = math.sqrt(cfg.K / (cfg.K + 1.0)), math.sqrt(1.0 / (cfg.K + 1.0))
+    base = points[0]
+    out = []
+    for pt in points[1:]:
+        los = np.exp(1j * (los_phase(*base, cfg, model) - los_phase(*pt, cfg, model)))
+        nlos = 0.0
+        for i in range(n_realizations):
+            fld = field_for_realization(cfg, seed, i)
+            diff = nlos_ray_phases(*base, cfg, model, fld) - nlos_ray_phases(*pt, cfg, model, fld)
+            nlos += np.exp(1j * diff).mean()
+        out.append(w_los**2 * los + w_nlos**2 * nlos / n_realizations)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("label", ["spherical", "subarray:4x4", "planar"])
+def test_series_match_per_lag_loop(label):
+    model = WavefrontModel.parse(label)
+    dts = [0.0, 0.01, 0.03]
+    acf = temporal_acf_series(dts, 0.1, CCF_CFG, model, 3, seed=4)
+    ref = _per_lag_ccf([((1, 1), 1, 0.1)] + [((1, 1), 1, 0.1 + dt) for dt in dts], CCF_CFG, model, 3, 4)
+    assert np.max(np.abs(acf.values - ref)) < 1e-12
+
+    offsets = [(0, 0), (1, 0), (2, 1), (4, 3)]
+    ccf = spatial_ccf_series(offsets, 1, 0.01, 0.0, CCF_CFG, model, 3, seed=4, base_p=(3, 2))
+    points = [((3, 2), 1, 0.0)] + [((3 + dh, 2 + dv), 2, 0.01) for dh, dv in offsets]
+    ref = _per_lag_ccf(points, CCF_CFG, model, 3, 4)
+    assert np.max(np.abs(ccf.values - ref)) < 1e-12
+
+
+def test_series_identical_across_thread_counts(monkeypatch):
+    def run():
+        return np.concatenate(
+            [
+                temporal_acf_series([0.0, 0.02], 0.0, CCF_CFG, PLANAR, 5, seed=1).values,
+                spatial_ccf_series([(1, 0), (3, 2)], 1, 0.01, 0.0, CCF_CFG, SPHERICAL, 5, seed=1).values,
+                frequency_cf_series([0.0, 1e6], 0.0, CCF_CFG, SPHERICAL, 5, seed=1).values,
+            ]
+        )
+
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    serial = run()
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    assert np.array_equal(run(), serial)
 
 
 def test_series_validation():
