@@ -410,11 +410,9 @@ def _partition_arrays(cfg: ScenarioConfig, partition: SubarrayPartition):
     p_lin = np.arange(1, cfg.P_h * cfg.P_v + 1)
     p_h = (p_lin - 1) % cfg.P_h + 1
     p_v = (p_lin - 1) // cfg.P_h + 1
-    rem_h = p_h % partition.p_max_h
-    sh = np.where(rem_h != 0, (p_h - rem_h) // partition.p_max_h + 1, p_h // partition.p_max_h)
-    rem_v = p_v % partition.p_max_v
-    sv = np.where(rem_v != 0, (p_v - rem_v) // partition.p_max_v + 1, p_v // partition.p_max_v)
-    s_of_p = (sh - 1) * counts_v + (sv - 1)
+    sh = (p_h - 1) // partition.p_max_h
+    sv = (p_v - 1) // partition.p_max_v
+    s_of_p = sh * counts_v + sv
     kh = (cfg.P_h - 2 * p_h + 1) / 2.0
     kv = (cfg.P_v - 2 * p_v + 1) / 2.0
     return cx, cy, cz, s_of_p, kh, kv

@@ -223,10 +223,7 @@ def partition_counts(P: int, p_max: int) -> int:
         raise ValueError(f"P must be an integer >= 1, got {P!r}")
     if not isinstance(p_max, int) or not 1 <= p_max <= P:
         raise ValueError(f"p_max must be an integer in [1, {P}], got {p_max!r}")
-    rem = P % p_max
-    if rem != 0:
-        return (P - rem) // p_max + 1
-    return P // p_max
+    return -(-P // p_max)
 
 
 def subarray_size(index: int, P: int, p_max: int) -> int:
@@ -245,10 +242,7 @@ def element_to_subarray(p: int, p_max: int) -> int:
         raise ValueError(f"p must be an integer >= 1, got {p!r}")
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError(f"p_max must be an integer >= 1, got {p_max!r}")
-    rem = p % p_max
-    if rem != 0:
-        return (p - rem) // p_max + 1
-    return p // p_max
+    return (p - 1) // p_max + 1
 
 
 @dataclass(frozen=True)

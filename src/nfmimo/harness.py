@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .channel import WavefrontModel
+from .fileio import atomic_open
 from .geometry import (
     ScenarioConfig,
     config_from_dict,
@@ -80,7 +81,7 @@ class RunManifest:
     outputs: dict[str, str]
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -145,6 +146,18 @@ def _float_list(sweep: dict, key: str, default: list[float]) -> list[float]:
     return out
 
 
+def _finite(sweep: dict, key: str, default: float) -> float:
+    """A finite number from the sweep; anything else is a ValueError naming key."""
+    value = sweep.get(key, default)
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"sweep key {key!r} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ValueError(f"sweep key {key!r} must be finite, got {value!r}")
+    return out
+
+
 def _series_to_file(series: CorrelationSeries, out_dir: Path, stem: str, outputs: dict) -> None:
     path = out_dir / f"{stem}.csv"
     series.to_csv(path)
@@ -164,7 +177,7 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
     frequencies = _float_list(exp.sweep, "frequencies_hz", [2.4e9, 5e9])
     apertures = exp.sweep.get("apertures_m", [[1.0, 0.1], [1.0, 2.0], [2.0, 2.0]])
     path = exp.output / "rayleigh_table.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("frequency_hz,width_m,height_m,rayleigh_m\n")
         for f_c in frequencies:
             lam = cfg.c / f_c
@@ -186,7 +199,7 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
     model = _model_from_sweep(exp.sweep, default="planar")
     if model.variant == "spherical":
         raise ValueError("error sweeps compare against the spherical reference; pick another model")
-    t = float(exp.sweep.get("t", 0.0))
+    t = _finite(exp.sweep, "t", 0.0)
     deltas = []
     for side in sides:
         if side < 1:
@@ -215,7 +228,7 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
 def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     """Model error of square tilings as the tile size grows, one fixed field."""
     p_max_list = _int_list(exp.sweep, "p_max_list", [1, 2, 4, 8, 16, 30, 32, 64])
-    t = float(exp.sweep.get("t", 0.0))
+    t = _finite(exp.sweep, "t", 0.0)
     limit = min(cfg.P_h, cfg.P_v)
     for p_max in p_max_list:
         if not 1 <= p_max <= limit:
@@ -223,9 +236,7 @@ def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict) 
                 f"p_max = {p_max} outside [1, {limit}]; tile sizes cannot exceed the array side"
             )
     fld = field_for_realization(cfg, exp.seed, 0)
-    deltas = [
-        model_error_delta(WavefrontModel.subarray(p, p), t, cfg, fld) for p in p_max_list
-    ]
+    deltas = model_error_delta([WavefrontModel.subarray(p, p) for p in p_max_list], t, cfg, fld)
     series = CorrelationSeries(
         axis_name="p_max",
         lag_axis=np.asarray(p_max_list, dtype=float),
@@ -271,8 +282,8 @@ def _run_spatial_ccf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> Non
     series = spatial_ccf_series(
         offsets,
         int(exp.sweep.get("dq", 0)),
-        float(exp.sweep.get("dt", 0.0)),
-        float(exp.sweep.get("t", 0.0)),
+        _finite(exp.sweep, "dt", 0.0),
+        _finite(exp.sweep, "t", 0.0),
         cfg,
         model,
         int(exp.sweep.get("n_realizations", 500)),
@@ -283,14 +294,14 @@ def _run_spatial_ccf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> Non
 
 def _run_temporal_acf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     model = _model_from_sweep(exp.sweep)
-    dt_max = float(exp.sweep.get("dt_max", 0.05))
+    dt_max = _finite(exp.sweep, "dt_max", 0.05)
     points = int(exp.sweep.get("points", 101))
     if dt_max < 0 or points < 1:
         raise ValueError("dt_max must be >= 0 and points >= 1")
     dts = list(np.linspace(0.0, dt_max, points))
     series = temporal_acf_series(
         dts,
-        float(exp.sweep.get("t", 0.0)),
+        _finite(exp.sweep, "t", 0.0),
         cfg,
         model,
         int(exp.sweep.get("n_realizations", 500)),
@@ -301,14 +312,14 @@ def _run_temporal_acf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> No
 
 def _run_frequency_cf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     model = _model_from_sweep(exp.sweep)
-    df_max = float(exp.sweep.get("df_max", 1e7))
+    df_max = _finite(exp.sweep, "df_max", 1e7)
     points = int(exp.sweep.get("points", 101))
     if df_max < 0 or points < 1:
         raise ValueError("df_max must be >= 0 and points >= 1")
     dfs = list(np.linspace(0.0, df_max, points))
     series = frequency_cf_series(
         dfs,
-        float(exp.sweep.get("t", 0.0)),
+        _finite(exp.sweep, "t", 0.0),
         cfg,
         model,
         int(exp.sweep.get("n_realizations", 500)),
@@ -323,20 +334,26 @@ def _run_capacity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
     n_realizations = int(exp.sweep.get("n_realizations", 500))
     normalize_each = bool(exp.sweep.get("normalize_each", False))
     phase_draws = int(exp.sweep.get("phase_draws", 1))
-    t = float(exp.sweep.get("t", 0.0))
-    values = [
-        mean_capacity(
-            cfg,
-            model,
-            10.0 ** (db / 10.0),
-            n_realizations,
-            seed=exp.seed,
-            t=t,
-            normalize_each=normalize_each,
-            phase_draws=phase_draws,
-        )
-        for db in snr_db
-    ]
+    t = _finite(exp.sweep, "t", 0.0)
+    rho_snrs = []
+    for db in snr_db:
+        try:
+            rho = 10.0 ** (db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not (math.isfinite(db) and math.isfinite(rho)):
+            raise ValueError(f"sweep key 'snr_db_list' holds {db!r} dB, whose linear SNR is not finite")
+        rho_snrs.append(rho)
+    values = mean_capacity(
+        cfg,
+        model,
+        rho_snrs,
+        n_realizations,
+        seed=exp.seed,
+        t=t,
+        normalize_each=normalize_each,
+        phase_draws=phase_draws,
+    )
     series = CorrelationSeries(
         axis_name="snr_db",
         lag_axis=np.asarray(snr_db, dtype=float),

@@ -17,6 +17,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .channel import (
     rician_weights,
     tau_los,
 )
+from .fileio import atomic_open
 from .geometry import ScenarioConfig
 from .scattering import ScattererField, field_for_realization
 
@@ -119,7 +121,7 @@ class CorrelationSeries:
                 return "-inf" if x < 0 else "inf"
             return repr(float(x))
 
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([self.axis_name, "re", "im", "magnitude", "n_realizations", "seed"])
             for lag, value in zip(self.lag_axis, self.values):
@@ -393,6 +395,34 @@ def frequency_cf_series(
     )
 
 
+def _check_snr(rho_snr) -> float:
+    if not (math.isfinite(rho_snr) and rho_snr >= 0):
+        raise ValueError(f"rho_snr must be finite and >= 0, got {rho_snr!r}")
+    return rho_snr
+
+
+def _capacities(H: np.ndarray, rho_snrs, normalize: bool) -> np.ndarray:
+    """log2 det(I + (rho/P) H H^H) of one matrix at every SNR of rho_snrs, bits/s/Hz.
+
+    The Q x Q product H H^H is formed once and shared by every SNR, so a
+    whole SNR curve costs one matrix product plus one small determinant per
+    point. normalize first scales H so its squared Frobenius norm is P*Q.
+    """
+    n_q, n_p = H.shape
+    if normalize:
+        fro2 = float(np.sum(H.real**2 + H.imag**2))
+        if fro2 == 0.0:
+            raise ValueError("all-zero matrix cannot be normalized for capacity")
+        H = H * math.sqrt(n_p * n_q / fro2)
+    hh = H @ H.conj().T
+    eye = np.eye(n_q, dtype=complex)
+    out = np.empty(len(rho_snrs))
+    for i, rho in enumerate(rho_snrs):
+        _, logdet = np.linalg.slogdet(eye + (rho / n_p) * hh)
+        out[i] = logdet / math.log(2.0)
+    return out
+
+
 def capacity(realization: ChannelRealization | np.ndarray, rho_snr: float) -> float:
     """Shannon capacity of one matrix, Frobenius-normalized, bits/s/Hz.
 
@@ -404,37 +434,26 @@ def capacity(realization: ChannelRealization | np.ndarray, rho_snr: float) -> fl
     H = realization.H if isinstance(realization, ChannelRealization) else np.asarray(realization)
     if H.ndim != 2:
         raise ValueError(f"H must be 2-D, got shape {H.shape}")
-    if not (math.isfinite(rho_snr) and rho_snr >= 0):
-        raise ValueError(f"rho_snr must be finite and >= 0, got {rho_snr!r}")
-    n_q, n_p = H.shape
-    fro2 = float(np.sum(H.real**2 + H.imag**2))
-    if fro2 == 0.0:
-        raise ValueError("all-zero matrix cannot be normalized for capacity")
-    h_bar = H * math.sqrt(n_p * n_q / fro2)
-    gram = np.eye(n_q, dtype=complex) + (rho_snr / n_p) * (h_bar @ h_bar.conj().T)
-    _, logdet = np.linalg.slogdet(gram)
-    return float(logdet / math.log(2.0))
-
-
-def _capacity_unnormalized(H: np.ndarray, rho_snr: float) -> float:
-    n_q, n_p = H.shape
-    gram = np.eye(n_q, dtype=complex) + (rho_snr / n_p) * (H @ H.conj().T)
-    _, logdet = np.linalg.slogdet(gram)
-    return float(logdet / math.log(2.0))
+    return float(_capacities(H, [_check_snr(rho_snr)], normalize=True)[0])
 
 
 def mean_capacity(
     cfg: ScenarioConfig,
     model: WavefrontModel,
-    rho_snr: float,
+    rho_snr: float | Sequence[float],
     n_realizations: int = 500,
     *,
     seed: int = 0,
     t: float = 0.0,
     normalize_each: bool = False,
     phase_draws: int = 1,
-) -> float:
+) -> float | list[float]:
     """Ensemble-average capacity over independent scatterer fields.
+
+    rho_snr is one linear SNR, giving a float, or a 1-D sequence of them,
+    giving one value per SNR. Each field's matrix is built once and every
+    SNR point is read from its Q x Q Gram product, so a sequence costs about
+    as much as a single SNR; each value equals the scalar call's exactly.
 
     By default each matrix enters as generated: its entries already have
     unit mean-square by construction, so the ensemble realizes the
@@ -451,52 +470,69 @@ def mean_capacity(
     come from a dedicated stream keyed on (seed, field index), keeping
     results deterministic and independent of thread count.
     """
-    if not (math.isfinite(rho_snr) and rho_snr >= 0):
-        raise ValueError(f"rho_snr must be finite and >= 0, got {rho_snr!r}")
+    scalar = np.ndim(rho_snr) == 0
+    if not scalar and np.ndim(rho_snr) != 1:
+        raise ValueError(f"rho_snr must be a number or a 1-D sequence, got shape {np.shape(rho_snr)}")
+    rho_snrs = [_check_snr(rho) for rho in ([rho_snr] if scalar else rho_snr)]
+    if not rho_snrs:
+        raise ValueError("rho_snr must hold at least one SNR")
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     if phase_draws < 1:
         raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")
 
-    def one(i: int) -> float:
+    def one(i: int) -> np.ndarray:
         fld = field_for_realization(cfg, seed, i)
         if phase_draws == 1:
-            real = channel_matrix(t, cfg, model, fld)
-            if normalize_each:
-                return capacity(real, rho_snr)
-            return _capacity_unnormalized(real.H, rho_snr)
+            return _capacities(channel_matrix(t, cfg, model, fld).H, rho_snrs, normalize_each)
         parts = matrix_parts(t, cfg, model, fld)
         rng = np.random.default_rng([seed, i, _PHASE_STREAM])
-        total = 0.0
+        total = np.zeros(len(rho_snrs))
         for _ in range(phase_draws):
             phases = rng.uniform(-math.pi, math.pi, fld.n_rays)
-            H = combine_parts(parts, phases, cfg.K)
-            if normalize_each:
-                total += capacity(H, rho_snr)
-            else:
-                total += _capacity_unnormalized(H, rho_snr)
+            total += _capacities(combine_parts(parts, phases, cfg.K), rho_snrs, normalize_each)
         return total / phase_draws
 
-    values = _map_realizations(one, n_realizations)
-    return float(sum(values) / n_realizations)
+    means = sum(_map_realizations(one, n_realizations)) / n_realizations
+    return float(means[0]) if scalar else [float(v) for v in means]
 
 
 def model_error_delta(
-    model: WavefrontModel, t: float, cfg: ScenarioConfig, field: ScattererField
-) -> float:
+    model: WavefrontModel | Sequence[WavefrontModel],
+    t: float,
+    cfg: ScenarioConfig,
+    field: ScattererField,
+) -> float | list[float]:
     """Aggregate dB error of a model's matrix against the per-element reference.
 
     Sums |h - h_ref| / |h_ref| over all antenna pairs with the identical
     scatterer field and phases for both models, then takes 10*log10. A
     model that matches the reference exactly (e.g. a 1x1 tiling) yields
     -inf, returned as a sentinel rather than raised.
+
+    model may also be a sequence of models, giving one error per model. The
+    reference matrix is then built once for all of them, and a model whose
+    tiling is the 1x1 partition reuses it instead of rebuilding it.
     """
-    if model.variant == "spherical":
+    single = isinstance(model, WavefrontModel)
+    models = [model] if single else list(model)
+    if not models:
+        raise ValueError("at least one model is required")
+    if any(m.variant == "spherical" for m in models):
         raise ValueError("the per-element (spherical) model is the error reference itself")
-    reference = WavefrontModel.spherical()
-    h_model = channel_matrix(t, cfg, model, field).H
-    h_ref = channel_matrix(t, cfg, reference, field).H
-    total = float(np.sum(np.abs(h_model - h_ref) / np.abs(h_ref)))
-    if total == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(total)
+    h_ref = abs_ref = None
+    errors = []
+    for m in models:
+        partition = m.partition_for(cfg)
+        unit = partition.p_max_h == partition.p_max_v == 1
+        h_model = None if unit else channel_matrix(t, cfg, m, field).H
+        if h_ref is None:
+            # Built after the first model's matrix, as for a lone model,
+            # which keeps the peak memory of the call unchanged.
+            h_ref = channel_matrix(t, cfg, WavefrontModel.spherical(), field).H
+            abs_ref = np.abs(h_ref)
+        if unit:
+            h_model = h_ref
+        total = float(np.sum(np.abs(h_model - h_ref) / abs_ref))
+        errors.append(float("-inf") if total == 0.0 else 10.0 * math.log10(total))
+    return errors[0] if single else errors

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from nfmimo.harness import (
     run_experiment,
     validate_config,
 )
-from nfmimo.stats import THREADS_ENV_VAR
+from nfmimo.stats import THREADS_ENV_VAR, CorrelationSeries
 
 SMALL_CFG_JSON = json.dumps(
     {"P_h": 4, "P_v": 4, "Q": 2, "L_clusters": 2, "N_rays": 3}
@@ -423,3 +424,117 @@ def test_cli_rejects_bad_config_numbers(tmp_path, capsys, text, name):
     rc = main(["rayleigh-table", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert f"{name} must" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Goldens: small-config sweeps recorded before the sweep-axis reuse
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_CFG_JSON = json.dumps({"P_h": 8, "P_v": 8, "Q": 2, "L_clusters": 2, "N_rays": 5})
+
+
+def _assert_csv_close(path, golden):
+    header, rows = read_csv(path)
+    g_header, g_rows = read_csv(golden)
+    assert header == g_header and len(rows) == len(g_rows)
+    for row, g_row in zip(rows, g_rows):
+        assert row[0] == g_row[0] and row[4:] == g_row[4:]
+        for value, g_value in zip(row[1:4], g_row[1:4]):
+            assert float(value) == pytest.approx(float(g_value), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "args, name, golden",
+    [
+        (
+            ["capacity-sweep", "--realizations", "2", "--snr-db", "0,10,30", "--phase-draws", "2"],
+            "capacity_sweep__spherical.csv",
+            "capacity_sweep_small.csv",
+        ),
+        (["error-vs-subarray", "--p-max-list", "1,2,3,4,8"], "error_vs_subarray.csv", "error_vs_subarray_small.csv"),
+    ],
+)
+def test_sweep_golden(tmp_path, args, name, golden):
+    # Goldens: config GOLDEN_CFG_JSON, seed 3, recorded with one matrix build per SNR point
+    # and one reference build per tiling.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(GOLDEN_CFG_JSON)
+    rc = main([*args, "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path / "run")])
+    assert rc == 0
+    _assert_csv_close(tmp_path / "run" / name, DATA / golden)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite sweep numbers
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["capacity-sweep", "--snr-db", "0,1e308"], "snr_db_list"),
+        (["capacity-sweep", "--snr-db", "nan"], "snr_db_list"),
+        (["capacity-sweep", "--snr-db=-inf"], "snr_db_list"),
+        (["capacity-sweep", "--t", "nan"], "t"),
+        (["error-vs-subarray", "--t", "inf"], "t"),
+        (["error-vs-array", "--t", "nan", "--sides", "2"], "t"),
+        (["spatial-ccf", "--dt", "nan"], "dt"),
+        (["temporal-acf", "--dt-max", "nan"], "dt_max"),
+        (["frequency-cf", "--df-max", "inf"], "df_max"),
+    ],
+)
+def test_cli_rejects_non_finite_sweep_numbers(tmp_path, capsys, args, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    rc = main([*args, "--config", str(cfg_path), "--realizations", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+# ---------------------------------------------------------------------------
+# Atomic outputs: a failed write leaves the previous file and no temp file
+
+
+def test_series_csv_write_is_atomic(tmp_path):
+    def series(lags):
+        return CorrelationSeries(
+            axis_name="x",
+            lag_axis=np.array(lags, dtype=object),
+            values=np.ones(len(lags), dtype=complex),
+            t=0.0,
+            model_label="planar",
+            n_realizations=1,
+            seed=0,
+        )
+
+    path = tmp_path / "s.csv"
+    series([0.0, 1.0]).to_csv(path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        series([0.0, "not a number"]).to_csv(path)  # fails after the first row
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["s.csv"]
+
+
+def test_manifest_write_is_atomic(tmp_path):
+    def manifest(config):
+        return RunManifest("complexity_sweep", config, {}, "0", 0, 0.0, {})
+
+    path = tmp_path / "manifest.json"
+    manifest({"P_h": 4}).to_json(path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        manifest({"P_h": 4, "Q": object()}).to_json(path)  # fails mid-document
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_failed_run_keeps_previous_outputs(tmp_path):
+    cfg = validate_config(SMALL_CFG_JSON)
+    run_experiment(Experiment(kind="rayleigh_table", output=tmp_path), cfg)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert set(before) == {"rayleigh_table.csv", "manifest.json"}
+    bad = Experiment(kind="rayleigh_table", sweep={"apertures_m": [[1.0, 0.1], [1.0, "x"]]}, output=tmp_path)
+    with pytest.raises(ValueError):
+        run_experiment(bad, cfg)  # fails after two table rows
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before

@@ -472,3 +472,80 @@ def test_ro_complexity_nonincreasing_in_tile_size():
 def test_ro_complexity_rejects_oversized_tile():
     with pytest.raises(ValueError):
         ro_complexity(WavefrontModel.subarray(65, 1), LARGE_CFG)
+
+
+# ---------------------------------------------------------------------------
+# Sweep-axis reuse: one matrix per field for every SNR, one reference per field
+
+SWEEP_CFG = ScenarioConfig(P_h=8, P_v=8, Q=2, L_clusters=2, N_rays=5)
+SNRS = [0.0, 3.1622776601683795, 1000.0]
+
+
+@pytest.mark.parametrize("label", ["spherical", "subarray:4x4", "planar"])
+@pytest.mark.parametrize("normalize_each", [False, True])
+@pytest.mark.parametrize("phase_draws", [1, 3])
+def test_mean_capacity_sequence_equals_scalar_calls(label, normalize_each, phase_draws):
+    model = WavefrontModel.parse(label)
+    kw = dict(seed=2, t=0.01, normalize_each=normalize_each, phase_draws=phase_draws)
+    curve = mean_capacity(SWEEP_CFG, model, SNRS, 2, **kw)
+    assert curve == [mean_capacity(SWEEP_CFG, model, rho, 2, **kw) for rho in SNRS]
+    assert all(type(v) is float for v in curve)
+    assert type(mean_capacity(SWEEP_CFG, model, SNRS[1], 2, **kw)) is float
+
+
+def test_mean_capacity_sequence_identical_across_thread_counts(monkeypatch):
+    def run():
+        return [
+            mean_capacity(SWEEP_CFG, PLANAR, SNRS, 4, seed=1, phase_draws=2),
+            mean_capacity(SWEEP_CFG, SPHERICAL, SNRS, 4, seed=1, normalize_each=True),
+        ]
+
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    serial = run()
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    assert run() == serial
+
+
+def test_mean_capacity_builds_one_matrix_per_field(monkeypatch):
+    import nfmimo.stats as stats
+
+    built = []
+    for name in ("channel_matrix", "matrix_parts"):
+        original = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda *a, _f=original, _n=name: built.append(_n) or _f(*a))
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    mean_capacity(SWEEP_CFG, SPHERICAL, SNRS, 3, seed=1)
+    assert built == ["channel_matrix"] * 3
+    built.clear()
+    mean_capacity(SWEEP_CFG, SPHERICAL, SNRS, 3, seed=1, phase_draws=4)
+    assert built == ["matrix_parts"] * 3
+
+
+def test_mean_capacity_sequence_validation():
+    for bad in ([], [1.0, -1.0], [1.0, float("nan")], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="rho_snr"):
+            mean_capacity(SWEEP_CFG, SPHERICAL, bad, 1)
+
+
+def test_model_error_list_equals_single_calls(monkeypatch):
+    import nfmimo.stats as stats
+
+    field = field_for_realization(SWEEP_CFG, 4, 0)
+    models = [WavefrontModel.subarray(p, p) for p in (2, 1, 3, 8)] + [PLANAR, WavefrontModel.subarray(1, 1)]
+    singles = [model_error_delta(m, 0.02, SWEEP_CFG, field) for m in models]
+    built = []
+    original = stats.channel_matrix
+    monkeypatch.setattr(stats, "channel_matrix", lambda t, c, m, f: built.append(m.label) or original(t, c, m, f))
+    errors = model_error_delta(models, 0.02, SWEEP_CFG, field)
+    assert errors == singles
+    assert errors[1] == errors[5] == float("-inf")
+    # The first model comes before the one shared reference; 1x1 tilings reuse it.
+    assert built == ["subarray:2x2", "spherical", "subarray:3x3", "subarray:8x8", "planar"]
+
+
+def test_model_error_list_validation():
+    field = field_for_realization(SWEEP_CFG, 0, 0)
+    with pytest.raises(ValueError, match="reference"):
+        model_error_delta([PLANAR, SPHERICAL], 0.0, SWEEP_CFG, field)
+    with pytest.raises(ValueError):
+        model_error_delta([], 0.0, SWEEP_CFG, field)
