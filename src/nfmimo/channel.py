@@ -7,6 +7,12 @@ linear steering phase. A 1x1 tiling recovers the exact per-element
 baseline. Bulk propagation phase always rides on the midpoint-to-midpoint
 path lengths, expressed through the path delay so that the time response at
 the carrier and the frequency response agree identically.
+
+The phase formula is coded once: _direct_phases (receive points x
+elements) and _scattered_phases (elements x rays, receive points x rays),
+built on _angles, the only arctan2. matrix_parts runs them over the whole
+array; point_phases over a batch of (p, q, t) points, of which los_phase,
+nlos_ray_phases, cir_* and transfer_function are one-point views.
 """
 
 from __future__ import annotations
@@ -20,17 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
-    AngleConvention,
     GeometryError,
     ScenarioConfig,
     SubarrayPartition,
-    Vec3,
     element_rowcol,
     k_index,
-    los_arrival_angles,
     make_partition,
     mr_element_position,
-    ray_angles,
 )
 from .scattering import ScattererField
 
@@ -189,10 +191,29 @@ def rician_weights(K: float) -> tuple[float, float]:
 
 def tau_los(t: float, cfg: ScenarioConfig) -> float:
     """Delay of the direct path between the array midpoints at time t."""
-    xi = cfg.bs_midpoint().distance_to(cfg.mr_midpoint(t))
+    try:  # with a float t an overflowing square raises instead of warning
+        xi = cfg.bs_midpoint().distance_to(cfg.mr_midpoint(float(t)))
+    except OverflowError:
+        xi = math.inf
+    if not math.isfinite(xi):
+        raise ValueError(f"t = {float(t)!r} s moves the receiver too far for a finite path length")
     if xi == 0.0:
         raise GeometryError("receive midpoint coincides with transmit midpoint")
     return xi / cfg.c
+
+
+def _midpoints(times, cfg: ScenarioConfig) -> np.ndarray:
+    """(len(times), 3) receive-array midpoints at the given times."""
+    return np.array([cfg.mr_midpoint(t).as_tuple() for t in times], dtype=float).reshape(-1, 3)
+
+
+def _path_delays(pos: np.ndarray, mids: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """(xi_T + xi_R) / c per receive midpoint (rows of mids) and ray position (rows of pos)."""
+    bs = cfg.bs_midpoint()
+    mx, my, mz = mids.T[:, :, None]
+    xi_t = np.sqrt((pos[:, 0] - bs.x) ** 2 + (pos[:, 1] - bs.y) ** 2 + (pos[:, 2] - bs.z) ** 2)
+    xi_r = np.sqrt((pos[:, 0] - mx) ** 2 + (pos[:, 1] - my) ** 2 + (pos[:, 2] - mz) ** 2)
+    return (xi_t + xi_r) / cfg.c
 
 
 def nlos_delays(t, cfg: ScenarioConfig, field: ScattererField) -> np.ndarray:
@@ -200,19 +221,8 @@ def nlos_delays(t, cfg: ScenarioConfig, field: ScattererField) -> np.ndarray:
 
     t is one time (shape (n_rays,)) or a 1-D array of times (one row each).
     """
-    pos = field.positions()
-    bs = cfg.bs_midpoint()
-    mr = np.array([cfg.mr_midpoint(ti).as_tuple() for ti in np.atleast_1d(t).tolist()])
-    mx, my, mz = mr.T[:, :, None]
-    xi_t = np.sqrt((pos[:, 0] - bs.x) ** 2 + (pos[:, 1] - bs.y) ** 2 + (pos[:, 2] - bs.z) ** 2)
-    xi_r = np.sqrt((pos[:, 0] - mx) ** 2 + (pos[:, 1] - my) ** 2 + (pos[:, 2] - mz) ** 2)
-    delays = (xi_t + xi_r) / cfg.c
+    delays = _path_delays(field.positions(), _midpoints(np.atleast_1d(t).tolist(), cfg), cfg)
     return delays if np.ndim(t) else delays[0]
-
-
-def _subarray_center_of(p_h: int, p_v: int, partition: SubarrayPartition) -> Vec3:
-    sh, sv = partition.subarray_of_element(p_h, p_v)
-    return partition.centers[sh - 1][sv - 1]
 
 
 def _mr_terms(az_r, el_r, kq, t, cfg: ScenarioConfig):
@@ -229,82 +239,102 @@ def _mr_terms(az_r, el_r, kq, t, cfg: ScenarioConfig):
     return term_az + term_el + term_dop
 
 
+def _angles(dx, dy, dz):
+    """Azimuth and elevation of displacements (dx, dy, dz); dz is the signed rise (drop for the direct ray)."""
+    return np.arctan2(dy, dx), np.arctan2(dz, np.hypot(dx, dy))
+
+
+def _departure_gains(az, el, cfg: ScenarioConfig):
+    """Tile steering slopes g1, g2: an element with grid offsets (kh, kv) steers by kh*g1 + kv*g2."""
+    k = TWO_PI / cfg.wavelength
+    return k * cfg.delta_T * np.cos(az - cfg.psi_T) * np.cos(el), k * cfg.delta_T * np.sin(el)
+
+
+def _elements(p_h: np.ndarray, p_v: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition):
+    """(3, S) midpoints of the distinct tiles holding elements (p_h, p_v), each element's tile, kh and kv."""
+    n_v = partition.counts_v
+    tile = (p_h - 1) // partition.p_max_h * n_v + (p_v - 1) // partition.p_max_v
+    tiles, s_of_p = np.unique(tile, return_inverse=True)
+    centers = np.array([partition.centers[s // n_v][s % n_v].as_tuple() for s in tiles.tolist()])
+    return centers.T, s_of_p, (cfg.P_h - 2 * p_h + 1) / 2.0, (cfg.P_v - 2 * p_v + 1) / 2.0
+
+
+def _receivers(qts, cfg: ScenarioConfig) -> np.ndarray:
+    """(5, M) rows x, y, z, k_index, t of the receive elements at the (q, t) pairs."""
+    rows = [(*mr_element_position(q, t, cfg).as_tuple(), k_index(q, cfg.Q), t) for q, t in qts]
+    return np.array(rows, dtype=float).reshape(-1, 5).T
+
+
+def _direct_phases(elements, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Direct-path phase per receive point (rows) and element (columns); bulk is each point's -2*pi*f*tau.
+
+    Arrival angles are the reverse bearing, in (-pi, pi], and the departure elevation.
+    """
+    (cx, cy, cz), s_of_p, kh, kv = elements
+    x, y, z, kq, t = rx[:, :, None]
+    az, el = _angles(x - cx, y - cy, cz - z)
+    az_r = math.pi - az
+    az_r = np.where(az_r > math.pi, az_r - TWO_PI, az_r)
+    a1, a2 = _departure_gains(az, el, cfg)
+    mr = _mr_terms(az_r, el, kq, t, cfg)
+    return kh * a1[:, s_of_p] + kv * a2[:, s_of_p] + mr[:, s_of_p] + bulk[:, None]
+
+
+def _scattered_phases(pos: np.ndarray, elements, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig):
+    """Per-ray departure steering (E, N) per element and arrival + Doppler + bulk (M, N) per receive point.
+
+    bulk is -2*pi*f times the per-ray delays; element e to point m has phase dep[e] + arr[m].
+    """
+    (cx, cy, cz), s_of_p, kh, kv = elements
+    dep = _angles(pos[:, 0] - cx[:, None], pos[:, 1] - cy[:, None], pos[:, 2] - cz[:, None])
+    g1, g2 = _departure_gains(*dep, cfg)
+    x, y, z, kq, t = rx[:, :, None]
+    arr = _mr_terms(*_angles(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z), kq, t, cfg) + bulk
+    return kh[:, None] * g1[s_of_p] + kv[:, None] * g2[s_of_p], arr
+
+
+def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | None = None):
+    """Path phases at a batch of (p, q, t) points, with the bulk delay phase at f (default f_c).
+
+    Returns (direct, scattered): the direct-path phase per point, and a
+    function of a scatterer field giving the (n_points, n_rays)
+    deterministic per-ray phases (random phase excluded). The geometry
+    that does not depend on the field is evaluated here once, so a sweep
+    makes one call and evaluates scattered once per field.
+    """
+    freq = cfg.f_c if f is None else f
+    # Each point indexes its distinct element and its distinct (q, t) pair.
+    elements: dict[tuple[int, int], int] = {}
+    receivers: dict[tuple[int, float], int] = {}
+    rows = [
+        (elements.setdefault(_grid_index(p, cfg), len(elements)), receivers.setdefault((q, t), len(receivers)))
+        for p, q, t in points
+    ]
+    i_el, i_rx = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    p_h, p_v = np.array(list(elements), dtype=np.intp).reshape(-1, 2).T
+    els = _elements(p_h, p_v, cfg, model.partition_for(cfg))
+    rx = _receivers(receivers, cfg)
+    bulk = -TWO_PI * freq * np.array([tau_los(t, cfg) for _, t in receivers])
+    mids = _midpoints([t for _, t in receivers], cfg)
+    direct = _direct_phases(els, rx, bulk, cfg)[i_rx, i_el]
+
+    def scattered(field: ScattererField) -> np.ndarray:
+        pos = field.positions()
+        dep, arr = _scattered_phases(pos, els, rx, -TWO_PI * freq * _path_delays(pos, mids, cfg), cfg)
+        return dep[i_el] + arr[i_rx]
+
+    return direct, scattered
+
+
 def los_phase(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, f: float | None = None) -> float:
-    """Total direct-path phase for transmit element p, receive element q.
+    """Total direct-path phase for transmit element p, receive element q: point_phases at one point.
 
     Departure angles are taken at the tile midpoint containing p toward the
     receive element; arrival angles follow the reverse-bearing relations.
     The bulk term enters as -2*pi*f*tau so that evaluations at different
     frequencies share the exact same code path (f defaults to the carrier).
     """
-    partition = model.partition_for(cfg)
-    p_h, p_v = _grid_index(p, cfg)
-    center = _subarray_center_of(p_h, p_v, partition)
-    d_q = mr_element_position(q, t, cfg)
-    az_t, el_t = ray_angles(center, d_q, AngleConvention.LOS_DEPARTURE)
-    az_r, el_r = los_arrival_angles(az_t, el_t)
-    k = TWO_PI / cfg.wavelength
-    phase = k * k_index(p_h, cfg.P_h) * cfg.delta_T * math.cos(az_t - cfg.psi_T) * math.cos(el_t)
-    phase += k * k_index(p_v, cfg.P_v) * cfg.delta_T * math.sin(el_t)
-    phase += _mr_terms(az_r, el_r, k_index(q, cfg.Q), t, cfg)
-    freq = cfg.f_c if f is None else f
-    phase += -TWO_PI * freq * tau_los(t, cfg)
-    return float(phase)
-
-
-def nlos_phase_table(
-    points,
-    cfg: ScenarioConfig,
-    model: WavefrontModel,
-    field: ScattererField,
-    f: float | None = None,
-) -> np.ndarray:
-    """Deterministic per-ray phases (steering + Doppler + bulk) at a batch of points.
-
-    points is a sequence of (p, q, t); the result has one row of n_rays
-    phases per point, random phase excluded. Departure angles per ray are
-    taken at the tile midpoint containing p; arrival angles at the receive
-    element q. Bulk propagation rides the midpoint-to-midpoint legs through
-    the per-ray delay, as in los_phase.
-    """
-    partition = model.partition_for(cfg)
-    # The departure part depends on p alone and the arrival part on (q, t)
-    # alone, so each is evaluated once per distinct value and the rows are
-    # gathered per point; the sum keeps the scalar evaluation's order.
-    departures: dict[tuple[int, int], int] = {}
-    arrivals: dict[tuple[int, float], int] = {}
-    rows = [
-        (departures.setdefault(_grid_index(p, cfg), len(departures)), arrivals.setdefault((q, t), len(arrivals)))
-        for p, q, t in points
-    ]
-    i_dep, i_arr = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-    dep = [
-        (*_subarray_center_of(p_h, p_v, partition).as_tuple(), k_index(p_h, cfg.P_h), k_index(p_v, cfg.P_v))
-        for p_h, p_v in departures
-    ]
-    arr = [(*mr_element_position(q, t, cfg).as_tuple(), k_index(q, cfg.Q), t) for q, t in arrivals]
-    # (n, 1) columns broadcast against the (n_rays,) ray coordinates.
-    cx, cy, cz, kh, kv = np.array(dep, dtype=float).reshape(-1, 5).T[:, :, None]
-    rx, ry, rz, kq, ts = np.array(arr, dtype=float).reshape(-1, 5).T[:, :, None]
-    pos = field.positions()
-
-    dx_t = pos[:, 0] - cx
-    dy_t = pos[:, 1] - cy
-    az_t = np.arctan2(dy_t, dx_t)
-    el_t = np.arctan2(pos[:, 2] - cz, np.hypot(dx_t, dy_t))
-
-    dx_r = pos[:, 0] - rx
-    dy_r = pos[:, 1] - ry
-    az_r = np.arctan2(dy_r, dx_r)
-    el_r = np.arctan2(pos[:, 2] - rz, np.hypot(dx_r, dy_r))
-
-    k = TWO_PI / cfg.wavelength
-    departure = k * kh * cfg.delta_T * np.cos(az_t - cfg.psi_T) * np.cos(el_t)
-    departure += k * kv * cfg.delta_T * np.sin(el_t)
-    phase = departure[i_dep] + _mr_terms(az_r, el_r, kq, ts, cfg)[i_arr]
-    freq = cfg.f_c if f is None else f
-    phase += (-TWO_PI * freq * nlos_delays(ts[:, 0], cfg, field))[i_arr]
-    return phase
+    return float(point_phases([(p, q, t)], cfg, model, f)[0][0])
 
 
 def nlos_ray_phases(
@@ -316,8 +346,15 @@ def nlos_ray_phases(
     field: ScattererField,
     f: float | None = None,
 ) -> np.ndarray:
-    """nlos_phase_table at the single point (p, q, t): one phase per ray."""
-    return nlos_phase_table([(p, q, t)], cfg, model, field, f)[0]
+    """Deterministic per-ray phases (steering + Doppler + bulk) at (p, q, t): point_phases at one point."""
+    return point_phases([(p, q, t)], cfg, model, f)[1](field)[0]
+
+
+def _pair_coefficients(p, q, t, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField, f=None):
+    """Unit-modulus direct and normalized scattered coefficient of one antenna pair, bulk phase at f."""
+    direct, scattered = point_phases([(p, q, t)], cfg, model, f)
+    nlos = np.exp(1j * (field.phases() + scattered(field)[0])).sum() / math.sqrt(field.n_rays)
+    return complex(np.exp(1j * direct[0])), complex(nlos)
 
 
 def cir_los(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel) -> complex:
@@ -333,9 +370,7 @@ def cir_nlos(
     The normalization keeps the ensemble mean power at 1 regardless of ray
     count, so the Rician weights alone set the direct/scattered power split.
     """
-    phases = nlos_ray_phases(p, q, t, cfg, model, field)
-    total = np.exp(1j * (field.phases() + phases)).sum()
-    return complex(total / math.sqrt(field.n_rays))
+    return _pair_coefficients(p, q, t, cfg, model, field)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,11 +392,9 @@ def cir_total(
 ) -> CirComponents:
     """Rician-weighted direct + scattered coefficients for one antenna pair."""
     w_los, w_nlos = rician_weights(cfg.K)
+    los, nlos = _pair_coefficients(p, q, t, cfg, model, field)
     return CirComponents(
-        los=w_los * cir_los(p, q, t, cfg, model),
-        nlos=w_nlos * cir_nlos(p, q, t, cfg, model, field),
-        tau_los=tau_los(t, cfg),
-        tau_nlos=nlos_delays(t, cfg, field),
+        los=w_los * los, nlos=w_nlos * nlos, tau_los=tau_los(t, cfg), tau_nlos=nlos_delays(t, cfg, field)
     )
 
 
@@ -388,34 +421,8 @@ def transfer_function(
             f"f_c + {BANDWIDTH_HZ/2:.0f}] around f_c = {cfg.f_c} Hz"
         )
     w_los, w_nlos = rician_weights(cfg.K)
-    los = w_los * complex(np.exp(1j * los_phase(p, q, t, cfg, model, f=f)))
-    phases = nlos_ray_phases(p, q, t, cfg, model, field, f=f)
-    nlos = w_nlos * complex(
-        np.exp(1j * (field.phases() + phases)).sum() / math.sqrt(field.n_rays)
-    )
-    return los + nlos
-
-
-def _partition_arrays(cfg: ScenarioConfig, partition: SubarrayPartition):
-    """Flattened center coordinates and the element -> tile index map."""
-    counts_v = partition.counts_v
-    centers = [
-        partition.centers[sh][sv]
-        for sh in range(partition.counts_h)
-        for sv in range(counts_v)
-    ]
-    cx = np.array([c.x for c in centers])
-    cy = np.array([c.y for c in centers])
-    cz = np.array([c.z for c in centers])
-    p_lin = np.arange(1, cfg.P_h * cfg.P_v + 1)
-    p_h = (p_lin - 1) % cfg.P_h + 1
-    p_v = (p_lin - 1) // cfg.P_h + 1
-    sh = (p_h - 1) // partition.p_max_h
-    sv = (p_v - 1) // partition.p_max_v
-    s_of_p = sh * counts_v + sv
-    kh = (cfg.P_h - 2 * p_h + 1) / 2.0
-    kv = (cfg.P_v - 2 * p_v + 1) / 2.0
-    return cx, cy, cz, s_of_p, kh, kv
+    los, nlos = _pair_coefficients(p, q, t, cfg, model, field, f)
+    return w_los * los + w_nlos * nlos
 
 
 def matrix_parts(
@@ -430,54 +437,15 @@ def matrix_parts(
     matrix for ray phases phi is dep_phasors @ exp(j(phi + arr_phases[q]))
     divided by sqrt(N), so redrawing phi reuses everything here.
     """
-    partition = model.partition_for(cfg)
-    cx, cy, cz, s_of_p, kh, kv = _partition_arrays(cfg, partition)
-    k = TWO_PI / cfg.wavelength
-    n_p = cfg.P_h * cfg.P_v
-
-    pos = field.positions()
-    n_rays = field.n_rays
-    delays = nlos_delays(t, cfg, field)
-    bulk_nlos = -TWO_PI * cfg.f_c * delays
+    p = np.arange(cfg.P_h * cfg.P_v)
+    elements = _elements(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, model.partition_for(cfg))
+    rx = _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg)
     t_los = tau_los(t, cfg)
-    bulk_los = -TWO_PI * cfg.f_c * t_los
-
-    # Scattered departure factors per tile: (S, N) arrays.
-    dx_t = pos[None, :, 0] - cx[:, None]
-    dy_t = pos[None, :, 1] - cy[:, None]
-    az_dep = np.arctan2(dy_t, dx_t)
-    el_dep = np.arctan2(pos[None, :, 2] - cz[:, None], np.hypot(dx_t, dy_t))
-    g1 = k * cfg.delta_T * np.cos(az_dep - cfg.psi_T) * np.cos(el_dep)
-    g2 = k * cfg.delta_T * np.sin(el_dep)
-    dep_phasors = np.exp(1j * (kh[:, None] * g1[s_of_p, :] + kv[:, None] * g2[s_of_p, :]))
-
-    H_los = np.empty((cfg.Q, n_p), dtype=complex)
-    arr_phases = np.empty((cfg.Q, n_rays))
-    for q in range(1, cfg.Q + 1):
-        d_q = mr_element_position(q, t, cfg)
-
-        # Direct path: per-tile angles toward this receive element.
-        ddx = d_q.x - cx
-        ddy = d_q.y - cy
-        az_t = np.arctan2(ddy, ddx)
-        el_t = np.arctan2(cz - d_q.z, np.hypot(ddx, ddy))
-        az_r = math.pi - az_t
-        az_r = np.where(az_r > math.pi, az_r - TWO_PI, az_r)
-        el_r = el_t
-        a1 = k * cfg.delta_T * np.cos(az_t - cfg.psi_T) * np.cos(el_t)
-        a2 = k * cfg.delta_T * np.sin(el_t)
-        mr_los = _mr_terms(az_r, el_r, k_index(q, cfg.Q), t, cfg)
-        los_phases = kh * a1[s_of_p] + kv * a2[s_of_p] + mr_los[s_of_p] + bulk_los
-        H_los[q - 1, :] = np.exp(1j * los_phases)
-
-        # Scattered paths: deterministic arrival factors per ray.
-        dx_r = pos[:, 0] - d_q.x
-        dy_r = pos[:, 1] - d_q.y
-        az_arr = np.arctan2(dy_r, dx_r)
-        el_arr = np.arctan2(pos[:, 2] - d_q.z, np.hypot(dx_r, dy_r))
-        arr_phases[q - 1, :] = _mr_terms(az_arr, el_arr, k_index(q, cfg.Q), t, cfg) + bulk_nlos
-
-    return H_los, dep_phasors, arr_phases, t_los, delays
+    delays = nlos_delays(t, cfg, field)
+    H_los = np.exp(1j * _direct_phases(elements, rx, np.full(cfg.Q, -TWO_PI * cfg.f_c * t_los), cfg))
+    dep, arr_phases = _scattered_phases(field.positions(), elements, rx, -TWO_PI * cfg.f_c * delays, cfg)
+    dep_phasors = 1j * dep  # exponentiated in place: the (P, N) table is the call's largest array
+    return H_los, np.exp(dep_phasors, out=dep_phasors), arr_phases, t_los, delays
 
 
 def combine_parts(

@@ -146,6 +146,16 @@ def _float_list(sweep: dict, key: str, default: list[float]) -> list[float]:
     return out
 
 
+def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
+    """Square tile sizes must lie within [1, min(P_h, P_v)]."""
+    limit = min(cfg.P_h, cfg.P_v)
+    for p_max in p_max_list:
+        if not 1 <= p_max <= limit:
+            raise ValueError(
+                f"p_max = {p_max} outside [1, {limit}]; tile sizes cannot exceed the array side"
+            )
+
+
 def _finite(sweep: dict, key: str, default: float) -> float:
     """A finite number from the sweep; anything else is a ValueError naming key."""
     value = sweep.get(key, default)
@@ -229,12 +239,7 @@ def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict) 
     """Model error of square tilings as the tile size grows, one fixed field."""
     p_max_list = _int_list(exp.sweep, "p_max_list", [1, 2, 4, 8, 16, 30, 32, 64])
     t = _finite(exp.sweep, "t", 0.0)
-    limit = min(cfg.P_h, cfg.P_v)
-    for p_max in p_max_list:
-        if not 1 <= p_max <= limit:
-            raise ValueError(
-                f"p_max = {p_max} outside [1, {limit}]; tile sizes cannot exceed the array side"
-            )
+    _check_p_max(p_max_list, cfg)
     fld = field_for_realization(cfg, exp.seed, 0)
     deltas = model_error_delta([WavefrontModel.subarray(p, p) for p in p_max_list], t, cfg, fld)
     series = CorrelationSeries(
@@ -252,12 +257,7 @@ def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict) 
 def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     """Operation counts of square tilings over tile size."""
     p_max_list = _int_list(exp.sweep, "p_max_list", [1, 2, 4, 8, 16, 30])
-    limit = min(cfg.P_h, cfg.P_v)
-    for p_max in p_max_list:
-        if not 1 <= p_max <= limit:
-            raise ValueError(
-                f"p_max = {p_max} outside [1, {limit}]; tile sizes cannot exceed the array side"
-            )
+    _check_p_max(p_max_list, cfg)
     totals = [
         ro_complexity(WavefrontModel.subarray(p, p), cfg).ro_total for p in p_max_list
     ]

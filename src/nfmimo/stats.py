@@ -26,11 +26,11 @@ from .channel import (
     WavefrontModel,
     channel_matrix,
     combine_parts,
-    los_phase,
+    los_phase,  # noqa: F401 - one-point views of point_phases; perfbench's tracer wraps them here
     matrix_parts,
     nlos_delays,
-    nlos_phase_table,
-    nlos_ray_phases,  # noqa: F401 - the one-point view; perfbench's tracer wraps it here
+    nlos_ray_phases,  # noqa: F401
+    point_phases,
     rician_weights,
     tau_los,
 )
@@ -197,15 +197,14 @@ def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_reali
     phasor product; the scattered part averages, over n_realizations
     independent fields, the per-field mean of deterministic per-ray
     conjugate phasors (random phases cancel ray-by-ray; cross-ray terms
-    average to zero and are dropped analytically). One nlos_phase_table
-    call per field evaluates every point.
+    average to zero and are dropped analytically). One point_phases call
+    evaluates the field-independent geometry of every point.
     """
-    los_base = los_phase(*base, cfg, model)
-    rho_los = np.array([np.exp(1j * (los_base - los_phase(*pt, cfg, model))) for pt in others])
-    points = [base, *others]
+    los, scattered = point_phases([base, *others], cfg, model)
+    rho_los = np.exp(1j * (los[0] - los[1:]))
 
     def one(fld: ScattererField) -> np.ndarray:
-        phases = nlos_phase_table(points, cfg, model, fld)
+        phases = scattered(fld)
         return np.exp(1j * (phases[0] - phases[1:])).mean(axis=1)
 
     return rho_los, _field_mean(one, cfg, n_realizations, seed)
@@ -377,13 +376,15 @@ def frequency_cf_series(
     if min(dfs) < 0:
         raise ValueError(f"frequency offsets df must be >= 0, got {min(dfs)}")
     dfs_arr = np.asarray(dfs, dtype=float)
-    rho_los = np.exp(1j * 2.0 * math.pi * dfs_arr * tau_los(t, cfg))
 
-    def one(fld: ScattererField) -> np.ndarray:
-        delays = nlos_delays(t, cfg, fld)
+    def delay_cf(delays: np.ndarray) -> np.ndarray:
+        # Delays are positive, so the largest offset and delay bound every phase argument.
+        if not math.isfinite(2.0 * math.pi * float(dfs_arr.max()) * float(delays.max())):
+            raise ValueError(f"frequency offsets df up to {float(dfs_arr.max())!r} Hz overflow the delay phase 2*pi*df*tau")
         return np.exp(1j * 2.0 * math.pi * dfs_arr[:, None] * delays[None, :]).mean(axis=1)
 
-    rho_nlos = _field_mean(one, cfg, n_realizations, seed)
+    rho_los = delay_cf(np.array([tau_los(t, cfg)]))
+    rho_nlos = _field_mean(lambda fld: delay_cf(nlos_delays(t, cfg, fld)), cfg, n_realizations, seed)
     return CorrelationSeries(
         axis_name="df_hz",
         lag_axis=dfs_arr,

@@ -9,6 +9,7 @@ library's factored evaluation is validated independently.
 import dataclasses
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from nfmimo.channel import (
     cir_nlos,
     cir_total,
     los_phase,
+    matrix_parts,
     nlos_delays,
     nlos_ray_phases,
+    point_phases,
     rician_weights,
     tau_los,
     transfer_function,
@@ -45,8 +48,32 @@ def unit_center(p_h, p_v, cfg):
     )
 
 
-def brute_force_los_phase(p_h, p_v, q, t, cfg):
-    """Term-by-term direct-path phase accumulation from the raw geometry."""
+def tile_center(p_h, p_v, cfg, tile):
+    """Midpoint of the (p_max_h, p_max_v) = tile subarray holding element (p_h, p_v).
+
+    The documented subarray_center formula: tile (sh, sv) spans p_max
+    elements per axis except a smaller trailing one, its horizontal offset
+    is ((sh-1) p_max_h + size_h/2 - P_h/2) delta_T along psi_T and its
+    height H_0 + ((sv-1) p_max_v + size_v/2) delta_T.
+    """
+    (p_max_h, p_max_v), (n_h, n_v) = tile, (cfg.P_h, cfg.P_v)
+    sh, sv = (p_h - 1) // p_max_h + 1, (p_v - 1) // p_max_v + 1
+    size_h = min(p_max_h, n_h - (sh - 1) * p_max_h)
+    size_v = min(p_max_v, n_v - (sv - 1) * p_max_v)
+    off = ((sh - 1) * p_max_h + 0.5 * size_h - 0.5 * n_h) * cfg.delta_T
+    return (
+        off * math.cos(cfg.psi_T),
+        off * math.sin(cfg.psi_T),
+        cfg.H_0 + ((sv - 1) * p_max_v + 0.5 * size_v) * cfg.delta_T,
+    )
+
+
+def brute_force_los_phase(p_h, p_v, q, t, cfg, tile=(1, 1)):
+    """Term-by-term direct-path phase accumulation from the raw geometry.
+
+    Departure angles are taken at the midpoint of the element's tile (its
+    own position for the default 1x1 tile).
+    """
     lam = cfg.wavelength
     two_pi = 2 * math.pi
     k_ph = (cfg.P_h - 2 * p_h + 1) / 2
@@ -62,8 +89,8 @@ def brute_force_los_phase(p_h, p_v, q, t, cfg):
     )
     xi = math.dist(mid_t, mid_r)
 
-    # departure angles at the element's own position toward receive element q
-    ex, ey, ez = unit_center(p_h, p_v, cfg)
+    # departure angles at the element's tile midpoint toward receive element q
+    ex, ey, ez = tile_center(p_h, p_v, cfg, tile)
     kq_dr = k_q * cfg.delta_R
     dq = (
         cfg.D_0
@@ -91,8 +118,11 @@ def brute_force_los_phase(p_h, p_v, q, t, cfg):
     return phase
 
 
-def brute_force_ray_phase(p_h, p_v, q, t, cfg, ray_pos):
-    """Scattered-path deterministic phase for one ray, from raw geometry."""
+def brute_force_ray_phase(p_h, p_v, q, t, cfg, ray_pos, tile=(1, 1)):
+    """Scattered-path deterministic phase for one ray, from raw geometry.
+
+    Departure angles are taken at the midpoint of the element's tile.
+    """
     lam = cfg.wavelength
     two_pi = 2 * math.pi
     k_ph = (cfg.P_h - 2 * p_h + 1) / 2
@@ -108,8 +138,8 @@ def brute_force_ray_phase(p_h, p_v, q, t, cfg, ray_pos):
     )
     xi = math.dist(mid_t, (sx, sy, sz)) + math.dist((sx, sy, sz), mid_r)
 
-    # departure angles at the element position toward the scatterer
-    ex, ey, ez = unit_center(p_h, p_v, cfg)
+    # departure angles at the element's tile midpoint toward the scatterer
+    ex, ey, ez = tile_center(p_h, p_v, cfg, tile)
     horiz_t = math.hypot(sx - ex, sy - ey)
     alpha_t = math.atan2(sy - ey, sx - ex)
     beta_t = math.atan2(sz - ez, horiz_t)
@@ -374,6 +404,66 @@ def test_channel_matrix_matches_scalar_path():
             for q in (1, 2):
                 scalar = cir_total(p, q, 0.4, cfg, model, field).combined
                 assert abs(scalar - real.H[q - 1, p - 1]) < 1e-12
+
+
+# An uneven grid, so the trailing 2x2 tiles are cut to 1 element on both axes.
+TILED_CFG = ScenarioConfig(P_h=5, P_v=3, Q=2, L_clusters=2, N_rays=3, eta_R=0.8, theta_R=0.4, v_R=12.0)
+TILINGS = [(WavefrontModel.subarray(2, 2), (2, 2)), (PLANAR, (5, 3))]
+
+
+@pytest.mark.parametrize("model, tile", TILINGS, ids=["subarray_2x2", "planar"])
+def test_channel_matrix_matches_brute_force_oracle_for_tilings(model, tile):
+    cfg, t = TILED_CFG, 0.4
+    field = field_for_realization(cfg, 9, 0)
+    H_los = matrix_parts(t, cfg, model, field)[0]
+    H = channel_matrix(t, cfg, model, field).H
+    w_los, w_nlos = rician_weights(cfg.K)
+    for p in range(1, 16):
+        p_h, p_v = (p - 1) % cfg.P_h + 1, (p - 1) // cfg.P_h + 1
+        for q in (1, 2):
+            los = np.exp(1j * brute_force_los_phase(p_h, p_v, q, t, cfg, tile))
+            assert abs(H_los[q - 1, p - 1] - los) < 1e-12
+            rays = [
+                np.exp(1j * (ray.phase + brute_force_ray_phase(p_h, p_v, q, t, cfg, ray.position.as_tuple(), tile)))
+                for ray in field.rays()
+            ]
+            expected = w_los * los + w_nlos * sum(rays) / math.sqrt(field.n_rays)
+            assert abs(H[q - 1, p - 1] - expected) < 5e-12
+
+
+@pytest.mark.parametrize("model, tile", TILINGS, ids=["subarray_2x2", "planar"])
+def test_point_phases_batch_matches_brute_force_oracle(model, tile):
+    # repeated elements (linear and pair form), repeated (q, t) and shared
+    # times; raw phases are ~6e3 rad (ulp 9e-13), so both parts are checked
+    # at 5e-12
+    cfg = TILED_CFG
+    field = field_for_realization(cfg, 9, 1)
+    points = [(7, 1, 0.0), ((2, 2), 2, 0.0), (15, 1, 0.3), ((5, 3), 1, 0.0), (7, 2, 0.3), (1, 1, 0.0)]
+    direct, scattered = point_phases(points, cfg, model)
+    phases = scattered(field)
+    assert direct.shape == (6,) and phases.shape == (6, field.n_rays)
+    for (p, q, t), los, rays in zip(points, direct, phases):
+        p_h, p_v = p if isinstance(p, tuple) else ((p - 1) % cfg.P_h + 1, (p - 1) // cfg.P_h + 1)
+        assert abs(los - brute_force_los_phase(p_h, p_v, q, t, cfg, tile)) < 5e-12
+        for ray, got in zip(field.rays(), rays):
+            assert abs(got - brute_force_ray_phase(p_h, p_v, q, t, cfg, ray.position.as_tuple(), tile)) < 5e-12
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("label", ["spherical", "subarray:2x2", "planar"])
+def test_channel_matrix_golden(label):
+    # Recorded before the phase formula moved into one kernel: config below,
+    # field (seed 4, index 1), t = 0.3, written by ChannelRealization.to_csv.
+    cfg = ScenarioConfig(P_h=5, P_v=3, Q=2, L_clusters=2, N_rays=3)
+    field = field_for_realization(cfg, 4, 1)
+    H = channel_matrix(0.3, cfg, WavefrontModel.parse(label), field).H
+    rows = np.loadtxt(GOLDEN_DIR / f"matrix_{label.replace(':', '_')}_small.csv", delimiter=",", skiprows=1)
+    golden = np.empty_like(H)
+    golden[rows[:, 1].astype(int) - 1, rows[:, 0].astype(int) - 1] = rows[:, 2] + 1j * rows[:, 3]
+    assert len(rows) == H.size
+    np.testing.assert_allclose(H, golden, rtol=1e-12, atol=0)
 
 
 def test_channel_matrix_subarray_identities():

@@ -491,6 +491,26 @@ def test_cli_rejects_non_finite_sweep_numbers(tmp_path, capsys, args, key):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        # 2*pi*df*tau overflows to inf, which used to turn every nonzero-offset row into nan
+        (["frequency-cf", "--df-max", "1e308"], "df"),
+        # the receiver's squared distance overflows, which used to raise OverflowError
+        (["temporal-acf", "--t", "1e300"], "t"),
+    ],
+)
+def test_cli_rejects_finite_sweep_numbers_that_overflow(tmp_path, capsys, args, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    out = tmp_path / "run"
+    rc = main([*args, "--config", str(cfg_path), "--realizations", "1", "--points", "3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{name} " in err and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # Atomic outputs: a failed write leaves the previous file and no temp file
 
