@@ -1,6 +1,7 @@
 """Correlation statistics, capacity, model error, and operation counts."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +307,31 @@ def test_series_length_validation():
             n_realizations=1,
             seed=0,
         )
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_CFG = ScenarioConfig(P_h=8, P_v=8, Q=2, L_clusters=2, N_rays=5)
+
+
+@pytest.mark.parametrize("label", ["spherical", "subarray:4x4"])
+@pytest.mark.parametrize(
+    "kind, compute",
+    [
+        ("temporal_acf", lambda m: temporal_acf_series([0.0, 0.001, 0.004, 0.02], 0.1, GOLDEN_CFG, m, 4, seed=3)),
+        (
+            "spatial_ccf",
+            lambda m: spatial_ccf_series([(0, 0), (1, 0), (0, 2), (3, 3)], 1, 0.002, 0.1, GOLDEN_CFG, m, 4, seed=3),
+        ),
+        ("frequency_cf", lambda m: frequency_cf_series([0.0, 1e6, 5e6, 2e7], 0.1, GOLDEN_CFG, m, 4, seed=3)),
+    ],
+)
+def test_series_golden(label, kind, compute):
+    # Recorded before the departure phasors were factored per tile: config
+    # GOLDEN_CFG, 4 realizations, seed 3, written by CorrelationSeries.to_csv.
+    series = compute(WavefrontModel.parse(label))
+    rows = np.loadtxt(GOLDEN_DIR / f"{kind}_{label.replace(':', '_')}_small.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(series.lag_axis, rows[:, 0])
+    np.testing.assert_allclose(series.values, rows[:, 1] + 1j * rows[:, 2], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
