@@ -8,11 +8,14 @@ baseline. Bulk propagation phase always rides on the midpoint-to-midpoint
 path lengths, expressed through the path delay so that the time response at
 the carrier and the frequency response agree identically.
 
-The phase formula is coded once: _direct_phases (receive points x
-elements) and _scattered_phases (elements x rays, receive points x rays),
-built on _angles, the only arctan2. matrix_parts runs them over the whole
-array; point_phases over a batch of (p, q, t) points, of which los_phase,
-nlos_ray_phases, cir_* and transfer_function are one-point views.
+The phase formula is coded once: _direct_phases, _departure_phases and
+_arrival_phases sit on _departure_gains (direction cosines, no trig) and
+_angles (receive side only). point_phases evaluates a batch of (p, q, t)
+points, of which los_phase, nlos_ray_phases, cir_* and transfer_function
+are one-point views. matrix_parts covers the whole array: as the steering
+phase is linear inside a tile, a tile larger than 1x1 factors its departure
+phasors into per-tile A (horizontal) and B (vertical) factors, which
+combine_parts multiplies per tile; the 1x1 tiling keeps a (P, N) table.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ TWO_PI = 2.0 * math.pi
 BANDWIDTH_HZ = 50e6
 
 _VARIANTS = ("spherical", "planar", "subarray")
+# Elements per block of the 1x1 departure table. It bounds the float
+# temporaries; the fill is elementwise, so blocking changes no bit.
+_TABLE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -244,18 +250,25 @@ def _angles(dx, dy, dz):
     return np.arctan2(dy, dx), np.arctan2(dz, np.hypot(dx, dy))
 
 
-def _departure_gains(az, el, cfg: ScenarioConfig):
-    """Tile steering slopes g1, g2: an element with grid offsets (kh, kv) steers by kh*g1 + kv*g2."""
-    k = TWO_PI / cfg.wavelength
-    return k * cfg.delta_T * np.cos(az - cfg.psi_T) * np.cos(el), k * cfg.delta_T * np.sin(el)
+def _departure_gains(dx, dy, dz, cfg: ScenarioConfig):
+    """Tile steering slopes g1, g2 toward displacements d: grid offsets (kh, kv) steer by kh*g1 + kv*g2.
+
+    g1 = k*delta_T*(ux cos psi_T + uy sin psi_T) and g2 = k*delta_T*uz with u = d/|d|,
+    i.e. k*delta_T*cos(az - psi_T)*cos(el) and k*delta_T*sin(el). A zero displacement
+    takes u = +x, the direction of the angles arctan2(0, 0) = 0 (never NaN).
+    """
+    kd = TWO_PI / cfg.wavelength * cfg.delta_T
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    zero = r == 0.0
+    scale = kd / np.where(zero, 1.0, r)
+    return (dx * math.cos(cfg.psi_T) + dy * math.sin(cfg.psi_T) + zero * math.cos(cfg.psi_T)) * scale, dz * scale
 
 
 def _elements(p_h: np.ndarray, p_v: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition):
     """(3, S) midpoints of the distinct tiles holding elements (p_h, p_v), each element's tile, kh and kv."""
-    n_v = partition.counts_v
-    tile = (p_h - 1) // partition.p_max_h * n_v + (p_v - 1) // partition.p_max_v
+    tile = (p_h - 1) // partition.p_max_h * partition.counts_v + (p_v - 1) // partition.p_max_v
     tiles, s_of_p = np.unique(tile, return_inverse=True)
-    centers = np.array([partition.centers[s // n_v][s % n_v].as_tuple() for s in tiles.tolist()])
+    centers = partition.centers.reshape(-1, 3)[tiles]
     return centers.T, s_of_p, (cfg.P_h - 2 * p_h + 1) / 2.0, (cfg.P_v - 2 * p_v + 1) / 2.0
 
 
@@ -272,25 +285,27 @@ def _direct_phases(elements, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConf
     """
     (cx, cy, cz), s_of_p, kh, kv = elements
     x, y, z, kq, t = rx[:, :, None]
-    az, el = _angles(x - cx, y - cy, cz - z)
+    d = x - cx, y - cy, cz - z
+    az, el = _angles(*d)
     az_r = math.pi - az
     az_r = np.where(az_r > math.pi, az_r - TWO_PI, az_r)
-    a1, a2 = _departure_gains(az, el, cfg)
+    a1, a2 = _departure_gains(*d, cfg)
     mr = _mr_terms(az_r, el, kq, t, cfg)
     return kh * a1[:, s_of_p] + kv * a2[:, s_of_p] + mr[:, s_of_p] + bulk[:, None]
 
 
-def _scattered_phases(pos: np.ndarray, elements, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig):
-    """Per-ray departure steering (E, N) per element and arrival + Doppler + bulk (M, N) per receive point.
-
-    bulk is -2*pi*f times the per-ray delays; element e to point m has phase dep[e] + arr[m].
-    """
+def _departure_phases(pos: np.ndarray, elements, cfg: ScenarioConfig, sel=slice(None)) -> np.ndarray:
+    """Per-ray departure steering kh*g1 + kv*g2 (E, N) of the selected elements, gains at each one's tile midpoint."""
     (cx, cy, cz), s_of_p, kh, kv = elements
-    dep = _angles(pos[:, 0] - cx[:, None], pos[:, 1] - cy[:, None], pos[:, 2] - cz[:, None])
-    g1, g2 = _departure_gains(*dep, cfg)
+    s = s_of_p[sel]
+    g1, g2 = _departure_gains(pos[:, 0] - cx[s, None], pos[:, 1] - cy[s, None], pos[:, 2] - cz[s, None], cfg)
+    return kh[sel, None] * g1 + kv[sel, None] * g2
+
+
+def _arrival_phases(pos: np.ndarray, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Per-ray arrival + Doppler + bulk phase (M, N) per receive point; bulk is -2*pi*f times the per-ray delays."""
     x, y, z, kq, t = rx[:, :, None]
-    arr = _mr_terms(*_angles(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z), kq, t, cfg) + bulk
-    return kh[:, None] * g1[s_of_p] + kv[:, None] * g2[s_of_p], arr
+    return _mr_terms(*_angles(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z), kq, t, cfg) + bulk
 
 
 def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | None = None):
@@ -320,8 +335,8 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
 
     def scattered(field: ScattererField) -> np.ndarray:
         pos = field.positions()
-        dep, arr = _scattered_phases(pos, els, rx, -TWO_PI * freq * _path_delays(pos, mids, cfg), cfg)
-        return dep[i_el] + arr[i_rx]
+        arr = _arrival_phases(pos, rx, -TWO_PI * freq * _path_delays(pos, mids, cfg), cfg)
+        return _departure_phases(pos, els, cfg)[i_el] + arr[i_rx]
 
     return direct, scattered
 
@@ -338,13 +353,7 @@ def los_phase(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, f
 
 
 def nlos_ray_phases(
-    p,
-    q: int,
-    t: float,
-    cfg: ScenarioConfig,
-    model: WavefrontModel,
-    field: ScattererField,
-    f: float | None = None,
+    p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField, f: float | None = None
 ) -> np.ndarray:
     """Deterministic per-ray phases (steering + Doppler + bulk) at (p, q, t): point_phases at one point."""
     return point_phases([(p, q, t)], cfg, model, f)[1](field)[0]
@@ -362,9 +371,7 @@ def cir_los(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel) -> 
     return complex(np.exp(1j * los_phase(p, q, t, cfg, model)))
 
 
-def cir_nlos(
-    p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField
-) -> complex:
+def cir_nlos(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField) -> complex:
     """Scattered-path coefficient, normalized by 1/sqrt(total ray count).
 
     The normalization keeps the ensemble mean power at 1 regardless of ray
@@ -387,9 +394,7 @@ class CirComponents:
         return self.los + self.nlos
 
 
-def cir_total(
-    p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField
-) -> CirComponents:
+def cir_total(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField) -> CirComponents:
     """Rician-weighted direct + scattered coefficients for one antenna pair."""
     w_los, w_nlos = rician_weights(cfg.K)
     los, nlos = _pair_coefficients(p, q, t, cfg, model, field)
@@ -399,13 +404,7 @@ def cir_total(
 
 
 def transfer_function(
-    p,
-    q: int,
-    t: float,
-    f: float,
-    cfg: ScenarioConfig,
-    model: WavefrontModel,
-    field: ScattererField,
+    p, q: int, t: float, f: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField,
     check_band: bool = True,
 ) -> complex:
     """Frequency response at f: per-path phasors with bulk phase -2*pi*f*tau.
@@ -425,48 +424,76 @@ def transfer_function(
     return w_los * los + w_nlos * nlos
 
 
-def matrix_parts(
-    t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField
-):
+def _tile_factors(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition):
+    """Per-tile departure phasors A = exp(j kh g1), B = exp(j kv g2) and the column gather index.
+
+    A is (counts_h, counts_v, p_max_h, N) and B (counts_h, counts_v, p_max_v, N), so
+    element (i, j) of tile (sh, sv) has phasor A[sh, sv, i] * B[sh, sv, j]. Short
+    trailing tiles are padded past the array edge; cols picks column
+    p = (p_v - 1) * P_h + p_h - 1 from the flattened per-tile blocks, never the padding.
+    """
+    n_h, n_v, _ = partition.centers.shape
+    ph, pv = partition.p_max_h, partition.p_max_v
+    cx, cy, cz = partition.centers.reshape(-1, 3).T[:, :, None]
+    g1, g2 = _departure_gains(pos[:, 0] - cx, pos[:, 1] - cy, pos[:, 2] - cz, cfg)
+    kh = (cfg.P_h - 2 * np.arange(1, n_h * ph + 1) + 1) / 2.0
+    kv = (cfg.P_v - 2 * np.arange(1, n_v * pv + 1) + 1) / 2.0
+    a = 1j * (kh.reshape(n_h, 1, ph, 1) * g1.reshape(n_h, n_v, 1, -1))
+    b = 1j * (kv.reshape(1, n_v, pv, 1) * g2.reshape(n_h, n_v, 1, -1))
+    h, v = np.arange(cfg.P_h), np.arange(cfg.P_v)[:, None]
+    cols = (((h // ph * n_v + v // pv) * ph + h % ph) * pv + v % pv).ravel()
+    return np.exp(a, out=a), np.exp(b, out=b), cols
+
+
+def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField):
     """Factored matrix ingredients shared by every draw of the ray phases.
 
-    Returns (H_los, dep_phasors, arr_phases, tau_los, tau_nlos) where
-    H_los is the (Q, P) unit-modulus direct-path matrix, dep_phasors is
-    the (P, N) per-ray departure phasor table and arr_phases is the (Q, N)
-    deterministic arrival + Doppler + delay phase per ray. The scattered
-    matrix for ray phases phi is dep_phasors @ exp(j(phi + arr_phases[q]))
-    divided by sqrt(N), so redrawing phi reuses everything here.
+    Returns (H_los, dep, arr_phases, tau_los, tau_nlos): the (Q, P) unit-modulus
+    direct-path matrix, the departure side of the scattered paths, and the (Q, N)
+    arrival + Doppler + delay phase per ray. dep is the (P, N) per-element phasor
+    table for the 1x1 tiling and _tile_factors for any larger tile, at
+    p_max_h + p_max_v exponentials per tile and ray instead of p_max_h * p_max_v.
     """
+    partition = model.partition_for(cfg)
     p = np.arange(cfg.P_h * cfg.P_v)
-    elements = _elements(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, model.partition_for(cfg))
+    elements = _elements(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)
     rx = _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg)
     t_los = tau_los(t, cfg)
     delays = nlos_delays(t, cfg, field)
     H_los = np.exp(1j * _direct_phases(elements, rx, np.full(cfg.Q, -TWO_PI * cfg.f_c * t_los), cfg))
-    dep, arr_phases = _scattered_phases(field.positions(), elements, rx, -TWO_PI * cfg.f_c * delays, cfg)
-    dep_phasors = 1j * dep  # exponentiated in place: the (P, N) table is the call's largest array
-    return H_los, np.exp(dep_phasors, out=dep_phasors), arr_phases, t_los, delays
+    pos = field.positions()
+    arr_phases = _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg)
+    if partition.p_max_h == partition.p_max_v == 1:
+        dep = np.empty((p.size, len(pos)), dtype=complex)
+        for lo in range(0, p.size, _TABLE_BLOCK):
+            block = slice(lo, lo + _TABLE_BLOCK)
+            np.exp(1j * _departure_phases(pos, elements, cfg, block), out=dep[block])
+    else:
+        dep = _tile_factors(pos, cfg, partition)
+    return H_los, dep, arr_phases, t_los, delays
 
 
-def combine_parts(
-    parts, rand_phases: np.ndarray, K: float
-) -> np.ndarray:
-    """Full matrix for one draw of the per-ray random phases."""
-    H_los, dep_phasors, arr_phases, _, _ = parts
+def combine_parts(parts, rand_phases: np.ndarray, K: float) -> np.ndarray:
+    """Full matrix for one draw of the per-ray random phases.
+
+    Per row, with ray phasors c: table @ c, or per-tile (A * c) @ B^T gathered into column order.
+    """
+    H_los, dep, arr_phases, _, _ = parts
     w_los, w_nlos = rician_weights(K)
     n_rays = rand_phases.shape[0]
     H = np.empty_like(H_los)
     for row in range(H_los.shape[0]):
         ray_common = np.exp(1j * (rand_phases + arr_phases[row]))
-        H[row, :] = w_los * H_los[row] + w_nlos * (
-            dep_phasors @ ray_common / math.sqrt(n_rays)
-        )
+        if isinstance(dep, tuple):
+            a, b, cols = dep
+            scattered = np.matmul(a * ray_common, b.swapaxes(-1, -2)).ravel()[cols]
+        else:
+            scattered = dep @ ray_common
+        H[row, :] = w_los * H_los[row] + w_nlos * (scattered / math.sqrt(n_rays))
     return H
 
 
-def channel_matrix(
-    t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField
-) -> ChannelRealization:
+def channel_matrix(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField) -> ChannelRealization:
     """Assemble the full Q x (P_h*P_v) narrowband matrix at time t.
 
     Vectorized equivalent of cir_total over every antenna pair: departure
@@ -475,6 +502,4 @@ def channel_matrix(
     """
     parts = matrix_parts(t, cfg, model, field)
     H = combine_parts(parts, field.phases(), cfg.K)
-    return ChannelRealization(
-        t=t, H=H, tau_los=parts[3], tau_nlos=parts[4], model=model
-    )
+    return ChannelRealization(t=t, H=H, tau_los=parts[3], tau_nlos=parts[4], model=model)

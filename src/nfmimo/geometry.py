@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 SPEED_OF_LIGHT = 299792458.0
 
 
@@ -132,11 +134,10 @@ class ScenarioConfig:
 
     def mr_midpoint(self, t: float = 0.0) -> Vec3:
         """Midpoint of the receive array after travelling for t seconds."""
-        return Vec3(
-            self.D_0 + self.v_R * t * math.cos(self.eta_R),
-            self.v_R * t * math.sin(self.eta_R),
-            0.0,
-        )
+        x, y = self.D_0 + self.v_R * t * math.cos(self.eta_R), self.v_R * t * math.sin(self.eta_R)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"t = {t!r} s moves the receiver (v_R*t = {self.v_R * t!r} m) beyond the float range")
+        return Vec3(x, y, 0.0)
 
 
 def k_index(i: int, n: int) -> float:
@@ -177,7 +178,7 @@ def bs_element_position(p_h: int, p_v: int, cfg: ScenarioConfig) -> Vec3:
         raise ValueError(f"p_h must be in [1, {cfg.P_h}], got {p_h}")
     if not 1 <= p_v <= cfg.P_v:
         raise ValueError(f"p_v must be in [1, {cfg.P_v}], got {p_v}")
-    return _center_at(p_h, p_v, cfg, 1, 1)
+    return Vec3(*map(float, _tile_midpoints(p_h, p_v, cfg, 1, 1)))
 
 
 def mr_element_position(q: int, t: float, cfg: ScenarioConfig) -> Vec3:
@@ -245,14 +246,15 @@ def element_to_subarray(p: int, p_max: int) -> int:
     return (p - 1) // p_max + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubarrayPartition:
     """Partition of the transmit grid into near-square tiles of target size.
 
     counts_* and sizes_* follow the trailing-remainder rule: every tile spans
-    p_max elements on an axis except possibly the last. centers[sh-1][sv-1]
-    is the global midpoint of tile (sh, sv); the per-tile planar-wavefront
-    approximation is anchored there.
+    p_max elements on an axis except possibly the last. centers is a
+    read-only (counts_h, counts_v, 3) array: centers[sh-1, sv-1] holds the
+    global (x, y, z) midpoint of tile (sh, sv); the per-tile
+    planar-wavefront approximation is anchored there.
     """
 
     p_max_h: int
@@ -261,7 +263,7 @@ class SubarrayPartition:
     counts_v: int
     sizes_h: tuple[int, ...]
     sizes_v: tuple[int, ...]
-    centers: tuple[tuple[Vec3, ...], ...]
+    centers: np.ndarray
 
     @property
     def n_subarrays(self) -> int:
@@ -274,11 +276,12 @@ class SubarrayPartition:
         )
 
 
-def _center_at(sh: int, sv: int, cfg: ScenarioConfig, p_max_h: int, p_max_v: int) -> Vec3:
-    size_h = subarray_size(sh, cfg.P_h, p_max_h)
-    size_v = subarray_size(sv, cfg.P_v, p_max_v)
+def _tile_midpoints(sh, sv, cfg: ScenarioConfig, p_max_h: int, p_max_v: int):
+    """(x, y, z) midpoint of tile (sh, sv), 1-based; sh and sv may be broadcasting integer arrays."""
+    size_h = np.minimum(p_max_h, cfg.P_h - (sh - 1) * p_max_h)
+    size_v = np.minimum(p_max_v, cfg.P_v - (sv - 1) * p_max_v)
     off_h = ((sh - 1) * p_max_h + 0.5 * size_h - 0.5 * cfg.P_h) * cfg.delta_T
-    return Vec3(
+    return (
         off_h * math.cos(cfg.psi_T),
         off_h * math.sin(cfg.psi_T),
         cfg.H_0 + ((sv - 1) * p_max_v + 0.5 * size_v) * cfg.delta_T,
@@ -296,7 +299,7 @@ def subarray_center(sh: int, sv: int, cfg: ScenarioConfig, partition: "SubarrayP
         raise ValueError(f"sh must be in [1, {partition.counts_h}], got {sh}")
     if not 1 <= sv <= partition.counts_v:
         raise ValueError(f"sv must be in [1, {partition.counts_v}], got {sv}")
-    return _center_at(sh, sv, cfg, partition.p_max_h, partition.p_max_v)
+    return Vec3(*map(float, partition.centers[sh - 1, sv - 1]))
 
 
 @lru_cache(maxsize=128)
@@ -306,10 +309,9 @@ def make_partition(cfg: ScenarioConfig, p_max_h: int, p_max_v: int) -> SubarrayP
     counts_v = partition_counts(cfg.P_v, p_max_v)
     sizes_h = tuple(subarray_size(i, cfg.P_h, p_max_h) for i in range(1, counts_h + 1))
     sizes_v = tuple(subarray_size(i, cfg.P_v, p_max_v) for i in range(1, counts_v + 1))
-    centers = tuple(
-        tuple(_center_at(sh, sv, cfg, p_max_h, p_max_v) for sv in range(1, counts_v + 1))
-        for sh in range(1, counts_h + 1)
-    )
+    sh, sv = np.arange(1, counts_h + 1)[:, None], np.arange(1, counts_v + 1)
+    centers = np.stack(np.broadcast_arrays(*_tile_midpoints(sh, sv, cfg, p_max_h, p_max_v)), axis=-1)
+    centers.setflags(write=False)
     return SubarrayPartition(
         p_max_h=p_max_h,
         p_max_v=p_max_v,

@@ -534,6 +534,7 @@ def model_error_delta(
             abs_ref = np.abs(h_ref)
         if unit:
             h_model = h_ref
-        total = float(np.sum(np.abs(h_model - h_ref) / abs_ref))
+        # fsum rounds the sum exactly, so the total depends on the terms alone, not on the loop path.
+        total = math.fsum((np.abs(h_model - h_ref) / abs_ref).ravel().tolist())
         errors.append(float("-inf") if total == 0.0 else 10.0 * math.log10(total))
     return errors[0] if single else errors

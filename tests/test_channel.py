@@ -18,10 +18,12 @@ from nfmimo.channel import (
     BANDWIDTH_HZ,
     ChannelRealization,
     WavefrontModel,
+    _departure_gains,
     channel_matrix,
     cir_los,
     cir_nlos,
     cir_total,
+    combine_parts,
     los_phase,
     matrix_parts,
     nlos_delays,
@@ -31,7 +33,7 @@ from nfmimo.channel import (
     tau_los,
     transfer_function,
 )
-from nfmimo.geometry import GeometryError, ScenarioConfig, Vec3, wrap_angle
+from nfmimo.geometry import GeometryError, ScenarioConfig, Vec3, make_partition, subarray_center, wrap_angle
 from nfmimo.scattering import Ray, ScattererField, field_for_realization
 
 SPHERICAL = WavefrontModel.spherical()
@@ -464,6 +466,82 @@ def test_channel_matrix_golden(label):
     golden[rows[:, 1].astype(int) - 1, rows[:, 0].astype(int) - 1] = rows[:, 2] + 1j * rows[:, 3]
     assert len(rows) == H.size
     np.testing.assert_allclose(H, golden, rtol=1e-12, atol=0)
+
+
+def _oracle_matrices(cfg, t, field, tile):
+    """Direct and full matrices from the brute-force per-pair oracles."""
+    w_los, w_nlos = rician_weights(cfg.K)
+    n_p = cfg.P_h * cfg.P_v
+    H_los, H = np.empty((cfg.Q, n_p), complex), np.empty((cfg.Q, n_p), complex)
+    for p in range(n_p):
+        p_h, p_v = p % cfg.P_h + 1, p // cfg.P_h + 1
+        for q in range(1, cfg.Q + 1):
+            H_los[q - 1, p] = np.exp(1j * brute_force_los_phase(p_h, p_v, q, t, cfg, tile))
+            rays = sum(
+                np.exp(1j * (ray.phase + brute_force_ray_phase(p_h, p_v, q, t, cfg, ray.position.as_tuple(), tile)))
+                for ray in field.rays()
+            )
+            H[q - 1, p] = w_los * H_los[q - 1, p] + w_nlos * rays / math.sqrt(field.n_rays)
+    return H_los, H
+
+
+# Both axes uneven: 7 = 3 + 3 + 1 and 5 = 2 + 2 + 1.
+UNEVEN_CFG = ScenarioConfig(P_h=7, P_v=5, Q=3, L_clusters=2, N_rays=3, eta_R=0.8, theta_R=0.4, v_R=12.0)
+
+
+def test_channel_matrix_matches_brute_force_oracle_for_uneven_tiling():
+    cfg, t = UNEVEN_CFG, 0.4
+    field = field_for_realization(cfg, 5, 2)
+    model = WavefrontModel.subarray(3, 2)
+    H_los, H = _oracle_matrices(cfg, t, field, (3, 2))
+    assert np.max(np.abs(matrix_parts(t, cfg, model, field)[0] - H_los)) < 1e-12
+    assert np.max(np.abs(channel_matrix(t, cfg, model, field).H - H)) < 5e-12
+
+
+def test_departure_gains_of_a_zero_displacement_follow_the_arctan2_convention():
+    cfg = dataclasses.replace(UNEVEN_CFG, psi_T=0.7)
+    k_delta = 2 * math.pi / cfg.wavelength * cfg.delta_T
+    zero = np.zeros(2)
+    g1, g2 = _departure_gains(zero, zero, zero, cfg)
+    az = el = math.atan2(0.0, 0.0)
+    assert np.all(g1 == k_delta * math.cos(az - cfg.psi_T) * math.cos(el)) and np.all(g2 == 0.0)
+
+    # A ray exactly at a tile midpoint (and one at an element of the 1x1
+    # tiling) gives finite matrices that match the oracles' atan2(0, 0).
+    mid = subarray_center(2, 1, cfg, make_partition(cfg, 3, 2)).as_tuple()
+    element = subarray_center(4, 3, cfg, make_partition(cfg, 1, 1)).as_tuple()
+    field = ScattererField(((Ray(Vec3(*mid), 0.5), Ray(Vec3(*element), -1.0)), (Ray(Vec3(30.0, 4.0, 2.0), 2.0),)))
+    for model, tile in ((WavefrontModel.subarray(3, 2), (3, 2)), (SPHERICAL, (1, 1))):
+        H = channel_matrix(0.2, cfg, model, field).H
+        assert np.all(np.isfinite(H))
+        assert np.max(np.abs(H - _oracle_matrices(cfg, 0.2, field, tile)[1])) < 5e-12
+
+
+@pytest.mark.parametrize("phase_draws", [1, 3])
+def test_tile_factors_match_a_per_element_table(phase_draws):
+    # subarray:30x30 on 64x64 leaves 4-element trailing tiles, so the padding is cropped on both axes.
+    cfg, t = ScenarioConfig(), 0.1
+    field = field_for_realization(cfg, 2, 0)
+    parts = matrix_parts(t, cfg, WavefrontModel.subarray(30, 30), field)
+    k = 2 * math.pi / cfg.wavelength
+    p = np.arange(cfg.P_h * cfg.P_v)
+    p_h, p_v = p % cfg.P_h + 1, p // cfg.P_h + 1
+    ex, ey, ez = np.array([tile_center(h, v, cfg, (30, 30)) for h, v in zip(p_h, p_v)]).T[:, :, None]
+    sx, sy, sz = field.positions().T
+    alpha, beta = np.arctan2(sy - ey, sx - ex), np.arctan2(sz - ez, np.hypot(sx - ex, sy - ey))
+    g1 = k * cfg.delta_T * np.cos(alpha - cfg.psi_T) * np.cos(beta)
+    g2 = k * cfg.delta_T * np.sin(beta)
+    kh, kv = (cfg.P_h - 2 * p_h + 1) / 2, (cfg.P_v - 2 * p_v + 1) / 2
+    table = np.exp(1j * (kh[:, None] * g1 + kv[:, None] * g2))
+    w_los, w_nlos = rician_weights(cfg.K)
+    rng = np.random.default_rng(8)
+    draws = [field.phases()] + [rng.uniform(-math.pi, math.pi, field.n_rays) for _ in range(phase_draws - 1)]
+    for phases in draws:
+        H = combine_parts(parts, phases, cfg.K)
+        for q in range(cfg.Q):
+            c = np.exp(1j * (phases + parts[2][q]))
+            expected = w_los * parts[0][q] + w_nlos * (table @ c) / math.sqrt(field.n_rays)
+            assert np.max(np.abs(H[q] - expected)) < 1e-12
 
 
 def test_channel_matrix_subarray_identities():

@@ -304,6 +304,17 @@ def test_partition_invariants_random_configs():
         assert all(len(col) == part.counts_v for col in part.centers)
 
 
+def test_partition_centers_are_a_read_only_array_of_the_scalar_view():
+    cfg = ScenarioConfig(P_h=7, P_v=5, psi_T=0.3)
+    part = make_partition(cfg, 3, 2)
+    assert part.centers.shape == (3, 3, 3) and not part.centers.flags.writeable
+    for sh in range(1, 4):
+        for sv in range(1, 4):
+            assert tuple(part.centers[sh - 1, sv - 1]) == subarray_center(sh, sv, cfg, part).as_tuple()
+    # the trailing tiles hold one element each: their midpoints are element positions
+    assert subarray_center(3, 3, cfg, part) == bs_element_position(7, 5, cfg)
+
+
 def test_element_rowcol_roundtrip():
     seen = set()
     for p_h in range(1, 7):

@@ -511,6 +511,19 @@ def test_cli_rejects_finite_sweep_numbers_that_overflow(tmp_path, capsys, args, 
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("kind", ["temporal-acf", "capacity-sweep"])
+def test_cli_names_t_when_the_receiver_travel_overflows(tmp_path, capsys, kind):
+    # v_R * t overflows to inf, which used to fail as "Vec3.x must be finite"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    out = tmp_path / "run"
+    rc = main([kind, "--t", "1e308", "--config", str(cfg_path), "--realizations", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "t = 1e+308 s" in err and "Vec3" not in err and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # Atomic outputs: a failed write leaves the previous file and no temp file
 

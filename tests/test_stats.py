@@ -8,6 +8,7 @@ import pytest
 
 from nfmimo.channel import (
     WavefrontModel,
+    channel_matrix,
     los_phase,
     nlos_delays,
     nlos_ray_phases,
@@ -567,6 +568,15 @@ def test_model_error_list_equals_single_calls(monkeypatch):
     assert errors[1] == errors[5] == float("-inf")
     # The first model comes before the one shared reference; 1x1 tilings reuse it.
     assert built == ["subarray:2x2", "spherical", "subarray:3x3", "subarray:8x8", "planar"]
+
+
+def test_model_error_total_is_the_exactly_rounded_sum():
+    cfg = ScenarioConfig(P_h=16, P_v=16, Q=2, L_clusters=2, N_rays=5)
+    field = field_for_realization(cfg, 6, 0)
+    h_ref = channel_matrix(0.0, cfg, SPHERICAL, field).H
+    for model in (PLANAR, WavefrontModel.subarray(4, 4), WavefrontModel.subarray(3, 5)):
+        terms = (np.abs(channel_matrix(0.0, cfg, model, field).H - h_ref) / np.abs(h_ref)).ravel().tolist()
+        assert model_error_delta(model, 0.0, cfg, field) == 10.0 * math.log10(math.fsum(terms))
 
 
 def test_model_error_list_validation():
