@@ -24,6 +24,7 @@ import numpy as np
 from .channel import (
     ChannelRealization,
     WavefrontModel,
+    _cis,
     channel_matrix,
     combine_parts,
     los_phase,  # noqa: F401 - one-point views of point_phases; perfbench's tracer wraps them here
@@ -201,11 +202,11 @@ def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_reali
     evaluates the field-independent geometry of every point.
     """
     los, scattered = point_phases([base, *others], cfg, model)
-    rho_los = np.exp(1j * (los[0] - los[1:]))
+    rho_los = _cis(los[0] - los[1:])
 
     def one(fld: ScattererField) -> np.ndarray:
         phases = scattered(fld)
-        return np.exp(1j * (phases[0] - phases[1:])).mean(axis=1)
+        return _cis(phases[0] - phases[1:]).mean(axis=1)
 
     return rho_los, _field_mean(one, cfg, n_realizations, seed)
 
@@ -381,7 +382,7 @@ def frequency_cf_series(
         # Delays are positive, so the largest offset and delay bound every phase argument.
         if not math.isfinite(2.0 * math.pi * float(dfs_arr.max()) * float(delays.max())):
             raise ValueError(f"frequency offsets df up to {float(dfs_arr.max())!r} Hz overflow the delay phase 2*pi*df*tau")
-        return np.exp(1j * 2.0 * math.pi * dfs_arr[:, None] * delays[None, :]).mean(axis=1)
+        return _cis(2.0 * math.pi * dfs_arr[:, None] * delays[None, :]).mean(axis=1)
 
     rho_los = delay_cf(np.array([tau_los(t, cfg)]))
     rho_nlos = _field_mean(lambda fld: delay_cf(nlos_delays(t, cfg, fld)), cfg, n_realizations, seed)

@@ -6,18 +6,24 @@ positions, angle conventions, phase terms written out one by one), so the
 library's factored evaluation is validated independently.
 """
 
+import csv
 import dataclasses
 import math
+import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfmimo.channel as channel_module
 from nfmimo.channel import (
     BANDWIDTH_HZ,
     ChannelRealization,
     WavefrontModel,
+    _CIS_CHUNK,
+    _cis,
     _departure_gains,
     channel_matrix,
     cir_los,
@@ -711,3 +717,125 @@ def test_channel_binary_export(tmp_path):
         re, im = struct.unpack_from("<dd", blob, idx * 16)
         q, p = divmod(idx, 4)
         assert re == real.H[q, p].real and im == real.H[q, p].imag
+
+
+def _old_to_csv(H, path):
+    # The per-entry loop ChannelRealization.to_csv used before it wrote from one H.tolist().
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["p", "q", "re", "im"])
+        n_q, n_p = H.shape
+        for qi in range(n_q):
+            for pi in range(n_p):
+                v = H[qi, pi]
+                writer.writerow([pi + 1, qi + 1, repr(float(v.real)), repr(float(v.imag))])
+
+
+def _old_to_binary(H, path):
+    # The per-entry struct.pack loop ChannelRealization.to_binary used before astype('<c16').
+    with open(path, "wb") as fh:
+        n_q, n_p = H.shape
+        for qi in range(n_q):
+            for pi in range(n_p):
+                v = H[qi, pi]
+                fh.write(struct.pack("<dd", float(v.real), float(v.imag)))
+
+
+@pytest.mark.parametrize("source", ["special", "matrix"])
+def test_exports_match_per_entry_loops(tmp_path, source):
+    if source == "special":
+        values = [0.0, -0.0, 1.0 / 3.0, -1e-300, 5e-324, -1.7976931348623157e308, 2.5, -7.0]
+        H = np.array(values[:6]).reshape(2, 3) + 1j * np.array(values[2:]).reshape(2, 3)
+        H[1, 2] = complex(-0.0, -0.0)
+        real = ChannelRealization(t=0.0, H=H, tau_los=1e-7, tau_nlos=np.zeros(2), model=SPHERICAL)
+    else:
+        cfg = ScenarioConfig(P_h=5, P_v=3, Q=2)
+        real = channel_matrix(0.1, cfg, WavefrontModel.subarray(2, 2), field_for_realization(cfg, 4, 1))
+    for name, new, old in (("h.csv", real.to_csv, _old_to_csv), ("h.bin", real.to_binary, _old_to_binary)):
+        new(tmp_path / name)
+        old(real.H, tmp_path / f"old_{name}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"old_{name}").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["h.bin", "h.csv", "old_h.bin", "old_h.csv"]
+
+
+# ---------------------------------------------------------------------------
+# Phasor kernel
+
+CIS_TOL = 4.5e-16
+
+
+def test_cis_zero_is_exactly_one():
+    for zero in (0.0, -0.0, np.float64(-0.0)):
+        z = _cis(zero)
+        assert z.shape == () and z == 1 + 0j
+        assert not np.signbit(z.real) and not np.signbit(z.imag)
+
+
+def test_cis_pi_and_rounding_ties():
+    step = 2 * math.pi / 1024
+    halves = (np.arange(-3000, 3000) + 0.5) * step  # theta*1024/2pi lands on or next to a tie of rint
+    theta = np.concatenate([[math.pi, -math.pi], halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)])
+    assert np.max(np.abs(_cis(theta) - np.exp(1j * theta))) <= CIS_TOL
+
+
+def test_cis_large_arguments_take_the_fallback():
+    theta = np.array([1e7, -1e7, 1e15, -1e15, 0.25, 2e5 - 1.0])
+    z = _cis(theta)
+    assert np.array_equal(z[:4], np.exp(1j * theta[:4]))  # numpy's exp, bit for bit
+    assert np.max(np.abs(z - np.exp(1j * theta))) <= CIS_TOL
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (1,), (2 * _CIS_CHUNK + 7,), (3, _CIS_CHUNK // 2 + 5)])
+def test_cis_shapes_and_chunks(shape):
+    theta = np.random.default_rng(sum(shape) + 1).uniform(-2e5, 2e5, shape)
+    z = _cis(theta)
+    assert z.shape == theta.shape and z.dtype == complex
+    if theta.size:
+        assert np.max(np.abs(z - np.exp(1j * theta))) <= CIS_TOL
+
+
+def test_cis_writes_into_a_row_block_of_a_table():
+    theta = np.random.default_rng(5).uniform(-50.0, 50.0, (3, 7))
+    table = np.full((10, 7), 2 + 3j)
+    block = table[4:7]
+    assert _cis(theta, out=block) is block
+    assert np.max(np.abs(table[4:7] - np.exp(1j * theta))) <= CIS_TOL
+    assert np.all(table[:4] == 2 + 3j) and np.all(table[7:] == 2 + 3j)
+    for bad in (np.empty((7, 3), dtype=complex).T, np.empty((3, 7), dtype=np.complex64), np.empty((3, 6), dtype=complex)):
+        with pytest.raises(ValueError, match="out must be"):
+            _cis(theta, out=bad)
+
+
+def test_cis_non_finite_is_nan_without_cast_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = _cis(np.array([np.nan, 0.5]))
+    assert np.isnan(z[0].real) and np.isnan(z[0].imag) and z[1] == _cis(0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        z = _cis(np.array([np.inf, -np.inf, 1.0]))
+        ref = np.exp(1j * np.array([np.inf, -np.inf]))
+    assert np.all(np.isnan(z[:2].real) == np.isnan(ref.real)) and np.all(np.isnan(z[:2].imag) == np.isnan(ref.imag))
+    assert abs(z[2] - np.exp(1j)) <= CIS_TOL
+    assert not any("cast" in str(w.message) for w in caught)
+
+
+# ---------------------------------------------------------------------------
+# Memory budget
+
+
+def test_matrix_budget_refuses_before_any_array(monkeypatch):
+    cfg = ScenarioConfig(P_h=5, P_v=3, Q=2, L_clusters=2, N_rays=3)
+    field = field_for_realization(cfg, 0, 0)
+    need = 15 * (2 * 3 + 2) * 16
+    monkeypatch.setattr(channel_module, "MATRIX_BUDGET_BYTES", need)
+    matrix_parts(0.0, cfg, SPHERICAL, field)  # exactly at the budget is accepted
+
+    def no_partition(*args):
+        raise AssertionError("partition built before the budget check")
+
+    monkeypatch.setattr(channel_module, "MATRIX_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(WavefrontModel, "partition_for", no_partition)
+    for model in (SPHERICAL, PLANAR, WavefrontModel.subarray(2, 2)):
+        with pytest.raises(ValueError, match=r"P_h x P_v = 5x3.*MATRIX_BUDGET_BYTES"):
+            matrix_parts(0.0, cfg, model, field)

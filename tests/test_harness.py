@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -571,3 +572,21 @@ def test_failed_run_keeps_previous_outputs(tmp_path):
     with pytest.raises(ValueError):
         run_experiment(bad, cfg)  # fails after two table rows
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+def test_cli_refuses_an_array_over_the_matrix_budget(tmp_path, capsys):
+    # 2000 x 2000 elements with 100 rays would need a 6.7 GB departure table; the budget
+    # check in matrix_parts must fire before any P-sized array exists.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"P_h": 2000, "P_v": 2000}))
+    tracemalloc.start()
+    try:
+        rc = main(["capacity-sweep", "--config", str(cfg_path), "--realizations", "1", "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "P_h x P_v = 2000x2000" in err and "MATRIX_BUDGET_BYTES" in err
+    assert peak < 16 * 2**20
+    assert not (tmp_path / "run" / "manifest.json").exists()

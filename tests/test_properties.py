@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfmimo.channel import WavefrontModel, channel_matrix
+from nfmimo.channel import WavefrontModel, _cis, channel_matrix
 from nfmimo.geometry import ScenarioConfig
 from nfmimo.scattering import field_for_realization
 from nfmimo.stats import capacity, spatial_ccf_series, temporal_acf_series
@@ -94,3 +94,10 @@ def test_capacity_is_invariant_under_complex_scaling(cfg, seed, snr, magnitude, 
     H = _matrix(cfg, WavefrontModel.spherical(), seed, 0.0)
     scaled = H * (magnitude * complex(math.cos(angle), math.sin(angle)))
     assert math.isclose(capacity(scaled, snr), capacity(H, snr), rel_tol=1e-9, abs_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(theta=st.lists(st.floats(-2e5, 2e5, allow_nan=False), min_size=1, max_size=40))
+def test_phasor_kernel_matches_numpy_exp(theta):
+    theta = np.array(theta)
+    assert np.max(np.abs(_cis(theta) - np.exp(1j * theta))) <= 4.5e-16
