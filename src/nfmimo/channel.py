@@ -528,6 +528,16 @@ def _tile_factors(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayParti
     return a, b, cols
 
 
+def _check_budget(cfg: ScenarioConfig) -> None:
+    """Refuse an array whose 1x1 departure table and direct matrix would exceed MATRIX_BUDGET_BYTES."""
+    need = cfg.P_h * cfg.P_v * (cfg.L_clusters * cfg.N_rays + cfg.Q) * 16
+    if need > MATRIX_BUDGET_BYTES:
+        raise ValueError(
+            f"a P_h x P_v = {cfg.P_h}x{cfg.P_v} array needs {need / 2**30:.2f} GiB of matrix tables, "
+            f"over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
+        )
+
+
 def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField):
     """Factored matrix ingredients shared by every draw of the ray phases.
 
@@ -538,12 +548,7 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     p_max_h + p_max_v exponentials per tile and ray instead of p_max_h * p_max_v.
     Arrays over MATRIX_BUDGET_BYTES are refused with a ValueError naming P_h and P_v.
     """
-    need = cfg.P_h * cfg.P_v * (cfg.L_clusters * cfg.N_rays + cfg.Q) * 16
-    if need > MATRIX_BUDGET_BYTES:
-        raise ValueError(
-            f"a P_h x P_v = {cfg.P_h}x{cfg.P_v} array needs {need / 2**30:.2f} GiB of matrix tables, "
-            f"over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
-        )
+    _check_budget(cfg)
     partition = model.partition_for(cfg)
     p = np.arange(cfg.P_h * cfg.P_v)
     elements = _elements(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)

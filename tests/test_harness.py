@@ -574,14 +574,15 @@ def test_failed_run_keeps_previous_outputs(tmp_path):
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
-def test_cli_refuses_an_array_over_the_matrix_budget(tmp_path, capsys):
+@pytest.mark.parametrize("args", [["capacity-sweep", "--realizations", "1"], ["error-vs-subarray", "--p-max-list", "1,2"]])
+def test_cli_refuses_an_array_over_the_matrix_budget(tmp_path, capsys, args):
     # 2000 x 2000 elements with 100 rays would need a 6.7 GB departure table; the budget
-    # check in matrix_parts must fire before any P-sized array exists.
+    # check must fire before any P-sized array exists (a 1x1 partition alone is 96 MB).
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"P_h": 2000, "P_v": 2000}))
     tracemalloc.start()
     try:
-        rc = main(["capacity-sweep", "--config", str(cfg_path), "--realizations", "1", "--out", str(tmp_path / "run")])
+        rc = main([*args, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
