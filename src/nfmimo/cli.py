@@ -32,7 +32,10 @@ def _add_common(sub: argparse.ArgumentParser, with_model: bool = True, model_def
     sub.add_argument("--config", type=Path, default=None, help="JSON scenario file (default: built-in profile)")
     sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory (default: cwd)")
-    sub.add_argument("--realizations", type=int, default=500, help="Monte Carlo field count (default 500)")
+    sub.add_argument(
+        "--realizations", dest="n_realizations", metavar="REALIZATIONS", type=int, default=500,
+        help="Monte Carlo field count (default 500)",
+    )
     if with_model:
         sub.add_argument(
             "--model",
@@ -97,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity-sweep", help="ensemble capacity vs SNR")
     _add_common(p)
     p.add_argument(
-        "--snr-db", type=_parse_number_list, default=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
+        "--snr-db", dest="snr_db_list", metavar="SNR_DB", type=_parse_number_list,
+        default=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
         help="comma-separated SNR points, dB",
     )
     p.add_argument("--normalize-each", action="store_true", help="normalize every matrix exactly instead of in expectation")
@@ -110,50 +114,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The sweep keys each kind records, each read from the parsed argument of the same name.
+_SWEEP_KEYS = {
+    "rayleigh_table": (),
+    "error_vs_array": ("sides", "model", "t"),
+    "error_vs_subarray": ("p_max_list", "t"),
+    "complexity_sweep": ("p_max_list",),
+    "spatial_ccf": ("model", "max_offset", "dq", "dt", "t", "n_realizations"),
+    "temporal_acf": ("model", "dt_max", "points", "t", "n_realizations"),
+    "frequency_cf": ("model", "df_max", "points", "t", "n_realizations"),
+    "capacity_sweep": ("model", "snr_db_list", "normalize_each", "phase_draws", "t", "n_realizations"),
+}
+
+
 def _sweep_from_args(kind: str, args: argparse.Namespace) -> dict:
-    sweep: dict = {}
-    if kind == "error_vs_array":
-        sweep = {"sides": args.sides, "model": args.model, "t": args.t}
-    elif kind == "error_vs_subarray":
-        sweep = {"p_max_list": args.p_max_list, "t": args.t}
-    elif kind == "complexity_sweep":
-        sweep = {"p_max_list": args.p_max_list}
-    elif kind == "spatial_ccf":
-        sweep = {
-            "model": args.model,
-            "dq": args.dq,
-            "dt": args.dt,
-            "t": args.t,
-            "n_realizations": args.realizations,
-        }
-        if args.max_offset is not None:
-            sweep["max_offset"] = args.max_offset
-    elif kind == "temporal_acf":
-        sweep = {
-            "model": args.model,
-            "dt_max": args.dt_max,
-            "points": args.points,
-            "t": args.t,
-            "n_realizations": args.realizations,
-        }
-    elif kind == "frequency_cf":
-        sweep = {
-            "model": args.model,
-            "df_max": args.df_max,
-            "points": args.points,
-            "t": args.t,
-            "n_realizations": args.realizations,
-        }
-    elif kind == "capacity_sweep":
-        sweep = {
-            "model": args.model,
-            "snr_db_list": args.snr_db,
-            "normalize_each": args.normalize_each,
-            "phase_draws": args.phase_draws,
-            "t": args.t,
-            "n_realizations": args.realizations,
-        }
-    return sweep
+    """The sweep of kind from its parsed arguments; an unset --max-offset (None) stays out."""
+    return {key: getattr(args, key) for key in _SWEEP_KEYS[kind] if getattr(args, key) is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,8 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     kind = args.command.replace("-", "_")
     try:
-        if args.realizations < 1:
-            raise ValueError(f"--realizations must be >= 1, got {args.realizations}")
+        if args.n_realizations < 1:
+            raise ValueError(f"--realizations must be >= 1, got {args.n_realizations}")
         cfg = load_config(args.config)
         exp = Experiment(kind=kind, sweep=_sweep_from_args(kind, args), seed=args.seed, output=args.out)
         manifest = run_experiment(exp, cfg)

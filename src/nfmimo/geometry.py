@@ -9,8 +9,7 @@ midpoint of the transmit array, x points toward the receiver, z points up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from enum import Enum
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -41,9 +40,6 @@ class Vec3:
             (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
         )
 
-    def horizontal_distance_to(self, other: "Vec3") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
@@ -51,6 +47,11 @@ class Vec3:
 def _finite_number(v) -> bool:
     """A finite int or float; bool is rejected although it subclasses int."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integral(v) -> bool:
+    """An int or an integral float; bool is rejected although it subclasses int."""
+    return not isinstance(v, bool) and (isinstance(v, int) or (isinstance(v, float) and v.is_integer()))
 
 
 @dataclass(frozen=True)
@@ -265,10 +266,6 @@ class SubarrayPartition:
     sizes_v: tuple[int, ...]
     centers: np.ndarray
 
-    @property
-    def n_subarrays(self) -> int:
-        return self.counts_h * self.counts_v
-
     def subarray_of_element(self, p_h: int, p_v: int) -> tuple[int, int]:
         return (
             element_to_subarray(p_h, self.p_max_h),
@@ -323,66 +320,6 @@ def make_partition(cfg: ScenarioConfig, p_max_h: int, p_max_v: int) -> SubarrayP
     )
 
 
-class AngleConvention(Enum):
-    """Which link endpoint owns the ray and the sign of its elevation.
-
-    LOS_DEPARTURE: transmit side of the direct ray; elevation positive when
-        the ray points downward (source above destination).
-    NLOS_DEPARTURE: transmit side of a scattered ray; elevation positive
-        when the ray points upward (destination above source).
-    NLOS_ARRIVAL: receive side of a scattered ray; same upward-positive
-        elevation sign as NLOS_DEPARTURE.
-    """
-
-    LOS_DEPARTURE = "los_departure"
-    NLOS_DEPARTURE = "nlos_departure"
-    NLOS_ARRIVAL = "nlos_arrival"
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap a radian angle into (-pi, pi]."""
-    w = math.fmod(a, 2.0 * math.pi)
-    if w <= -math.pi:
-        w += 2.0 * math.pi
-    elif w > math.pi:
-        w -= 2.0 * math.pi
-    return w
-
-
-def ray_angles(src: Vec3, dst: Vec3, convention: AngleConvention) -> tuple[float, float]:
-    """Azimuth and elevation of the ray src -> dst under the given convention.
-
-    Azimuth is atan2 of the horizontal displacement (destination minus
-    source), in (-pi, pi]. Elevation measures the vertical drop or rise
-    against the horizontal range; its sign convention is set by the
-    convention flag (see AngleConvention). Zero horizontal range with zero
-    vertical offset is a degenerate ray and raises GeometryError.
-    """
-    dx = dst.x - src.x
-    dy = dst.y - src.y
-    horiz = math.hypot(dx, dy)
-    if horiz == 0.0 and dst.z == src.z:
-        raise GeometryError("ray endpoints coincide; angles are undefined")
-    az = wrap_angle(math.atan2(dy, dx))
-    if convention is AngleConvention.LOS_DEPARTURE:
-        el = math.atan2(src.z - dst.z, horiz)
-    elif convention in (AngleConvention.NLOS_DEPARTURE, AngleConvention.NLOS_ARRIVAL):
-        el = math.atan2(dst.z - src.z, horiz)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown angle convention {convention!r}")
-    return az, el
-
-
-def los_arrival_angles(az_dep: float, el_dep: float) -> tuple[float, float]:
-    """Receive-side azimuth/elevation of the direct ray from its departure pair.
-
-    The arrival azimuth is the reverse bearing wrapped into (-pi, pi]; the
-    arrival elevation equals the departure elevation (the receive convention
-    measures the same drop from the other end).
-    """
-    return wrap_angle(math.pi - az_dep), el_dep
-
-
 def optimal_subarray_size(cfg: ScenarioConfig, t: float = 0.0) -> int:
     """Largest square tile side whose near/far boundary stays at or inside the link range.
 
@@ -409,13 +346,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
     cleaned = {}
     for key, value in data.items():
-        f_int = {"P_h", "P_v", "Q", "L_clusters", "N_rays"}
-        if key in f_int:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if key in {"P_h", "P_v", "Q", "L_clusters", "N_rays"}:
+            if not _integral(value):
                 raise ValueError(f"config field {key} must be an integer, got {value!r}")
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise ValueError(f"config field {key} must be an integer, got {value!r}")
-                value = int(value)
+            value = int(value)
         cleaned[key] = value
     return ScenarioConfig(**cleaned)

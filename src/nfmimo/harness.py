@@ -22,6 +22,7 @@ from .channel import WavefrontModel
 from .fileio import atomic_open
 from .geometry import (
     ScenarioConfig,
+    _integral,
     config_from_dict,
     rayleigh_distance,
     rayleigh_distance_aperture,
@@ -126,13 +127,11 @@ def _model_from_sweep(sweep: dict, default: str = "spherical") -> WavefrontModel
 
 def _int_list(sweep: dict, key: str, default: list[int]) -> list[int]:
     values = sweep.get(key, default)
-    try:
-        out = [int(v) for v in values]
-    except (TypeError, ValueError):
-        raise ValueError(f"sweep key {key!r} must be a list of integers, got {values!r}") from None
-    if not out:
+    if not (isinstance(values, (list, tuple)) and all(map(_integral, values))):
+        raise ValueError(f"sweep key {key!r} must be a list of integers, got {values!r}")
+    if not values:
         raise ValueError(f"sweep key {key!r} must be a nonempty list")
-    return out
+    return [int(v) for v in values]
 
 
 def _float_list(sweep: dict, key: str, default: list[float]) -> list[float]:
@@ -168,14 +167,35 @@ def _finite(sweep: dict, key: str, default: float) -> float:
     return out
 
 
-def _series_to_file(series: CorrelationSeries, out_dir: Path, stem: str, outputs: dict) -> None:
-    path = out_dir / f"{stem}.csv"
+def _int(sweep: dict, key: str, default: int) -> int:
+    """An integer from the sweep (an int or an integral float, not a bool); else a ValueError naming key."""
+    value = sweep.get(key, default)
+    if not _integral(value):
+        raise ValueError(f"sweep key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _write_series(
+    exp: Experiment, outputs: dict, axis_name: str, axis, values, *, n_realizations: int, t: float = 0.0, model=None
+) -> None:
+    """Write one curve as <kind>.csv, or as <kind>__<model label>.csv for a model's curve, and record its digest.
+
+    model is the WavefrontModel of the curve, or None for the kinds without
+    one, which sweep square tilings and so carry the label "subarray".
+    """
+    series = CorrelationSeries(
+        axis_name=axis_name,
+        lag_axis=np.asarray(axis, dtype=float),
+        values=np.asarray(values, dtype=complex),
+        t=t,
+        model_label="subarray" if model is None else model.label,
+        n_realizations=n_realizations,
+        seed=exp.seed,
+    )
+    stem = exp.kind if model is None else f"{exp.kind}__{model.label.replace(':', '_')}"
+    path = exp.output / f"{stem}.csv"
     series.to_csv(path)
     outputs[path.name] = _sha256(path)
-
-
-def _safe_label(model: WavefrontModel) -> str:
-    return model.label.replace(":", "_")
 
 
 def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
@@ -223,16 +243,7 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
             side_model = model
         fld = field_for_realization(cfg_side, exp.seed, 0)
         deltas.append(model_error_delta(side_model, t, cfg_side, fld))
-    series = CorrelationSeries(
-        axis_name="array_side",
-        lag_axis=np.asarray(sides, dtype=float),
-        values=np.asarray(deltas, dtype=complex),
-        t=t,
-        model_label=model.label,
-        n_realizations=1,
-        seed=exp.seed,
-    )
-    _series_to_file(series, exp.output, f"error_vs_array__{_safe_label(model)}", outputs)
+    _write_series(exp, outputs, "array_side", sides, deltas, n_realizations=1, t=t, model=model)
 
 
 def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
@@ -242,16 +253,7 @@ def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict) 
     _check_p_max(p_max_list, cfg)
     fld = field_for_realization(cfg, exp.seed, 0)
     deltas = model_error_delta([WavefrontModel.subarray(p, p) for p in p_max_list], t, cfg, fld)
-    series = CorrelationSeries(
-        axis_name="p_max",
-        lag_axis=np.asarray(p_max_list, dtype=float),
-        values=np.asarray(deltas, dtype=complex),
-        t=t,
-        model_label="subarray",
-        n_realizations=1,
-        seed=exp.seed,
-    )
-    _series_to_file(series, exp.output, "error_vs_subarray", outputs)
+    _write_series(exp, outputs, "p_max", p_max_list, deltas, n_realizations=1, t=t)
 
 
 def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
@@ -261,79 +263,59 @@ def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -
     totals = [
         ro_complexity(WavefrontModel.subarray(p, p), cfg).ro_total for p in p_max_list
     ]
-    series = CorrelationSeries(
-        axis_name="p_max",
-        lag_axis=np.asarray(p_max_list, dtype=float),
-        values=np.asarray(totals, dtype=complex),
-        t=0.0,
-        model_label="subarray",
-        n_realizations=0,
-        seed=exp.seed,
-    )
-    _series_to_file(series, exp.output, "complexity_sweep", outputs)
+    _write_series(exp, outputs, "p_max", p_max_list, totals, n_realizations=0)
 
 
 def _run_spatial_ccf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     model = _model_from_sweep(exp.sweep)
-    max_offset = int(exp.sweep.get("max_offset", min(32, cfg.P_h - 1)))
+    max_offset = _int(exp.sweep, "max_offset", min(32, cfg.P_h - 1))
     if not 0 <= max_offset <= cfg.P_h - 1:
         raise ValueError(f"max_offset must be within [0, {cfg.P_h - 1}], got {max_offset}")
     offsets = [(dh, 0) for dh in range(max_offset + 1)]
-    series = spatial_ccf_series(
-        offsets,
-        int(exp.sweep.get("dq", 0)),
-        _finite(exp.sweep, "dt", 0.0),
-        _finite(exp.sweep, "t", 0.0),
-        cfg,
-        model,
-        int(exp.sweep.get("n_realizations", 500)),
-        seed=exp.seed,
+    dq, dt, t = _int(exp.sweep, "dq", 0), _finite(exp.sweep, "dt", 0.0), _finite(exp.sweep, "t", 0.0)
+    n_realizations = _int(exp.sweep, "n_realizations", 500)
+    series = spatial_ccf_series(offsets, dq, dt, t, cfg, model, n_realizations, seed=exp.seed)
+    _write_series(
+        exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
-    _series_to_file(series, exp.output, f"spatial_ccf__{_safe_label(model)}", outputs)
 
 
 def _run_temporal_acf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     model = _model_from_sweep(exp.sweep)
     dt_max = _finite(exp.sweep, "dt_max", 0.05)
-    points = int(exp.sweep.get("points", 101))
+    points = _int(exp.sweep, "points", 101)
     if dt_max < 0 or points < 1:
         raise ValueError("dt_max must be >= 0 and points >= 1")
     dts = list(np.linspace(0.0, dt_max, points))
-    series = temporal_acf_series(
-        dts,
-        _finite(exp.sweep, "t", 0.0),
-        cfg,
-        model,
-        int(exp.sweep.get("n_realizations", 500)),
-        seed=exp.seed,
+    t, n_realizations = _finite(exp.sweep, "t", 0.0), _int(exp.sweep, "n_realizations", 500)
+    series = temporal_acf_series(dts, t, cfg, model, n_realizations, seed=exp.seed)
+    _write_series(
+        exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
-    _series_to_file(series, exp.output, f"temporal_acf__{_safe_label(model)}", outputs)
 
 
 def _run_frequency_cf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     model = _model_from_sweep(exp.sweep)
     df_max = _finite(exp.sweep, "df_max", 1e7)
-    points = int(exp.sweep.get("points", 101))
+    points = _int(exp.sweep, "points", 101)
     if df_max < 0 or points < 1:
         raise ValueError("df_max must be >= 0 and points >= 1")
     dfs = list(np.linspace(0.0, df_max, points))
-    series = frequency_cf_series(
-        dfs,
-        _finite(exp.sweep, "t", 0.0),
-        cfg,
-        model,
-        int(exp.sweep.get("n_realizations", 500)),
-        seed=exp.seed,
+    t, n_realizations = _finite(exp.sweep, "t", 0.0), _int(exp.sweep, "n_realizations", 500)
+    series = frequency_cf_series(dfs, t, cfg, model, n_realizations, seed=exp.seed)
+    _write_series(
+        exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
-    _series_to_file(series, exp.output, f"frequency_cf__{_safe_label(model)}", outputs)
 
 
 def _run_capacity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
     model = _model_from_sweep(exp.sweep)
     snr_db = _float_list(exp.sweep, "snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
-    n_realizations = int(exp.sweep.get("n_realizations", 500))
-    normalize_each = bool(exp.sweep.get("normalize_each", False))
-    phase_draws = int(exp.sweep.get("phase_draws", 1))
+    n_realizations = _int(exp.sweep, "n_realizations", 500)
+    normalize_each = exp.sweep.get("normalize_each", False)
+    if not isinstance(normalize_each, bool):
+        raise ValueError(f"sweep key 'normalize_each' must be a bool, got {normalize_each!r}")
+    phase_draws = _int(exp.sweep, "phase_draws", 1)
     t = _finite(exp.sweep, "t", 0.0)
     rho_snrs = []
     for db in snr_db:
@@ -354,16 +336,7 @@ def _run_capacity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
         normalize_each=normalize_each,
         phase_draws=phase_draws,
     )
-    series = CorrelationSeries(
-        axis_name="snr_db",
-        lag_axis=np.asarray(snr_db, dtype=float),
-        values=np.asarray(values, dtype=complex),
-        t=t,
-        model_label=model.label,
-        n_realizations=n_realizations,
-        seed=exp.seed,
-    )
-    _series_to_file(series, exp.output, f"capacity_sweep__{_safe_label(model)}", outputs)
+    _write_series(exp, outputs, "snr_db", snr_db, values, n_realizations=n_realizations, t=t, model=model)
 
 
 _RUNNERS = {

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import atomic_open
 from .geometry import ScenarioConfig, Vec3
 
 _MAX_PLACEMENT_ATTEMPTS = 100
@@ -129,15 +130,13 @@ class ScattererField:
         return self._phases
 
     def to_csv(self, path: str | Path) -> None:
-        """Write rows (cluster, ray, x, y, z, phase) with 1-based indices."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        """Write rows (cluster, ray, x, y, z, phase) with 1-based indices, atomically."""
+        index = [(li, ni) for li, n in enumerate(self._sizes, start=1) for ni in range(1, n + 1)]
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cluster", "ray", "x_m", "y_m", "z_m", "phase_rad"])
-            for li, cluster in enumerate(self.clusters, start=1):
-                for ni, ray in enumerate(cluster, start=1):
-                    writer.writerow(
-                        [li, ni, repr(ray.position.x), repr(ray.position.y), repr(ray.position.z), repr(ray.phase)]
-                    )
+            for (li, ni), xyz, phase in zip(index, self.positions().tolist(), self.phases().tolist()):
+                writer.writerow([li, ni, *map(repr, xyz), repr(phase)])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScattererField":

@@ -95,9 +95,6 @@ class CorrelationSeries:
 
     Used for every emitted statistic (correlations, capacity, model error,
     operation counts); purely real statistics carry a zero imaginary part.
-    n_excluded counts realizations dropped for zero-magnitude samples; the
-    phase-expectation estimator never produces any, so it stays 0 and is
-    kept for interface completeness.
     """
 
     axis_name: str
@@ -107,7 +104,6 @@ class CorrelationSeries:
     model_label: str
     n_realizations: int
     seed: int
-    n_excluded: int = 0
 
     def __post_init__(self) -> None:
         if len(self.lag_axis) != len(self.values):
@@ -116,27 +112,14 @@ class CorrelationSeries:
             raise ValueError("a series needs at least one axis point")
 
     def to_csv(self, path: str | Path) -> None:
-        """One row per axis point: axis value, Re, Im, magnitude, count, seed."""
-
-        def fmt(x: float) -> str:
-            if math.isinf(x):
-                return "-inf" if x < 0 else "inf"
-            return repr(float(x))
-
+        """One row per axis point: axis value, Re, Im, magnitude, count, seed; floats as repr."""
         with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([self.axis_name, "re", "im", "magnitude", "n_realizations", "seed"])
             for lag, value in zip(self.lag_axis, self.values):
                 v = complex(value)
                 writer.writerow(
-                    [
-                        fmt(float(lag)),
-                        fmt(v.real),
-                        fmt(v.imag),
-                        fmt(abs(v)),
-                        self.n_realizations,
-                        self.seed,
-                    ]
+                    [repr(float(lag)), repr(v.real), repr(v.imag), repr(abs(v)), self.n_realizations, self.seed]
                 )
 
 
@@ -218,6 +201,21 @@ def _rician_mix(cfg: ScenarioConfig, rho_los, rho_nlos):
     return (w_los * w_los) * rho_los + (w_nlos * w_nlos) * rho_nlos
 
 
+def _mixed_series(
+    axis_name: str, lag_axis, parts, t: float, cfg: ScenarioConfig, model: WavefrontModel, n_realizations: int, seed: int
+) -> CorrelationSeries:
+    """The Rician mix of the (direct, scattered) parts over lag_axis as one series."""
+    return CorrelationSeries(
+        axis_name=axis_name,
+        lag_axis=lag_axis,
+        values=_rician_mix(cfg, *parts),
+        t=t,
+        model_label=model.label,
+        n_realizations=n_realizations,
+        seed=seed,
+    )
+
+
 def st_ccf_parts(
     dp: tuple[int, int],
     dq: int,
@@ -231,10 +229,10 @@ def st_ccf_parts(
     base_p: tuple[int, int] = (1, 1),
     base_q: int = 1,
 ) -> tuple[complex, complex, int]:
-    """Direct and scattered correlation parts, unweighted, plus exclusion count.
+    """Direct and scattered correlation parts, unweighted, plus a constant 0.
 
-    The one-offset view of spatial_ccf_series before Rician weighting; the
-    exclusion count is always 0 (see CorrelationSeries.n_excluded).
+    The one-offset view of spatial_ccf_series before Rician weighting. The
+    third value is always 0, kept for this function's 3-tuple signature.
     """
     p1, p2, q2 = _validate_pair(base_p, dp, base_q, dq, cfg)
     rho_los, rho_nlos = _ccf_parts((p1, base_q, t), [(p2, q2, t + dt)], cfg, model, n_realizations, seed)
@@ -314,19 +312,11 @@ def spatial_ccf_series(
         raise ValueError("at least one antenna offset is required")
     pairs = [_validate_pair(base_p, dp, base_q, dq, cfg) for dp in offsets]
     others = [(p2, q2, t + dt) for _, p2, q2 in pairs]
-    rho_los, rho_nlos = _ccf_parts((pairs[0][0], base_q, t), others, cfg, model, n_realizations, seed)
+    parts = _ccf_parts((pairs[0][0], base_q, t), others, cfg, model, n_realizations, seed)
     axis = np.array(
         [math.hypot(dp[0] * cfg.delta_T, dp[1] * cfg.delta_T) / cfg.wavelength for dp in offsets]
     )
-    return CorrelationSeries(
-        axis_name="spacing_wavelengths",
-        lag_axis=axis,
-        values=_rician_mix(cfg, rho_los, rho_nlos),
-        t=t,
-        model_label=model.label,
-        n_realizations=n_realizations,
-        seed=seed,
-    )
+    return _mixed_series("spacing_wavelengths", axis, parts, t, cfg, model, n_realizations, seed)
 
 
 def temporal_acf_series(
@@ -345,16 +335,8 @@ def temporal_acf_series(
         raise ValueError(f"time lags must be >= 0, got {min(dts)}")
     base = (1, 1)
     others = [(base, 1, t + dt) for dt in dts]
-    rho_los, rho_nlos = _ccf_parts((base, 1, t), others, cfg, model, n_realizations, seed)
-    return CorrelationSeries(
-        axis_name="dt_s",
-        lag_axis=np.asarray(dts, dtype=float),
-        values=_rician_mix(cfg, rho_los, rho_nlos),
-        t=t,
-        model_label=model.label,
-        n_realizations=n_realizations,
-        seed=seed,
-    )
+    parts = _ccf_parts((base, 1, t), others, cfg, model, n_realizations, seed)
+    return _mixed_series("dt_s", np.asarray(dts, dtype=float), parts, t, cfg, model, n_realizations, seed)
 
 
 def frequency_cf_series(
@@ -385,17 +367,11 @@ def frequency_cf_series(
             raise ValueError(f"frequency offsets df up to {float(dfs_arr.max())!r} Hz overflow the delay phase 2*pi*df*tau")
         return _cis(2.0 * math.pi * dfs_arr[:, None] * delays[None, :]).mean(axis=1)
 
-    rho_los = delay_cf(np.array([tau_los(t, cfg)]))
-    rho_nlos = _field_mean(lambda fld: delay_cf(nlos_delays(t, cfg, fld)), cfg, n_realizations, seed)
-    return CorrelationSeries(
-        axis_name="df_hz",
-        lag_axis=dfs_arr,
-        values=_rician_mix(cfg, rho_los, rho_nlos),
-        t=t,
-        model_label=model.label,
-        n_realizations=n_realizations,
-        seed=seed,
+    parts = (
+        delay_cf(np.array([tau_los(t, cfg)])),
+        _field_mean(lambda fld: delay_cf(nlos_delays(t, cfg, fld)), cfg, n_realizations, seed),
     )
+    return _mixed_series("df_hz", dfs_arr, parts, t, cfg, model, n_realizations, seed)
 
 
 def _check_snr(rho_snr) -> float:

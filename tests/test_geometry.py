@@ -1,4 +1,4 @@
-"""Geometry: positions, angles, near/far boundary, and array partitioning.
+"""Geometry: positions, near/far boundary, and array partitioning.
 
 Expected values are frozen from straight-line evaluations of the defining
 formulas (independent of the library code); each constant's derivation is
@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from nfmimo.geometry import (
-    AngleConvention,
-    GeometryError,
     ScenarioConfig,
     SubarrayPartition,
     Vec3,
@@ -21,17 +19,14 @@ from nfmimo.geometry import (
     element_index,
     element_rowcol,
     bs_element_position,
-    los_arrival_angles,
     make_partition,
     mr_element_position,
     optimal_subarray_size,
     partition_counts,
-    ray_angles,
     rayleigh_distance,
     rayleigh_distance_aperture,
     subarray_center,
     subarray_size,
-    wrap_angle,
 )
 
 C = 299792458.0
@@ -98,6 +93,17 @@ def test_config_from_dict_applies_defaults_and_overrides():
     cfg = config_from_dict({"P_h": 8, "D_0": 75.0})
     assert cfg.P_h == 8 and cfg.P_v == 64
     assert cfg.D_0 == 75.0
+
+
+def test_config_from_dict_reads_integral_floats_as_counts():
+    cfg = config_from_dict({"P_h": 8.0, "N_rays": 3.0})
+    assert (cfg.P_h, cfg.N_rays) == (8, 3) and type(cfg.P_h) is int
+
+
+@pytest.mark.parametrize("value", [2.5, True, "4", None, math.inf])
+def test_config_from_dict_rejects_non_integer_counts(value):
+    with pytest.raises(ValueError, match="config field P_h must be an integer"):
+        config_from_dict({"P_h": value})
 
 
 def test_vec3_requires_finite():
@@ -333,83 +339,6 @@ def test_partition_subarray_of_element_matches_scalar_map():
             sh, sv = part.subarray_of_element(p_h, p_v)
             assert sh == element_to_subarray(p_h, 4)
             assert sv == element_to_subarray(p_v, 3)
-
-
-# ---------------------------------------------------------------------------
-# Angles
-
-
-def test_ray_angles_los_departure_example():
-    # BS [0,0,20] toward MR [50,0,0]: azimuth 0, elevation arctan(20/50)
-    az, el = ray_angles(Vec3(0, 0, 20), Vec3(50, 0, 0), AngleConvention.LOS_DEPARTURE)
-    assert az == pytest.approx(0.0, abs=1e-15)
-    assert el == pytest.approx(0.3805063771123649, abs=1e-12)
-
-
-def test_ray_angles_equal_heights_zero_elevation():
-    for conv in AngleConvention:
-        _, el = ray_angles(Vec3(0, 0, 5), Vec3(30, 10, 5), conv)
-        assert el == 0.0
-
-
-def test_ray_angles_nlos_conventions_sign():
-    # scatterer above the arrays: departure/arrival conventions measure
-    # (z_scatterer - z_array), the LoS departure convention measures
-    # (z_source - z_dest); both see the same horizontal range
-    src = Vec3(0, 0, 10)
-    dst = Vec3(30, 40, 20)  # horizontal range 50, dz = +10
-    expected = math.atan2(10.0, 50.0)
-    _, el_nlos = ray_angles(src, dst, AngleConvention.NLOS_DEPARTURE)
-    _, el_arr = ray_angles(src, dst, AngleConvention.NLOS_ARRIVAL)
-    _, el_los = ray_angles(src, dst, AngleConvention.LOS_DEPARTURE)
-    assert el_nlos == pytest.approx(expected, abs=1e-15)
-    assert el_arr == pytest.approx(expected, abs=1e-15)
-    assert el_los == pytest.approx(-expected, abs=1e-15)
-
-
-def test_ray_angles_azimuth_range_random():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        a = Vec3(*rng.uniform(-100, 100, 3))
-        b = Vec3(*rng.uniform(-100, 100, 3))
-        if a.horizontal_distance_to(b) < 1e-9:
-            continue
-        az, _ = ray_angles(a, b, AngleConvention.NLOS_DEPARTURE)
-        assert -math.pi < az <= math.pi
-
-
-def test_ray_angles_vertical_geometry():
-    # zero horizontal range: elevation +-pi/2 signed by dz
-    _, el = ray_angles(Vec3(0, 0, 0), Vec3(0, 0, 5), AngleConvention.NLOS_DEPARTURE)
-    assert el == pytest.approx(math.pi / 2)
-    _, el = ray_angles(Vec3(0, 0, 5), Vec3(0, 0, 0), AngleConvention.NLOS_DEPARTURE)
-    assert el == pytest.approx(-math.pi / 2)
-
-
-def test_ray_angles_identical_points_error():
-    with pytest.raises(GeometryError):
-        ray_angles(Vec3(1, 2, 3), Vec3(1, 2, 3), AngleConvention.LOS_DEPARTURE)
-
-
-def test_los_arrival_relations():
-    # alpha_R = pi - alpha_T (wrapped), beta_R = beta_T
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        az = float(rng.uniform(-math.pi, math.pi))
-        el = float(rng.uniform(-math.pi / 2, math.pi / 2))
-        az_r, el_r = los_arrival_angles(az, el)
-        assert abs(wrap_angle(az_r - (math.pi - az))) < 1e-12
-        assert el_r == el
-        assert -math.pi < az_r <= math.pi
-
-
-def test_wrap_angle_range_and_endpoint():
-    assert wrap_angle(math.pi) == math.pi
-    assert wrap_angle(-math.pi) == math.pi
-    assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
-    for x in np.linspace(-20, 20, 401):
-        w = wrap_angle(float(x))
-        assert -math.pi < w <= math.pi
 
 
 # ---------------------------------------------------------------------------

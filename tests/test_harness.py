@@ -466,6 +466,88 @@ def test_sweep_golden(tmp_path, args, name, golden):
 
 
 # ---------------------------------------------------------------------------
+# The sweep each kind records
+
+
+SPATIAL_SWEEP = {"model": "spherical", "dq": 0, "dt": 0.0, "t": 0.0, "n_realizations": 1}
+
+
+@pytest.mark.parametrize(
+    "args, sweep, outputs",
+    [
+        (["rayleigh-table"], {}, ["rayleigh_table.csv"]),
+        (
+            ["error-vs-array", "--model", "subarray:4x4", "--sides", "2,4"],
+            {"sides": [2, 4], "model": "subarray:4x4", "t": 0.0},
+            ["error_vs_array__subarray_4x4.csv"],
+        ),
+        (["error-vs-subarray", "--p-max-list", "1,2"], {"p_max_list": [1, 2], "t": 0.0}, ["error_vs_subarray.csv"]),
+        (["complexity-sweep", "--p-max-list", "1,2"], {"p_max_list": [1, 2]}, ["complexity_sweep.csv"]),
+        (["spatial-ccf"], SPATIAL_SWEEP, ["spatial_ccf__spherical.csv"]),
+        (["spatial-ccf", "--max-offset", "2"], {**SPATIAL_SWEEP, "max_offset": 2}, ["spatial_ccf__spherical.csv"]),
+        (
+            ["temporal-acf", "--points", "3"],
+            {"model": "spherical", "dt_max": 0.05, "points": 3, "t": 0.0, "n_realizations": 1},
+            ["temporal_acf__spherical.csv"],
+        ),
+        (
+            ["frequency-cf", "--points", "3"],
+            {"model": "spherical", "df_max": 1e7, "points": 3, "t": 0.0, "n_realizations": 1},
+            ["frequency_cf__spherical.csv"],
+        ),
+        (
+            ["capacity-sweep", "--snr-db", "0,10"],
+            {
+                "model": "spherical",
+                "snr_db_list": [0.0, 10.0],
+                "normalize_each": False,
+                "phase_draws": 1,
+                "t": 0.0,
+                "n_realizations": 1,
+            },
+            ["capacity_sweep__spherical.csv"],
+        ),
+    ],
+)
+def test_cli_manifest_sweep_and_output_names(tmp_path, args, sweep, outputs):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    out = tmp_path / "run"
+    assert main([*args, "--config", str(cfg_path), "--realizations", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sweep"] == sweep
+    assert sorted(manifest["outputs"]) == outputs
+    assert sorted(os.listdir(out)) == sorted([*outputs, "manifest.json"])
+
+
+@pytest.mark.parametrize(
+    "kind, sweep, key",
+    [
+        ("temporal_acf", {"points": None}, "points"),  # used to raise TypeError
+        ("capacity_sweep", {"n_realizations": float("inf")}, "n_realizations"),  # used to raise OverflowError
+        ("capacity_sweep", {"n_realizations": 2.7}, "n_realizations"),  # used to run 2 realizations
+        ("capacity_sweep", {"normalize_each": "false"}, "normalize_each"),  # used to run as True
+        ("spatial_ccf", {"max_offset": True}, "max_offset"),
+        ("error_vs_subarray", {"p_max_list": [1, 2.5]}, "p_max_list"),
+    ],
+)
+def test_run_experiment_rejects_non_integer_and_non_bool_sweep_keys(tmp_path, kind, sweep, key):
+    cfg = validate_config(SMALL_CFG_JSON)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        run_experiment(Experiment(kind=kind, sweep=sweep, output=tmp_path), cfg)
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_experiment_reads_integral_floats_as_integers(tmp_path):
+    cfg = validate_config(SMALL_CFG_JSON)
+    for name, p_max_list in (("int", [1, 2]), ("float", [1.0, 2.0])):
+        exp = Experiment(kind="complexity_sweep", sweep={"p_max_list": p_max_list}, output=tmp_path / name)
+        run_experiment(exp, cfg)
+    csv_bytes = [(tmp_path / name / "complexity_sweep.csv").read_bytes() for name in ("int", "float")]
+    assert csv_bytes[0] == csv_bytes[1]
+
+
+# ---------------------------------------------------------------------------
 # Non-finite sweep numbers
 
 

@@ -6,15 +6,17 @@ each other; scalar expected values are frozen from an independent series
 evaluation of the Bessel function.
 """
 
+import csv
 import itertools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from nfmimo.geometry import ScenarioConfig
+from nfmimo.geometry import ScenarioConfig, Vec3
 from nfmimo.scattering import (
     Ray,
     ScattererField,
@@ -334,3 +336,44 @@ def test_field_csv_roundtrip(tmp_path):
     assert back.n_clusters == 3 and back.n_rays == 12
     assert np.array_equal(back.positions(), field.positions())
     assert np.array_equal(back.phases(), field.phases())
+
+
+def ray_loop_csv(field, path):
+    """The per-Ray writer loop over the cluster view: the reference for ScattererField.to_csv."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cluster", "ray", "x_m", "y_m", "z_m", "phase_rad"])
+        for li, cluster in enumerate(field.clusters, start=1):
+            for ni, ray in enumerate(cluster, start=1):
+                writer.writerow(
+                    [li, ni, repr(ray.position.x), repr(ray.position.y), repr(ray.position.z), repr(ray.phase)]
+                )
+
+
+def test_field_csv_bytes_match_the_ray_loop(tmp_path):
+    uneven = ScattererField(
+        (
+            (Ray(Vec3(1.0, 2.0, 3.0), 0.5), Ray(Vec3(-4.25, 1e-9, 0.0), -math.pi)),
+            (Ray(Vec3(30.0, 4.0, 2.0 / 3.0), 2.0),),
+        )
+    )
+    for field in (uneven, field_for_realization(ScenarioConfig(L_clusters=3, N_rays=4), 2, 5)):
+        field.to_csv(tmp_path / "array.csv")
+        ray_loop_csv(field, tmp_path / "loop.csv")
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_field_csv_write_is_atomic(tmp_path, monkeypatch):
+    class Unwritable:
+        def __repr__(self):
+            raise RuntimeError("cannot format")
+
+    field = generate_scatterers(ScenarioConfig(L_clusters=2, N_rays=2), 3)
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(field, "phases", lambda: np.array([0.0, Unwritable(), 0.0, 0.0], dtype=object))
+    with pytest.raises(RuntimeError):
+        field.to_csv(path)  # fails after the first ray's row
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["field.csv"]

@@ -174,7 +174,6 @@ def test_spatial_series_matches_scalar():
     offsets = [(0, 0), (1, 0), (2, 0), (3, 1)]
     series = spatial_ccf_series(offsets, 1, 0.01, 0.0, cfg, SPHERICAL, 4, seed=6)
     assert series.axis_name == "spacing_wavelengths"
-    assert series.n_excluded == 0
     lam = cfg.wavelength
     for j, dp in enumerate(offsets):
         scalar = st_ccf(dp, 1, 0.01, 0.0, cfg, SPHERICAL, 4, seed=6)
