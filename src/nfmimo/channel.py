@@ -8,14 +8,17 @@ baseline. Bulk propagation phase always rides on the midpoint-to-midpoint
 path lengths, expressed through the path delay so that the time response at
 the carrier and the frequency response agree identically.
 
-The phase formula is coded once: _direct_phases, _departure_phases and
-_arrival_phases sit on _departure_gains (direction cosines, no trig) and
-_angles (receive side only). point_phases evaluates a batch of (p, q, t)
+The phase formula is coded once: _direct_phases, _arrival_phases and the
+departure side sit on _gains (direction cosines, no trig) and _angles
+(receive side only). point_phases evaluates a batch of (p, q, t)
 points, of which los_phase, nlos_ray_phases, cir_* and transfer_function
 are one-point views. matrix_parts covers the whole array: as the steering
 phase is linear inside a tile, a tile larger than 1x1 factors its departure
 phasors into per-tile A (horizontal) and B (vertical) factors, which
 combine_parts multiplies per tile; the 1x1 tiling keeps a (P, N) table.
+The departure side is built from pieces: a tile midpoint's x and y depend
+only on its column and its z on its row, so only the distance, its
+reciprocal and the steering sum are per element, not per column or row.
 
 Every phasor exp(j*theta) goes through one kernel, _cis: a table-driven
 exponential with Cody-Waite range reduction, within 4.5e-16 of numpy's
@@ -49,9 +52,6 @@ TWO_PI = 2.0 * math.pi
 BANDWIDTH_HZ = 50e6
 
 _VARIANTS = ("spherical", "planar", "subarray")
-# Elements per block of the 1x1 departure table. It bounds the float
-# temporaries; the fill is elementwise, so blocking changes no bit.
-_TABLE_BLOCK = 512
 # Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: the
 # complex (P, N) departure table of the 1x1 tiling plus the (Q, P) direct
 # matrix. Larger arrays are refused before anything P-sized is allocated.
@@ -340,11 +340,29 @@ def _departure_gains(dx, dy, dz, cfg: ScenarioConfig):
     i.e. k*delta_T*cos(az - psi_T)*cos(el) and k*delta_T*sin(el). A zero displacement
     takes u = +x, the direction of the angles arctan2(0, 0) = 0 (never NaN).
     """
+    return _gains(*_pieces(dx, dy, dz, cfg), cfg)
+
+
+def _pieces(dx, dy, dz, cfg: ScenarioConfig):
+    """The pieces of the gains: u = dx cos psi_T + dy sin psi_T and hh = dx*dx + dy*dy, then dz and dz*dz."""
+    return dx * math.cos(cfg.psi_T) + dy * math.sin(cfg.psi_T), dx * dx + dy * dy, dz, dz * dz
+
+
+def _gains(u, hh, dz, dz2, cfg: ScenarioConfig):
+    """_departure_gains from its pieces, which broadcast against each other."""
     kd = TWO_PI / cfg.wavelength * cfg.delta_T
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    zero = r == 0.0
-    scale = kd / np.where(zero, 1.0, r)
-    return (dx * math.cos(cfg.psi_T) + dy * math.sin(cfg.psi_T) + zero * math.cos(cfg.psi_T)) * scale, dz * scale
+    r = np.sqrt(hh + dz2)
+    if not r.all():
+        zero = r == 0.0
+        r, u = np.where(zero, 1.0, r), u + zero * math.cos(cfg.psi_T)
+    scale = kd / r
+    return u * scale, dz * scale
+
+
+def _tile_pieces(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition, sh=slice(None), sv=slice(None)):
+    """_pieces toward the rays (rows of pos): u, hh (columns, N) of tile columns sh, dz, dz2 (rows, N) of tile rows sv."""
+    cx, cy = partition.centers[sh, 0, :2].T[:, :, None]  # a midpoint's x, y follow its column, its z its row
+    return _pieces(pos[:, 0] - cx, pos[:, 1] - cy, pos[:, 2] - partition.centers[0, sv, 2][:, None], cfg)
 
 
 def _elements(p_h: np.ndarray, p_v: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition):
@@ -377,14 +395,6 @@ def _direct_phases(elements, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConf
     return kh * a1[:, s_of_p] + kv * a2[:, s_of_p] + mr[:, s_of_p] + bulk[:, None]
 
 
-def _departure_phases(pos: np.ndarray, elements, cfg: ScenarioConfig, sel=slice(None)) -> np.ndarray:
-    """Per-ray departure steering kh*g1 + kv*g2 (E, N) of the selected elements, gains at each one's tile midpoint."""
-    (cx, cy, cz), s_of_p, kh, kv = elements
-    s = s_of_p[sel]
-    g1, g2 = _departure_gains(pos[:, 0] - cx[s, None], pos[:, 1] - cy[s, None], pos[:, 2] - cz[s, None], cfg)
-    return kh[sel, None] * g1 + kv[sel, None] * g2
-
-
 def _arrival_phases(pos: np.ndarray, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Per-ray arrival + Doppler + bulk phase (M, N) per receive point; bulk is -2*pi*f times the per-ray delays."""
     x, y, z, kq, t = rx[:, :, None]
@@ -410,16 +420,21 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
     ]
     i_el, i_rx = np.array(rows, dtype=np.intp).reshape(-1, 2).T
     p_h, p_v = np.array(list(elements), dtype=np.intp).reshape(-1, 2).T
-    els = _elements(p_h, p_v, cfg, model.partition_for(cfg))
+    els = _elements(p_h, p_v, cfg, partition := model.partition_for(cfg))
     rx = _receivers(receivers, cfg)
     bulk = -TWO_PI * freq * np.array([tau_los(t, cfg) for _, t in receivers])
     mids = _midpoints([t for _, t in receivers], cfg)
     direct = _direct_phases(els, rx, bulk, cfg)[i_rx, i_el]
+    # The departure pieces of the distinct tile columns and rows, gathered per element.
+    sh, ih = np.unique((p_h - 1) // partition.p_max_h, return_inverse=True)
+    sv, iv = np.unique((p_v - 1) // partition.p_max_v, return_inverse=True)
 
     def scattered(field: ScattererField) -> np.ndarray:
         pos = field.positions()
         arr = _arrival_phases(pos, rx, -TWO_PI * freq * _path_delays(pos, mids, cfg), cfg)
-        return _departure_phases(pos, els, cfg)[i_el] + arr[i_rx]
+        u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition, sh, sv)
+        g1, g2 = _gains(u[ih], hh[ih], dz[iv], dz2[iv], cfg)
+        return (els[2][:, None] * g1 + els[3][:, None] * g2)[i_el] + arr[i_rx]
 
     return direct, scattered
 
@@ -517,12 +532,12 @@ def _tile_factors(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayParti
     """
     n_h, n_v, _ = partition.centers.shape
     ph, pv = partition.p_max_h, partition.p_max_v
-    cx, cy, cz = partition.centers.reshape(-1, 3).T[:, :, None]
-    g1, g2 = _departure_gains(pos[:, 0] - cx, pos[:, 1] - cy, pos[:, 2] - cz, cfg)
+    u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition)
+    g1, g2 = _gains(u[:, None], hh[:, None], dz, dz2, cfg)
     kh = (cfg.P_h - 2 * np.arange(1, n_h * ph + 1) + 1) / 2.0
     kv = (cfg.P_v - 2 * np.arange(1, n_v * pv + 1) + 1) / 2.0
-    a = _cis(kh.reshape(n_h, 1, ph, 1) * g1.reshape(n_h, n_v, 1, -1))
-    b = _cis(kv.reshape(1, n_v, pv, 1) * g2.reshape(n_h, n_v, 1, -1))
+    a = _cis(kh.reshape(n_h, 1, ph, 1) * g1[:, :, None])
+    b = _cis(kv.reshape(1, n_v, pv, 1) * g2[:, :, None])
     h, v = np.arange(cfg.P_h), np.arange(cfg.P_v)[:, None]
     cols = (((h // ph * n_v + v // pv) * ph + h % ph) * pv + v % pv).ravel()
     return a, b, cols
@@ -544,7 +559,8 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     Returns (H_los, dep, arr_phases, tau_los, tau_nlos): the (Q, P) unit-modulus
     direct-path matrix, the departure side of the scattered paths, and the (Q, N)
     arrival + Doppler + delay phase per ray. dep is the (P, N) per-element phasor
-    table for the 1x1 tiling and _tile_factors for any larger tile, at
+    table for the 1x1 tiling, filled one transmit row at a time from the per-column
+    and per-row pieces, and _tile_factors for any larger tile, at
     p_max_h + p_max_v exponentials per tile and ray instead of p_max_h * p_max_v.
     Arrays over MATRIX_BUDGET_BYTES are refused with a ValueError naming P_h and P_v.
     """
@@ -559,10 +575,14 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     pos = field.positions()
     arr_phases = _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg)
     if partition.p_max_h == partition.p_max_v == 1:
-        dep = np.empty((p.size, len(pos)), dtype=complex)
-        for lo in range(0, p.size, _TABLE_BLOCK):
-            block = slice(lo, lo + _TABLE_BLOCK)
-            _cis(_departure_phases(pos, elements, cfg, block), out=dep[block])
+        # dep[v] holds the columns p = v * P_h + h of transmit row p_v = v + 1.
+        u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition)
+        kh, kv = elements[2][:cfg.P_h, None], elements[3][::cfg.P_h]
+        dep = np.empty((cfg.P_v, cfg.P_h, len(pos)), dtype=complex)
+        for v, row in enumerate(dep):
+            g1, g2 = _gains(u, hh, dz[v], dz2[v], cfg)
+            _cis(kh * g1 + kv[v] * g2, out=row)
+        dep = dep.reshape(p.size, -1)
     else:
         dep = _tile_factors(pos, cfg, partition)
     return H_los, dep, arr_phases, t_los, delays

@@ -22,6 +22,7 @@ from .channel import WavefrontModel
 from .fileio import atomic_open
 from .geometry import (
     ScenarioConfig,
+    _finite_number,
     _integral,
     config_from_dict,
     rayleigh_distance,
@@ -136,13 +137,11 @@ def _int_list(sweep: dict, key: str, default: list[int]) -> list[int]:
 
 def _float_list(sweep: dict, key: str, default: list[float]) -> list[float]:
     values = sweep.get(key, default)
-    try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ValueError(f"sweep key {key!r} must be a list of numbers, got {values!r}") from None
-    if not out:
+    if not (isinstance(values, (list, tuple)) and all(map(_finite_number, values))):
+        raise ValueError(f"sweep key {key!r} must be a list of finite numbers, got {values!r}")
+    if not values:
         raise ValueError(f"sweep key {key!r} must be a nonempty list")
-    return out
+    return [float(v) for v in values]
 
 
 def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
@@ -156,15 +155,11 @@ def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
 
 
 def _finite(sweep: dict, key: str, default: float) -> float:
-    """A finite number from the sweep; anything else is a ValueError naming key."""
+    """A finite number from the sweep (an int or a float, not a bool); else a ValueError naming key."""
     value = sweep.get(key, default)
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"sweep key {key!r} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ValueError(f"sweep key {key!r} must be finite, got {value!r}")
-    return out
+    if not _finite_number(value):
+        raise ValueError(f"sweep key {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _int(sweep: dict, key: str, default: int) -> int:
@@ -205,16 +200,34 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
     table always reports the active geometry.
     """
     frequencies = _float_list(exp.sweep, "frequencies_hz", [2.4e9, 5e9])
+    if min(frequencies) <= 0:
+        raise ValueError(f"sweep key 'frequencies_hz' must hold frequencies > 0, got {frequencies!r}")
     apertures = exp.sweep.get("apertures_m", [[1.0, 0.1], [1.0, 2.0], [2.0, 2.0]])
+    if not (
+        isinstance(apertures, (list, tuple))
+        and apertures
+        and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in apertures)
+        and all(_finite_number(v) and v > 0 for pair in apertures for v in pair)
+    ):
+        raise ValueError(
+            f"sweep key 'apertures_m' must be a nonempty list of [width, height] pairs of positive finite numbers, "
+            f"got {apertures!r}"
+        )
+    rows = []
+    for f_c in frequencies:
+        for w, h in apertures:
+            w, h = float(w), float(h)
+            boundary = rayleigh_distance_aperture(math.hypot(w, h), cfg.c / f_c)
+            if not math.isfinite(boundary):
+                raise ValueError(
+                    f"sweep keys 'frequencies_hz' and 'apertures_m': a {w!r} m x {h!r} m aperture at {f_c!r} Hz "
+                    "has a non-finite near-field boundary"
+                )
+            rows.append(f"{f_c!r},{w!r},{h!r},{boundary!r}\n")
     path = exp.output / "rayleigh_table.csv"
     with atomic_open(path, newline="") as fh:
         fh.write("frequency_hz,width_m,height_m,rayleigh_m\n")
-        for f_c in frequencies:
-            lam = cfg.c / f_c
-            for pair in apertures:
-                w, h = float(pair[0]), float(pair[1])
-                d = math.hypot(w, h)
-                fh.write(f"{f_c!r},{w!r},{h!r},{rayleigh_distance_aperture(d, lam)!r}\n")
+        fh.writelines(rows)
         fh.write(f"{cfg.f_c!r},configured,configured,{rayleigh_distance(cfg)!r}\n")
     outputs[path.name] = _sha256(path)
 
@@ -323,7 +336,7 @@ def _run_capacity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
             rho = 10.0 ** (db / 10.0)
         except OverflowError:
             rho = math.inf
-        if not (math.isfinite(db) and math.isfinite(rho)):
+        if not math.isfinite(rho):
             raise ValueError(f"sweep key 'snr_db_list' holds {db!r} dB, whose linear SNR is not finite")
         rho_snrs.append(rho)
     values = mean_capacity(

@@ -535,6 +535,58 @@ def test_departure_gains_of_a_zero_displacement_follow_the_arctan2_convention():
         assert np.max(np.abs(H - _oracle_matrices(cfg, 0.2, field, tile)[1])) < 5e-12
 
 
+def _block_gains(dx, dy, dz, cfg):
+    """The departure gains as computed over whole (dx, dy, dz) arrays before the table was built from pieces."""
+    kd = 2 * math.pi / cfg.wavelength * cfg.delta_T
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    zero = r == 0.0
+    scale = kd / np.where(zero, 1.0, r)
+    return (dx * math.cos(cfg.psi_T) + dy * math.sin(cfg.psi_T) + zero * math.cos(cfg.psi_T)) * scale, dz * scale
+
+
+def _block_table(pos, cfg):
+    """The (P, N) per-element departure table filled over 512-element blocks, each block through _cis."""
+    p = np.arange(cfg.P_h * cfg.P_v)
+    h, v = p % cfg.P_h, p // cfg.P_h
+    cx, cy, cz = make_partition(cfg, 1, 1).centers[h, v].T
+    kh, kv = (cfg.P_h - 2 * (h + 1) + 1) / 2.0, (cfg.P_v - 2 * (v + 1) + 1) / 2.0
+    table = np.empty((p.size, len(pos)), dtype=complex)
+    for lo in range(0, p.size, 512):
+        b = slice(lo, lo + 512)
+        g1, g2 = _block_gains(pos[:, 0] - cx[b, None], pos[:, 1] - cy[b, None], pos[:, 2] - cz[b, None], cfg)
+        _cis(kh[b, None] * g1 + kv[b, None] * g2, out=table[b])
+    return table
+
+
+def _block_factors(pos, cfg, partition):
+    """Per-tile factors A and B from gains evaluated over every (tile, ray) pair at once."""
+    n_h, n_v, _ = partition.centers.shape
+    ph, pv = partition.p_max_h, partition.p_max_v
+    cx, cy, cz = partition.centers.reshape(-1, 3).T[:, :, None]
+    g1, g2 = _block_gains(pos[:, 0] - cx, pos[:, 1] - cy, pos[:, 2] - cz, cfg)
+    kh = (cfg.P_h - 2 * np.arange(1, n_h * ph + 1) + 1) / 2.0
+    kv = (cfg.P_v - 2 * np.arange(1, n_v * pv + 1) + 1) / 2.0
+    return _cis(kh.reshape(n_h, 1, ph, 1) * g1.reshape(n_h, n_v, 1, -1)), _cis(
+        kv.reshape(1, n_v, pv, 1) * g2.reshape(n_h, n_v, 1, -1)
+    )
+
+
+def test_departure_table_and_tile_factors_are_bit_identical_to_the_block_fill():
+    cfg, t = dataclasses.replace(UNEVEN_CFG, psi_T=0.7), 0.2
+    generated = field_for_realization(cfg, 3, 1)
+    # One ray exactly at an element centre (zero displacement in the 1x1
+    # tiling) and one at a subarray:3x2 tile midpoint.
+    element = subarray_center(4, 3, cfg, make_partition(cfg, 1, 1)).as_tuple()
+    mid = subarray_center(2, 1, cfg, make_partition(cfg, 3, 2)).as_tuple()
+    at_centres = ScattererField(((Ray(Vec3(*element), -1.0), Ray(Vec3(*mid), 0.5)), (Ray(Vec3(30.0, 4.0, 2.0), 2.0),)))
+    for field in (generated, at_centres):
+        pos = field.positions()
+        assert np.array_equal(matrix_parts(t, cfg, SPHERICAL, field)[1], _block_table(pos, cfg))
+        a, b, _ = matrix_parts(t, cfg, WavefrontModel.subarray(3, 2), field)[1]
+        a_ref, b_ref = _block_factors(pos, cfg, make_partition(cfg, 3, 2))
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
 @pytest.mark.parametrize("phase_draws", [1, 3])
 def test_tile_factors_match_a_per_element_table(phase_draws):
     # subarray:30x30 on 64x64 leaves 4-element trailing tiles, so the padding is cropped on both axes.

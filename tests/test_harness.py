@@ -529,6 +529,19 @@ def test_cli_manifest_sweep_and_output_names(tmp_path, args, sweep, outputs):
         ("capacity_sweep", {"normalize_each": "false"}, "normalize_each"),  # used to run as True
         ("spatial_ccf", {"max_offset": True}, "max_offset"),
         ("error_vs_subarray", {"p_max_list": [1, 2.5]}, "p_max_list"),
+        ("capacity_sweep", {"t": True}, "t"),  # used to run at t = 1.0 s
+        ("capacity_sweep", {"t": "0.5"}, "t"),  # used to run at t = 0.5 s
+        ("capacity_sweep", {"snr_db_list": "10"}, "snr_db_list"),  # used to run at 1 and 0 dB
+        ("capacity_sweep", {"snr_db_list": [True]}, "snr_db_list"),  # used to run at 1 dB
+        ("rayleigh_table", {"frequencies_hz": [0.0]}, "frequencies_hz"),  # used to raise ZeroDivisionError
+        ("rayleigh_table", {"frequencies_hz": "10"}, "frequencies_hz"),  # used to raise ZeroDivisionError
+        ("rayleigh_table", {"frequencies_hz": [-5e9]}, "frequencies_hz"),
+        ("rayleigh_table", {"apertures_m": [["12"]]}, "apertures_m"),  # used to raise IndexError
+        ("rayleigh_table", {"apertures_m": ["12"]}, "apertures_m"),  # used to run as a 1 m x 2 m aperture
+        ("rayleigh_table", {"apertures_m": [[float("inf"), 1.0]]}, "apertures_m"),  # used to write inf
+        ("rayleigh_table", {"apertures_m": [[1.0, 2.0, 3.0]]}, "apertures_m"),
+        ("rayleigh_table", {"apertures_m": [[0.0, 1.0]]}, "apertures_m"),
+        ("rayleigh_table", {"apertures_m": [[1e200, 1.0]]}, "apertures_m"),  # the boundary overflows to inf
     ],
 )
 def test_run_experiment_rejects_non_integer_and_non_bool_sweep_keys(tmp_path, kind, sweep, key):
@@ -652,7 +665,7 @@ def test_failed_run_keeps_previous_outputs(tmp_path):
     assert set(before) == {"rayleigh_table.csv", "manifest.json"}
     bad = Experiment(kind="rayleigh_table", sweep={"apertures_m": [[1.0, 0.1], [1.0, "x"]]}, output=tmp_path)
     with pytest.raises(ValueError):
-        run_experiment(bad, cfg)  # fails after two table rows
+        run_experiment(bad, cfg)  # refused before the table is written
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 

@@ -4,6 +4,10 @@ Every name the package exports resolves, and no module imports a name it
 never uses, so a deletion cannot leave an import behind. An import kept on
 purpose carries `# noqa` on its line: the stats bindings of los_phase and
 nlos_ray_phases, which the benchmark's tracer wraps there.
+
+Every phasor goes through channel._cis: no exp call outside
+channel._cis_libm (the kernel's table source and fallback) takes a complex
+argument.
 """
 
 import ast
@@ -48,3 +52,84 @@ def test_unused_import_scan_flags_only_unmarked_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+COMPLEX_NAMES = {"complex", "complex64", "complex128", "cdouble", "csingle", "clongdouble"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _complex_marked(node: ast.AST, names: set[str]) -> bool:
+    """Whether an expression holds an imaginary literal, a complex type, or a name bound to such an expression."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Constant) and isinstance(n.value, complex):
+            return True
+        if isinstance(n, ast.Name) and (n.id in COMPLEX_NAMES or n.id in names):
+            return True
+        if isinstance(n, ast.Attribute) and n.attr in COMPLEX_NAMES:
+            return True
+    return False
+
+
+def _is_exp(func: ast.AST) -> bool:
+    """np.exp, numpy.exp, cmath.exp or a bare exp."""
+    if isinstance(func, ast.Attribute):
+        return func.attr == "exp" and isinstance(func.value, ast.Name) and func.value.id in {"np", "numpy", "cmath"}
+    return isinstance(func, ast.Name) and func.id == "exp"
+
+
+def complex_exp_calls(source: str, allowed: str = "_cis_libm") -> list[int]:
+    """Lines of exp calls with a complex argument, outside the function named allowed.
+
+    An argument is complex if it holds an imaginary literal or a complex type,
+    or names a variable its own scope (module or function) assigns from such
+    an expression.
+    """
+    tree = ast.parse(source)
+    scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS) and n.name != allowed)]
+    lines = set()
+    for scope in scopes:
+        nodes, stack = [], list(ast.iter_child_nodes(scope))
+        while stack:  # the scope's own nodes; a nested function is a scope of its own
+            node = stack.pop()
+            nodes.append(node)
+            if not isinstance(node, FUNCTIONS):
+                stack.extend(ast.iter_child_nodes(node))
+        names: set[str] = set()
+        while True:
+            bound = {
+                t.id
+                for n in nodes
+                if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and n.value is not None
+                and _complex_marked(n.value, names)
+                for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                for t in ast.walk(t)
+                if isinstance(t, ast.Name)
+            }
+            if bound <= names:
+                break
+            names |= bound
+        lines |= {
+            n.lineno
+            for n in nodes
+            if isinstance(n, ast.Call) and _is_exp(n.func) and any(_complex_marked(a, names) for a in n.args)
+        }
+    return sorted(lines)
+
+
+def test_complex_exp_scan_flags_only_complex_arguments_outside_the_allowed_function():
+    source = (
+        "import numpy as np\n"
+        "def _cis_libm(x):\n    return np.exp(1j * x)\n"
+        "def real(x):\n    return np.exp(-x * x)\n"
+        "def literal(x):\n    return np.exp(1j * x)\n"
+        "def bound(x):\n    z = x * 1j\n    w = z + 1\n    return np.exp(w)\n"
+        "def cast(x):\n    return np.exp(x.astype(np.complex128))\n"
+        "def cmath_call(x):\n    import cmath\n    return cmath.exp(complex(0, x))\n"
+        "def other_scope(w):\n    return np.exp(w)\n"
+    )
+    assert complex_exp_calls(source) == [7, 11, 13, 16]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_complex_exponential_goes_through_cis(path):
+    assert complex_exp_calls(path.read_text(encoding="utf-8")) == []
