@@ -101,8 +101,8 @@ def complex_exp_calls(source: str, allowed: str = "_cis_libm") -> list[int]:
                 for n in nodes
                 if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and n.value is not None
                 and _complex_marked(n.value, names)
-                for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
-                for t in ast.walk(t)
+                for target in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                for t in ast.walk(target)
                 if isinstance(t, ast.Name)
             }
             if bound <= names:
