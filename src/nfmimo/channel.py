@@ -8,17 +8,20 @@ baseline. Bulk propagation phase always rides on the midpoint-to-midpoint
 path lengths, expressed through the path delay so that the time response at
 the carrier and the frequency response agree identically.
 
-The phase formula is coded once: _direct_phases, _arrival_phases and the
+The phase formula is coded once: _direct, _arrival_phases and the
 departure side sit on _gains (direction cosines, no trig) and _angles
-(receive side only). point_phases evaluates a batch of (p, q, t)
-points, of which los_phase, nlos_ray_phases, cir_* and transfer_function
-are one-point views. matrix_parts covers the whole array: as the steering
-phase is linear inside a tile, a tile larger than 1x1 factors its departure
-phasors into per-tile A (horizontal) and B (vertical) factors, which
-combine_parts multiplies per tile; the 1x1 tiling keeps a (P, N) table.
-The departure side is built from pieces: a tile midpoint's x and y depend
-only on its column and its z on its row, so only the distance, its
-reciprocal and the steering sum are per element, not per column or row.
+(receive side only). _tiles is the one element-to-tile mapping: tile
+column, tile row and steering offsets kh, kv. point_phases evaluates a
+batch of (p, q, t) points, of which los_phase, nlos_ray_phases, cir_* and
+transfer_function are one-point views. matrix_parts covers the whole array
+and evaluates the direct path on the tile grid, gathered per element. As the
+steering phase is linear inside a tile, a tile larger than 1x1 factors its
+departure phasors into per-tile A (horizontal) and B (vertical) factors,
+which combine_parts multiplies per tile; the 1x1 tiling keeps a (P, N)
+table. A tile midpoint's x and y depend only on its column and its z on its
+row: the direct path's azimuth and horizontal distance are per tile column,
+and of the scattered departure side only the distance, its reciprocal and
+the steering sum are per element.
 
 Every phasor exp(j*theta) goes through one kernel, _cis: a table-driven
 exponential with Cody-Waite range reduction, within 4.5e-16 of numpy's
@@ -77,7 +80,7 @@ class WavefrontModel:
         if self.variant == "subarray":
             for name in ("p_max_h", "p_max_v"):
                 v = getattr(self, name)
-                if not (isinstance(v, int) and v >= 1):
+                if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
                     raise ValueError(f"{name} must be an integer >= 1 for subarray models, got {v!r}")
         elif self.p_max_h is not None or self.p_max_v is not None:
             raise ValueError(f"{self.variant} models take no tile sizes")
@@ -365,12 +368,10 @@ def _tile_pieces(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartit
     return _pieces(pos[:, 0] - cx, pos[:, 1] - cy, pos[:, 2] - partition.centers[0, sv, 2][:, None], cfg)
 
 
-def _elements(p_h: np.ndarray, p_v: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition):
-    """(3, S) midpoints of the distinct tiles holding elements (p_h, p_v), each element's tile, kh and kv."""
-    tile = (p_h - 1) // partition.p_max_h * partition.counts_v + (p_v - 1) // partition.p_max_v
-    tiles, s_of_p = np.unique(tile, return_inverse=True)
-    centers = partition.centers.reshape(-1, 3)[tiles]
-    return centers.T, s_of_p, (cfg.P_h - 2 * p_h + 1) / 2.0, (cfg.P_v - 2 * p_v + 1) / 2.0
+def _tiles(p_h, p_v, cfg: ScenarioConfig, partition: SubarrayPartition):
+    """0-based tile column sh and row sv and steering offsets kh, kv of elements (p_h, p_v), 1-based, broadcasting."""
+    sh, sv = (p_h - 1) // partition.p_max_h, (p_v - 1) // partition.p_max_v
+    return sh, sv, (cfg.P_h - 2 * p_h + 1) / 2.0, (cfg.P_v - 2 * p_v + 1) / 2.0
 
 
 def _receivers(qts, cfg: ScenarioConfig) -> np.ndarray:
@@ -379,20 +380,18 @@ def _receivers(qts, cfg: ScenarioConfig) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 5).T
 
 
-def _direct_phases(elements, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """Direct-path phase per receive point (rows) and element (columns); bulk is each point's -2*pi*f*tau.
+def _direct(sh, sv, rx, cfg: ScenarioConfig, partition: SubarrayPartition):
+    """Direct-path gains a1, a2 and receive terms mr from tiles (sh, sv) to receive points rx (rows x, y, z, kq, t).
 
-    Arrival angles are the reverse bearing, in (-pi, pi], and the departure elevation.
+    All broadcast; an element's phase is kh*a1 + kv*a2 + mr + bulk. Arrival
+    angles are the reverse bearing, in (-pi, pi], and the departure elevation.
     """
-    (cx, cy, cz), s_of_p, kh, kv = elements
-    x, y, z, kq, t = rx[:, :, None]
-    d = x - cx, y - cy, cz - z
+    x, y, z, kq, t = rx
+    d = x - partition.centers[sh, 0, 0], y - partition.centers[sh, 0, 1], partition.centers[0, sv, 2] - z
     az, el = _angles(*d)
     az_r = math.pi - az
     az_r = np.where(az_r > math.pi, az_r - TWO_PI, az_r)
-    a1, a2 = _departure_gains(*d, cfg)
-    mr = _mr_terms(az_r, el, kq, t, cfg)
-    return kh * a1[:, s_of_p] + kv * a2[:, s_of_p] + mr[:, s_of_p] + bulk[:, None]
+    return *_departure_gains(*d, cfg), _mr_terms(az_r, el, kq, t, cfg)
 
 
 def _arrival_phases(pos: np.ndarray, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -420,21 +419,18 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
     ]
     i_el, i_rx = np.array(rows, dtype=np.intp).reshape(-1, 2).T
     p_h, p_v = np.array(list(elements), dtype=np.intp).reshape(-1, 2).T
-    els = _elements(p_h, p_v, cfg, partition := model.partition_for(cfg))
+    sh, sv, kh, kv = _tiles(p_h, p_v, cfg, partition := model.partition_for(cfg))
     rx = _receivers(receivers, cfg)
     bulk = -TWO_PI * freq * np.array([tau_los(t, cfg) for _, t in receivers])
     mids = _midpoints([t for _, t in receivers], cfg)
-    direct = _direct_phases(els, rx, bulk, cfg)[i_rx, i_el]
-    # The departure pieces of the distinct tile columns and rows, gathered per element.
-    sh, ih = np.unique((p_h - 1) // partition.p_max_h, return_inverse=True)
-    sv, iv = np.unique((p_v - 1) // partition.p_max_v, return_inverse=True)
+    a1, a2, mr = _direct(sh[i_el], sv[i_el], rx[:, i_rx], cfg, partition)
+    direct = kh[i_el] * a1 + kv[i_el] * a2 + mr + bulk[i_rx]
 
     def scattered(field: ScattererField) -> np.ndarray:
         pos = field.positions()
         arr = _arrival_phases(pos, rx, -TWO_PI * freq * _path_delays(pos, mids, cfg), cfg)
-        u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition, sh, sv)
-        g1, g2 = _gains(u[ih], hh[ih], dz[iv], dz2[iv], cfg)
-        return (els[2][:, None] * g1 + els[3][:, None] * g2)[i_el] + arr[i_rx]
+        g1, g2 = _gains(*_tile_pieces(pos, cfg, partition, sh, sv), cfg)
+        return (kh[:, None] * g1 + kv[:, None] * g2)[i_el] + arr[i_rx]
 
     return direct, scattered
 
@@ -534,12 +530,11 @@ def _tile_factors(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayParti
     ph, pv = partition.p_max_h, partition.p_max_v
     u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition)
     g1, g2 = _gains(u[:, None], hh[:, None], dz, dz2, cfg)
-    kh = (cfg.P_h - 2 * np.arange(1, n_h * ph + 1) + 1) / 2.0
-    kv = (cfg.P_v - 2 * np.arange(1, n_v * pv + 1) + 1) / 2.0
+    p_h, p_v = np.arange(1, n_h * ph + 1), np.arange(1, n_v * pv + 1)[:, None]
+    sh, sv, kh, kv = _tiles(p_h, p_v, cfg, partition)
     a = _cis(kh.reshape(n_h, 1, ph, 1) * g1[:, :, None])
     b = _cis(kv.reshape(1, n_v, pv, 1) * g2[:, :, None])
-    h, v = np.arange(cfg.P_h), np.arange(cfg.P_v)[:, None]
-    cols = (((h // ph * n_v + v // pv) * ph + h % ph) * pv + v % pv).ravel()
+    cols = (((sh * n_v + sv) * ph + (p_h - 1) % ph) * pv + (p_v - 1) % pv)[:cfg.P_v, :cfg.P_h].ravel()
     return a, b, cols
 
 
@@ -567,17 +562,21 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     _check_budget(cfg)
     partition = model.partition_for(cfg)
     p = np.arange(cfg.P_h * cfg.P_v)
-    elements = _elements(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)
+    sh, sv, kh, kv = _tiles(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)
     rx = _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg)
     t_los = tau_los(t, cfg)
     delays = nlos_delays(t, cfg, field)
-    H_los = _cis(_direct_phases(elements, rx, np.full(cfg.Q, -TWO_PI * cfg.f_c * t_los), cfg))
+    # The direct path on the (counts_h, counts_v) tile grid, gathered per element.
+    grid = np.arange(partition.counts_h)[:, None], np.arange(partition.counts_v)
+    a1, a2, mr = _direct(*grid, rx[:, :, None, None], cfg, partition)
+    H_los = _cis(kh * a1[:, sh, sv] + kv * a2[:, sh, sv] + mr[:, sh, sv] - TWO_PI * cfg.f_c * t_los)
+    del a1, a2, mr  # not kept alive while the departure table is built
     pos = field.positions()
     arr_phases = _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg)
     if partition.p_max_h == partition.p_max_v == 1:
         # dep[v] holds the columns p = v * P_h + h of transmit row p_v = v + 1.
         u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition)
-        kh, kv = elements[2][:cfg.P_h, None], elements[3][::cfg.P_h]
+        kh, kv = kh[:cfg.P_h, None], kv[::cfg.P_h]
         dep = np.empty((cfg.P_v, cfg.P_h, len(pos)), dtype=complex)
         for v, row in enumerate(dep):
             g1, g2 = _gains(u, hh, dz[v], dz2[v], cfg)

@@ -83,7 +83,6 @@ class ScenarioConfig:
     mu_beta: float = 0.0
     L_clusters: int = 5
     N_rays: int = 20
-    rho_snr: float = 10.0
     r_min: float = 5.0
     r_max: float | None = None
     cluster_level_angles: bool = True
@@ -106,7 +105,7 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not _finite_number(v):
                 raise ValueError(f"{name} must be a finite angle in radians, got {v!r}")
-        for name in ("v_R", "K", "kappa", "rho_snr"):
+        for name in ("v_R", "K", "kappa"):
             v = getattr(self, name)
             if not (_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
@@ -124,10 +123,6 @@ class ScenarioConfig:
     @property
     def wavelength(self) -> float:
         return self.c / self.f_c
-
-    @property
-    def n_bs_elements(self) -> int:
-        return self.P_h * self.P_v
 
     def bs_midpoint(self) -> Vec3:
         """Midpoint of the transmit array; its ground projection is the origin."""

@@ -218,10 +218,10 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
         for w, h in apertures:
             w, h = float(w), float(h)
             boundary = rayleigh_distance_aperture(math.hypot(w, h), cfg.c / f_c)
-            if not math.isfinite(boundary):
+            if not (math.isfinite(boundary) and boundary > 0):
                 raise ValueError(
                     f"sweep keys 'frequencies_hz' and 'apertures_m': a {w!r} m x {h!r} m aperture at {f_c!r} Hz "
-                    "has a non-finite near-field boundary"
+                    f"has a near-field boundary of {boundary!r} m, not a finite distance above 0"
                 )
             rows.append(f"{f_c!r},{w!r},{h!r},{boundary!r}\n")
     path = exp.output / "rayleigh_table.csv"

@@ -23,8 +23,11 @@ from nfmimo.channel import (
     ChannelRealization,
     WavefrontModel,
     _CIS_CHUNK,
+    _angles,
     _cis,
     _departure_gains,
+    _mr_terms,
+    _receivers,
     channel_matrix,
     cir_los,
     cir_nlos,
@@ -221,6 +224,13 @@ def test_model_parse_and_labels():
     for bad in ("subarray", "subarray:4", "subarray:0x2", "cubic", "subarray:axb"):
         with pytest.raises(ValueError):
             WavefrontModel.parse(bad)
+
+
+@pytest.mark.parametrize("sizes, name", [((True, True), "p_max_h"), ((2, False), "p_max_v")])
+def test_model_rejects_bool_tile_sizes(sizes, name):
+    # subarray(True, True) used to run as a 1x1 tiling labelled subarray:TruexTrue.
+    with pytest.raises(ValueError, match=name):
+        WavefrontModel.subarray(*sizes)
 
 
 def test_model_partition_validation():
@@ -585,6 +595,49 @@ def test_departure_table_and_tile_factors_are_bit_identical_to_the_block_fill():
         a, b, _ = matrix_parts(t, cfg, WavefrontModel.subarray(3, 2), field)[1]
         a_ref, b_ref = _block_factors(pos, cfg, make_partition(cfg, 3, 2))
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
+def _per_element_tiles(p_h, p_v, cfg, partition):
+    """Midpoints (3, S) of the distinct tiles holding elements (p_h, p_v), each element's tile, kh and kv."""
+    tile = (p_h - 1) // partition.p_max_h * partition.counts_v + (p_v - 1) // partition.p_max_v
+    tiles, s_of_p = np.unique(tile, return_inverse=True)
+    centers = partition.centers.reshape(-1, 3)[tiles]
+    return centers.T, s_of_p, (cfg.P_h - 2 * p_h + 1) / 2.0, (cfg.P_v - 2 * p_v + 1) / 2.0
+
+
+def _per_element_direct_phases(elements, rx, bulk, cfg):
+    """Direct-path phase per receive point (rows) and element (columns), evaluated per distinct tile."""
+    (cx, cy, cz), s_of_p, kh, kv = elements
+    x, y, z, kq, t = rx[:, :, None]
+    d = x - cx, y - cy, cz - z
+    az, el = _angles(*d)
+    az_r = math.pi - az
+    az_r = np.where(az_r > math.pi, az_r - 2 * math.pi, az_r)
+    a1, a2 = _departure_gains(*d, cfg)
+    mr = _mr_terms(az_r, el, kq, t, cfg)
+    return kh * a1[:, s_of_p] + kv * a2[:, s_of_p] + mr[:, s_of_p] + bulk[:, None]
+
+
+@pytest.mark.parametrize("model", [SPHERICAL, WavefrontModel.subarray(3, 2), PLANAR], ids=lambda m: m.label)
+def test_direct_path_is_bit_identical_to_the_per_tile_evaluation(model):
+    cfg, t = dataclasses.replace(UNEVEN_CFG, psi_T=0.7), 0.2
+    partition = model.partition_for(cfg)
+    p = np.arange(cfg.P_h * cfg.P_v)
+    elements = _per_element_tiles(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)
+    bulk = np.full(cfg.Q, -2 * math.pi * cfg.f_c * tau_los(t, cfg))
+    expected = _per_element_direct_phases(elements, _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg), bulk, cfg)
+    assert np.array_equal(matrix_parts(t, cfg, model, field_for_realization(cfg, 3, 1))[0], _cis(expected))
+
+    # Tile columns and rows repeat across points (and within subarray:3x2 tiles); times mix.
+    points = [
+        ((1, 1), 1, 0.2), ((2, 1), 3, 0.0), ((7, 5), 2, 0.37), ((1, 1), 1, 0.0),
+        ((4, 3), 2, 0.2), ((6, 2), 1, 0.37), ((4, 5), 3, 0.2), ((2, 1), 3, 0.0), ((3, 4), 1, 0.2),
+    ]
+    p_h, p_v = np.array([element for element, _, _ in points]).T
+    qts = [(q, pt) for _, q, pt in points]
+    bulk = -2 * math.pi * cfg.f_c * np.array([tau_los(pt, cfg) for _, pt in qts])
+    per_point = _per_element_direct_phases(_per_element_tiles(p_h, p_v, cfg, partition), _receivers(qts, cfg), bulk, cfg)
+    assert np.array_equal(point_phases(points, cfg, model)[0], np.diagonal(per_point))
 
 
 @pytest.mark.parametrize("phase_draws", [1, 3])

@@ -89,6 +89,12 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"nope": 3})
 
 
+def test_config_from_dict_rejects_the_removed_rho_snr_field():
+    # Every SNR comes from --snr-db / snr_db_list; rho_snr used to be accepted and ignored.
+    with pytest.raises(ValueError, match="unknown config field.*rho_snr"):
+        config_from_dict({"rho_snr": 10.0})
+
+
 def test_config_from_dict_applies_defaults_and_overrides():
     cfg = config_from_dict({"P_h": 8, "D_0": 75.0})
     assert cfg.P_h == 8 and cfg.P_v == 64

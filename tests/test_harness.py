@@ -542,6 +542,8 @@ def test_cli_manifest_sweep_and_output_names(tmp_path, args, sweep, outputs):
         ("rayleigh_table", {"apertures_m": [[1.0, 2.0, 3.0]]}, "apertures_m"),
         ("rayleigh_table", {"apertures_m": [[0.0, 1.0]]}, "apertures_m"),
         ("rayleigh_table", {"apertures_m": [[1e200, 1.0]]}, "apertures_m"),  # the boundary overflows to inf
+        ("rayleigh_table", {"apertures_m": [[1e-170, 1e-170]]}, "apertures_m"),  # used to write a 0.0 boundary
+        ("rayleigh_table", {"frequencies_hz": [1e-300]}, "frequencies_hz"),  # used to write a 0.0 boundary
     ],
 )
 def test_run_experiment_rejects_non_integer_and_non_bool_sweep_keys(tmp_path, kind, sweep, key):

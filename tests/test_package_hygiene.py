@@ -3,7 +3,9 @@
 Every name the package exports resolves, and no module imports a name it
 never uses, so a deletion cannot leave an import behind. An import kept on
 purpose carries `# noqa` on its line: the stats bindings of los_phase and
-nlos_ray_phases, which the benchmark's tracer wraps there.
+nlos_ray_phases, which the benchmark's tracer wraps there. Likewise every
+module-level private name is loaded somewhere in the package, so a deletion
+cannot leave a dead helper behind.
 
 Every phasor goes through channel._cis: no exp call outside
 channel._cis_libm (the kernel's table source and fallback) takes a complex
@@ -52,6 +54,52 @@ def test_unused_import_scan_flags_only_unmarked_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level private name (a _x def, class or assignment; dunders excepted) no module loads.
+
+    A load is a name read in an expression or an attribute read, such as module._x.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{module}.{name}"
+                for name in names
+                if name[0] == "_" and not name[:2] == name[-2:] == "__" and name not in loaded
+            ]
+    return sorted(dead)
+
+
+def test_dead_private_name_scan_flags_only_names_no_module_loads():
+    sources = {
+        "a": (
+            "__all__ = []\n_CALLED = 1\n_READ: int = 2\nPUBLIC = 3\n_x, _y = 4, 5\n"
+            "def _helper():\n    return _CALLED\ndef _dead():\n    pass\nclass _Dead:\n    pass\n"
+        ),
+        "b": "import a\nfrom a import _helper, _dead\n_helper()\nprint(a._READ, _y)\n",
+    }
+    assert dead_private_names(sources) == ["a._Dead", "a._dead", "a._x"]
+
+
+def test_no_dead_private_names():
+    package = Path(nfmimo.__file__).resolve().parent
+    assert dead_private_names({p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}) == []
 
 
 COMPLEX_NAMES = {"complex", "complex64", "complex128", "cdouble", "csingle", "clongdouble"}
