@@ -13,15 +13,14 @@ departure side sit on _gains (direction cosines, no trig) and _angles
 (receive side only). _tiles is the one element-to-tile mapping: tile
 column, tile row and steering offsets kh, kv. point_phases evaluates a
 batch of (p, q, t) points, of which los_phase, nlos_ray_phases, cir_* and
-transfer_function are one-point views. matrix_parts covers the whole array
-and evaluates the direct path on the tile grid, gathered per element. As the
-steering phase is linear inside a tile, a tile larger than 1x1 factors its
-departure phasors into per-tile A (horizontal) and B (vertical) factors,
-which combine_parts multiplies per tile; the 1x1 tiling keeps a (P, N)
-table. A tile midpoint's x and y depend only on its column and its z on its
-row: the direct path's azimuth and horizontal distance are per tile column,
-and of the scattered departure side only the distance, its reciprocal and
-the steering sum are per element.
+transfer_function are one-point views. matrix_parts covers the whole array:
+the direct path on the tile grid, gathered per element, and the scattered
+departure side as real pieces per tile column and row. combine_parts forms
+the departure phasors in cache-sized blocks of whole tile rows and meets
+each block with the ray phasors of all receive elements and draws in one
+product: no (P, N) table is held. A tile's phasors are products of per-tile
+horizontal and vertical factors, as its steering phase is linear; large
+tiles multiply the factors per tile without expanding them.
 
 Every phasor exp(j*theta) goes through one kernel, _cis: a table-driven
 exponential with Cody-Waite range reduction, within 4.5e-16 of numpy's
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +42,7 @@ from .geometry import (
     GeometryError,
     ScenarioConfig,
     SubarrayPartition,
+    _digits,
     element_rowcol,
     k_index,
     make_partition,
@@ -55,9 +56,8 @@ TWO_PI = 2.0 * math.pi
 BANDWIDTH_HZ = 50e6
 
 _VARIANTS = ("spherical", "planar", "subarray")
-# Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: the
-# complex (P, N) departure table of the 1x1 tiling plus the (Q, P) direct
-# matrix. Larger arrays are refused before anything P-sized is allocated.
+# Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: a complex (P, N) table plus the
+# (Q, P) direct matrix, a bound on combines of D * Q <= N rows. Refused before anything P-sized exists.
 MATRIX_BUDGET_BYTES = 2**30
 
 
@@ -106,11 +106,10 @@ class WavefrontModel:
         if text == "planar":
             return cls.planar()
         if text.startswith("subarray:"):
-            sizes = text.removeprefix("subarray:")
-            parts = sizes.split("x")
+            parts = text.removeprefix("subarray:").split("x")
             if len(parts) == 2:
                 try:
-                    return cls.subarray(int(parts[0]), int(parts[1]))
+                    return cls.subarray(_digits(parts[0]), _digits(parts[1]))
                 except ValueError as exc:
                     raise ValueError(f"bad subarray sizes in {text!r}: {exc}") from None
         raise ValueError(
@@ -245,6 +244,7 @@ _CIS_LO = (TWO_PI / 1024 - _CIS_HI) + 2.4492935982947064e-16 / 1024
 _CIS_KMAX = 2.0**25
 # Elements per chunk: the kernel's temporaries stay bounded and in cache.
 _CIS_CHUNK = 16384
+_CIS_BUFFERS = threading.local()  # _cis chunk buffers, made once per thread (realizations may run in threads)
 
 
 def _cis_libm(theta):
@@ -284,10 +284,9 @@ def _cis(theta, out=None) -> np.ndarray:
     elif out.shape != theta.shape or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex array of shape {theta.shape}")
     src, dst = theta.reshape(-1), out.reshape(-1)
-    n = min(src.size, _CIS_CHUNK)
-    k_buf, d_buf, d2_buf = np.empty((3, n))
-    p_buf = np.empty(n, dtype=complex)
-    i_buf = np.empty(n, dtype=np.intp)
+    if not hasattr(_CIS_BUFFERS, "bufs"):
+        _CIS_BUFFERS.bufs = np.empty((3, _CIS_CHUNK)), np.empty(_CIS_CHUNK, complex), np.empty(_CIS_CHUNK, np.intp)
+    (k_buf, d_buf, d2_buf), p_buf, i_buf = _CIS_BUFFERS.bufs
     for lo in range(0, src.size, _CIS_CHUNK):
         x, o = src[lo:lo + _CIS_CHUNK], dst[lo:lo + _CIS_CHUNK]
         k, d, d2, p, i = k_buf[:x.size], d_buf[:x.size], d2_buf[:x.size], p_buf[:x.size], i_buf[:x.size]
@@ -302,7 +301,7 @@ def _cis(theta, out=None) -> np.ndarray:
             d[far] = 0.0  # keeps inf out of the arithmetic below
         np.copyto(i, k, casting="unsafe")
         i &= 1023
-        np.take(_CIS_TABLE, i, out=o)
+        np.take(_CIS_TABLE, i, out=o, mode="clip")  # i is already in 0..1023
         np.multiply(d, d, out=d2)
         # cos d - 1 = d2*(d2/24 - 1/2) and sin d = d + d*d2*(d2/120 - 1/6); |d| <= pi/1024.
         np.multiply(np.subtract(np.multiply(d2, 1 / 24, out=k), 0.5, out=k), d2, out=p.real)
@@ -518,28 +517,38 @@ def transfer_function(
     return w_los * los + w_nlos * nlos
 
 
-def _tile_factors(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition):
-    """Per-tile departure phasors A = exp(j kh g1), B = exp(j kv g2) and the column gather index.
+_FACTORED_AREA = 64  # tile area from which factors beat expanded phasors (measured, CHANGES.md)
 
-    A is (counts_h, counts_v, p_max_h, N) and B (counts_h, counts_v, p_max_v, N), so
-    element (i, j) of tile (sh, sv) has phasor A[sh, sv, i] * B[sh, sv, j]. Short
-    trailing tiles are padded past the array edge; cols picks column
-    p = (p_v - 1) * P_h + p_h - 1 from the flattened per-tile blocks, never the padding.
+
+def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, dz, dz2):
+    """Departure phasors from matrix_parts' pieces, by runs of whole tile rows of about _CIS_CHUNK phasors.
+
+    Yields (v0, a, b) from element row v0 (0-based), padded past the array edge by short trailing tiles.
+    Below _FACTORED_AREA, a is (rows, counts_h * p_max_h, N) per-element phasors in one reused buffer and
+    b None: exp(j(kh g1 + kv g2)) for 1x1 tiles, else A * B with A = exp(j kh g1), B = exp(j kv g2).
+    Larger tiles give the factors of their k tile rows, a = A (k, counts_h, p_max_h, N), b = B (k, p_max_v, counts_h, N).
     """
-    n_h, n_v, _ = partition.centers.shape
-    ph, pv = partition.p_max_h, partition.p_max_v
-    u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition)
-    g1, g2 = _gains(u[:, None], hh[:, None], dz, dz2, cfg)
-    p_h, p_v = np.arange(1, n_h * ph + 1), np.arange(1, n_v * pv + 1)[:, None]
-    sh, sv, kh, kv = _tiles(p_h, p_v, cfg, partition)
-    a = _cis(kh.reshape(n_h, 1, ph, 1) * g1[:, :, None])
-    b = _cis(kv.reshape(1, n_v, pv, 1) * g2[:, :, None])
-    cols = (((sh * n_v + sv) * ph + (p_h - 1) % ph) * pv + (p_v - 1) % pv)[:cfg.P_v, :cfg.P_h].ravel()
-    return a, b, cols
+    n_h, n_v, ph, pv, n = partition.counts_h, partition.counts_v, partition.p_max_h, partition.p_max_v, u.shape[-1]
+    _, _, kh, kv = _tiles(np.arange(1, n_h * ph + 1), np.arange(1, n_v * pv + 1), cfg, partition)
+    factored = ph * pv >= _FACTORED_AREA
+    step = max(1, _CIS_CHUNK // (n_h * (ph + pv if factored else ph * pv) * n))  # phasors held per tile row
+    buf = None if factored else np.empty((step * pv, n_h * ph, n), dtype=complex)
+    for s0 in range(0, n_v, step):
+        s = slice(s0, s0 + step)
+        g1, g2 = _gains(u, hh, dz[s, None], dz2[s, None], cfg)
+        if ph == pv == 1:
+            yield s0, _cis(kh[:, None] * g1 + kv[s, None, None] * g2, out=buf[:len(g1)]), None
+            continue
+        a, b = _cis(kh.reshape(n_h, ph, 1) * g1[:, :, None]), _cis(kv.reshape(n_v, pv, 1, 1)[s] * g2[:, None])
+        if not factored:
+            block = buf[:len(a) * pv]
+            np.multiply(a[:, None], b[..., None, :], out=block.reshape(len(a), pv, n_h, ph, n))
+            a, b = block, None
+        yield s0 * pv, a, b
 
 
 def _check_budget(cfg: ScenarioConfig) -> None:
-    """Refuse an array whose 1x1 departure table and direct matrix would exceed MATRIX_BUDGET_BYTES."""
+    """Refuse an array whose (P, N) table size plus direct matrix would exceed MATRIX_BUDGET_BYTES."""
     need = cfg.P_h * cfg.P_v * (cfg.L_clusters * cfg.N_rays + cfg.Q) * 16
     if need > MATRIX_BUDGET_BYTES:
         raise ValueError(
@@ -549,14 +558,12 @@ def _check_budget(cfg: ScenarioConfig) -> None:
 
 
 def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField):
-    """Factored matrix ingredients shared by every draw of the ray phases.
+    """Matrix ingredients shared by every draw of the ray phases.
 
-    Returns (H_los, dep, arr_phases, tau_los, tau_nlos): the (Q, P) unit-modulus
-    direct-path matrix, the departure side of the scattered paths, and the (Q, N)
-    arrival + Doppler + delay phase per ray. dep is the (P, N) per-element phasor
-    table for the 1x1 tiling, filled one transmit row at a time from the per-column
-    and per-row pieces, and _tile_factors for any larger tile, at
-    p_max_h + p_max_v exponentials per tile and ray instead of p_max_h * p_max_v.
+    Returns (H_los, dep, arr_phases, tau_los, tau_nlos): the (Q, P) unit-modulus direct-path
+    matrix, the departure side of the scattered paths as (cfg, partition, u, hh, dz, dz2), the
+    _tile_pieces from which _departure_blocks forms its phasors, and the (Q, N) arrival + Doppler
+    + delay phase per ray.
     Arrays over MATRIX_BUDGET_BYTES are refused with a ValueError naming P_h and P_v.
     """
     _check_budget(cfg)
@@ -570,49 +577,42 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     grid = np.arange(partition.counts_h)[:, None], np.arange(partition.counts_v)
     a1, a2, mr = _direct(*grid, rx[:, :, None, None], cfg, partition)
     H_los = _cis(kh * a1[:, sh, sv] + kv * a2[:, sh, sv] + mr[:, sh, sv] - TWO_PI * cfg.f_c * t_los)
-    del a1, a2, mr  # not kept alive while the departure table is built
     pos = field.positions()
-    arr_phases = _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg)
-    if partition.p_max_h == partition.p_max_v == 1:
-        # dep[v] holds the columns p = v * P_h + h of transmit row p_v = v + 1.
-        u, hh, dz, dz2 = _tile_pieces(pos, cfg, partition)
-        kh, kv = kh[:cfg.P_h, None], kv[::cfg.P_h]
-        dep = np.empty((cfg.P_v, cfg.P_h, len(pos)), dtype=complex)
-        for v, row in enumerate(dep):
-            g1, g2 = _gains(u, hh, dz[v], dz2[v], cfg)
-            _cis(kh * g1 + kv[v] * g2, out=row)
-        dep = dep.reshape(p.size, -1)
-    else:
-        dep = _tile_factors(pos, cfg, partition)
-    return H_los, dep, arr_phases, t_los, delays
+    dep = (cfg, partition, *_tile_pieces(pos, cfg, partition))
+    return H_los, dep, _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg), t_los, delays
 
 
 def combine_parts(parts, rand_phases: np.ndarray, K: float) -> np.ndarray:
-    """Full matrix for one draw of the per-ray random phases.
+    """Full (Q, P) matrix for one draw of the per-ray random phases; a (D, N) stack of draws gives (D, Q, P).
 
-    Per row, with ray phasors c: table @ c, or per-tile (A * c) @ B^T gathered into column order.
+    The ray phasors of all draws and receive elements form one (D * Q, N) matrix c, which meets each
+    per-element block of _departure_blocks in one product; factored tiles give (A * c) @ B^T per tile.
     """
-    H_los, dep, arr_phases, _, _ = parts
+    H_los, (cfg, partition, *pieces), arr_phases, _, _ = parts
     w_los, w_nlos = rician_weights(K)
-    n_rays = rand_phases.shape[0]
-    H = np.empty_like(H_los)
-    rays = _cis(rand_phases + arr_phases)
-    for row, ray_common in enumerate(rays):
-        if isinstance(dep, tuple):
-            a, b, cols = dep
-            scattered = np.matmul(a * ray_common, b.swapaxes(-1, -2)).ravel()[cols]
-        else:
-            scattered = dep @ ray_common
-        H[row, :] = w_los * H_los[row] + w_nlos * (scattered / math.sqrt(n_rays))
+    n_rays = rand_phases.shape[-1]
+    rays = _cis(rand_phases[..., None, :] + arr_phases)
+    c = rays.reshape(-1, n_rays)
+    H = np.empty((len(c), cfg.P_v, cfg.P_h), dtype=complex)
+    for v0, a, b in _departure_blocks(cfg, partition, *pieces):
+        if b is None:
+            r = np.matmul(c, a.reshape(-1, n_rays).T)
+        else:  # per row of c the (k, counts_h, p_max_h, p_max_v) tile products, then put in element order
+            r = np.stack([np.matmul(a * ci, b.transpose(0, 2, 3, 1)) for ci in c]).transpose(0, 1, 4, 2, 3)
+        r = r.reshape(len(c), -1, partition.counts_h * partition.p_max_h)
+        H[:, v0:v0 + r.shape[1]] = r[:, :cfg.P_v - v0, :cfg.P_h]  # both slices stop at the array edge
+    H = H.reshape(*rays.shape[:-1], -1)
+    H /= math.sqrt(n_rays)
+    H *= w_nlos
+    H += w_los * H_los
     return H
 
 
 def channel_matrix(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField) -> ChannelRealization:
     """Assemble the full Q x (P_h*P_v) narrowband matrix at time t.
 
-    Vectorized equivalent of cir_total over every antenna pair: departure
-    factors are computed once per tile and broadcast across the elements
-    each tile contains.
+    Vectorized equivalent of cir_total over every antenna pair: angles and
+    distances are evaluated once per tile and steered across its elements.
     """
     parts = matrix_parts(t, cfg, model, field)
     H = combine_parts(parts, field.phases(), cfg.K)

@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .geometry import _digits
 from .harness import EXPERIMENT_KINDS, Experiment, load_config, run_experiment
 
 
@@ -23,7 +24,7 @@ def _parse_number_list(text: str) -> list[float]:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [_digits(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 

@@ -49,6 +49,13 @@ def _finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _digits(text: str) -> int:
+    """A count written as ASCII digits only; signs, underscores and spaces, which int() accepts, are refused."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected digits 0-9 only, got {text!r}")
+    return int(text)
+
+
 def _integral(v) -> bool:
     """An int or an integral float; bool is rejected although it subclasses int."""
     return not isinstance(v, bool) and (isinstance(v, int) or (isinstance(v, float) and v.is_integer()))
@@ -206,9 +213,24 @@ def rayleigh_distance_aperture(diagonal: float, wavelength: float) -> float:
 
 
 def rayleigh_distance(cfg: ScenarioConfig) -> float:
-    """Near/far boundary of the full transmit array in the configured scenario."""
-    d2 = (cfg.delta_T**2) * ((cfg.P_h - 1) ** 2 + (cfg.P_v - 1) ** 2)
-    return 2.0 * d2 / cfg.wavelength
+    """Near/far boundary of the full transmit array in the configured scenario.
+
+    A 1x1 array has no aperture and gives 0.0. A larger array whose boundary
+    overflows or underflows to 0 is refused with a ValueError naming delta_T.
+    """
+    spans = (cfg.P_h - 1) ** 2 + (cfg.P_v - 1) ** 2
+    if spans == 0:
+        return 0.0
+    try:  # a float power raises on overflow
+        boundary = 2.0 * ((cfg.delta_T**2) * spans) / cfg.wavelength
+    except OverflowError:
+        boundary = math.inf
+    if not (math.isfinite(boundary) and boundary > 0):
+        raise ValueError(
+            f"delta_T = {cfg.delta_T!r} m gives the {cfg.P_h}x{cfg.P_v} array a near-field boundary of "
+            f"{boundary!r} m, not a finite distance above 0"
+        )
+    return boundary
 
 
 def partition_counts(P: int, p_max: int) -> int:

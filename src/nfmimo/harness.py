@@ -224,11 +224,11 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
                     f"has a near-field boundary of {boundary!r} m, not a finite distance above 0"
                 )
             rows.append(f"{f_c!r},{w!r},{h!r},{boundary!r}\n")
+    rows.append(f"{cfg.f_c!r},configured,configured,{rayleigh_distance(cfg)!r}\n")
     path = exp.output / "rayleigh_table.csv"
     with atomic_open(path, newline="") as fh:
         fh.write("frequency_hz,width_m,height_m,rayleigh_m\n")
         fh.writelines(rows)
-        fh.write(f"{cfg.f_c!r},configured,configured,{rayleigh_distance(cfg)!r}\n")
     outputs[path.name] = _sha256(path)
 
 

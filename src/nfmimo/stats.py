@@ -467,9 +467,12 @@ def mean_capacity(
         parts = matrix_parts(t, cfg, model, fld)
         rng = np.random.default_rng([seed, i, _PHASE_STREAM])
         total = np.zeros(len(rho_snrs))
-        for _ in range(phase_draws):
-            phases = rng.uniform(-math.pi, math.pi, fld.n_rays)
-            total += _capacities(combine_parts(parts, phases, cfg.K), rho_snrs, normalize_each)
+        # Draws per combine: the (D, Q, P) stack stays within one (P, N) table.
+        step = max(1, fld.n_rays // cfg.Q)
+        for lo in range(0, phase_draws, step):
+            phases = rng.uniform(-math.pi, math.pi, (min(step, phase_draws - lo), fld.n_rays))
+            for H in combine_parts(parts, phases, cfg.K):
+                total += _capacities(H, rho_snrs, normalize_each)
         return total / phase_draws
 
     means = sum(_map_realizations(one, n_realizations)) / n_realizations

@@ -11,7 +11,10 @@ import dataclasses
 import math
 import os
 import struct
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from nfmimo.channel import (
     _CIS_CHUNK,
     _angles,
     _cis,
+    _departure_blocks,
     _departure_gains,
     _mr_terms,
     _receivers,
@@ -221,7 +225,10 @@ def test_model_parse_and_labels():
     assert (m.p_max_h, m.p_max_v) == (4, 8)
     assert m.label == "subarray:4x8"
     assert WavefrontModel.parse(m.label) == m
-    for bad in ("subarray", "subarray:4", "subarray:0x2", "cubic", "subarray:axb"):
+    assert WavefrontModel.parse(" Subarray:4x8 ") == m
+    # int() reads these as 20x3 and 4x4; a tile size is ASCII digits only.
+    signs_and_spaces = ("subarray:2_0x3", "subarray:+4x4", "subarray: 4x 4", "subarray:4x-4", "subarray:\u0664x4")
+    for bad in ("subarray", "subarray:4", "subarray:0x2", "cubic", "subarray:axb", *signs_and_spaces):
         with pytest.raises(ValueError):
             WavefrontModel.parse(bad)
 
@@ -581,7 +588,20 @@ def _block_factors(pos, cfg, partition):
     )
 
 
-def test_departure_table_and_tile_factors_are_bit_identical_to_the_block_fill():
+def _streamed_phasors(dep):
+    """The departure phasors of _departure_blocks as a (P, N) table, or the factors A, B of factored tiles."""
+    cfg, rows, factors = dep[0], [], []
+    for v0, a, b in _departure_blocks(*dep):
+        if b is None:
+            rows.append(a[:cfg.P_v - v0, :cfg.P_h].copy())  # blocks share one buffer
+        else:
+            factors.append((a, b))
+    if factors:
+        return tuple(np.concatenate(f) for f in zip(*factors))
+    return np.concatenate(rows).reshape(cfg.P_h * cfg.P_v, -1)
+
+
+def test_departure_table_and_tile_factors_are_bit_identical_to_the_block_fill(monkeypatch):
     cfg, t = dataclasses.replace(UNEVEN_CFG, psi_T=0.7), 0.2
     generated = field_for_realization(cfg, 3, 1)
     # One ray exactly at an element centre (zero displacement in the 1x1
@@ -589,12 +609,22 @@ def test_departure_table_and_tile_factors_are_bit_identical_to_the_block_fill():
     element = subarray_center(4, 3, cfg, make_partition(cfg, 1, 1)).as_tuple()
     mid = subarray_center(2, 1, cfg, make_partition(cfg, 3, 2)).as_tuple()
     at_centres = ScattererField(((Ray(Vec3(*element), -1.0), Ray(Vec3(*mid), 0.5)), (Ray(Vec3(30.0, 4.0, 2.0), 2.0),)))
-    for field in (generated, at_centres):
+    # 43x37 with 100 rays streams in many blocks, each padded by the trailing 3x2 tiles.
+    large = dataclasses.replace(ScenarioConfig(P_h=43, P_v=37, Q=2), psi_T=0.7)
+    for cfg, field in ((cfg, generated), (cfg, at_centres), (large, field_for_realization(large, 3, 1))):
         pos = field.positions()
-        assert np.array_equal(matrix_parts(t, cfg, SPHERICAL, field)[1], _block_table(pos, cfg))
-        a, b, _ = matrix_parts(t, cfg, WavefrontModel.subarray(3, 2), field)[1]
+        p_h, p_v = np.meshgrid(np.arange(cfg.P_h), np.arange(cfg.P_v))
+        assert np.array_equal(_streamed_phasors(matrix_parts(t, cfg, SPHERICAL, field)[1]), _block_table(pos, cfg))
+        dep = matrix_parts(t, cfg, WavefrontModel.subarray(3, 2), field)[1]
         a_ref, b_ref = _block_factors(pos, cfg, make_partition(cfg, 3, 2))
-        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        # Element (p_h, p_v) sits at offsets (p_h % 3, p_v % 2) of tile (p_h // 3, p_v // 2).
+        tile = p_h // 3, p_v // 2
+        expanded = a_ref[(*tile, p_h % 3)] * b_ref[(*tile, p_v % 2)]
+        assert np.array_equal(_streamed_phasors(dep), expanded.reshape(cfg.P_h * cfg.P_v, -1))
+        with monkeypatch.context() as m:
+            m.setattr(channel_module, "_FACTORED_AREA", 6)
+            a, b = _streamed_phasors(dep)
+        assert np.array_equal(a, a_ref.swapaxes(0, 1)) and np.array_equal(b, b_ref.transpose(1, 2, 0, 3))
 
 
 def _per_element_tiles(p_h, p_v, cfg, partition):
@@ -665,6 +695,32 @@ def test_tile_factors_match_a_per_element_table(phase_draws):
             c = np.exp(1j * (phases + parts[2][q]))
             expected = w_los * parts[0][q] + w_nlos * (table @ c) / math.sqrt(field.n_rays)
             assert np.max(np.abs(H[q] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("model", [SPHERICAL, WavefrontModel.subarray(3, 2), WavefrontModel.subarray(8, 8), PLANAR], ids=lambda m: m.label)
+def test_combine_parts_of_a_draw_stack_matches_single_draws(model):
+    cfg = ScenarioConfig(P_h=16, P_v=9, Q=3, L_clusters=2, N_rays=5, psi_T=0.3)
+    field = field_for_realization(cfg, 4, 2)
+    parts = matrix_parts(0.1, cfg, model, field)
+    draws = np.random.default_rng(5).uniform(-math.pi, math.pi, (4, field.n_rays))
+    stack = combine_parts(parts, draws, cfg.K)
+    assert stack.shape == (4, cfg.Q, cfg.P_h * cfg.P_v)
+    for H, phases in zip(stack, draws):
+        single = combine_parts(parts, phases, cfg.K)
+        assert np.max(np.abs(H - single) / np.abs(single)) <= 1e-13
+
+
+def test_channel_matrix_holds_no_departure_table():
+    cfg = ScenarioConfig(P_h=128, P_v=128)
+    field = field_for_realization(cfg, 0, 0)
+    n_table = cfg.P_h * cfg.P_v * field.n_rays  # a complex (P, N) table takes 16 times this in bytes
+    tracemalloc.start()
+    try:
+        channel_matrix(0.0, cfg, SPHERICAL, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n_table
 
 
 def test_channel_matrix_subarray_identities():
@@ -921,6 +977,21 @@ def test_cis_writes_into_a_row_block_of_a_table():
     for bad in (np.empty((7, 3), dtype=complex).T, np.empty((3, 7), dtype=np.complex64), np.empty((3, 6), dtype=complex)):
         with pytest.raises(ValueError, match="out must be"):
             _cis(theta, out=bad)
+
+
+def test_cis_chunk_buffers_are_per_thread():
+    # _cis reuses its chunk buffers; threads sharing them would mix each other's chunks.
+    thetas = [np.random.default_rng(i).uniform(-300.0, 300.0, 3 * _CIS_CHUNK + 5) for i in range(8)]
+    expected = [_cis(x) for x in thetas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_cis, x) for x in thetas * 4]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(r, e) for r, e in zip(results, expected * 4))
 
 
 def test_cis_non_finite_is_nan_without_cast_warnings():

@@ -201,6 +201,14 @@ def test_rayleigh_distance_default_config():
 def test_rayleigh_distance_point_source():
     cfg = ScenarioConfig(P_h=1, P_v=1)
     assert rayleigh_distance(cfg) == 0.0
+    # A 1x1 array has no aperture whatever its spacing.
+    assert rayleigh_distance(ScenarioConfig(P_h=1, P_v=1, delta_T=1e200)) == 0.0
+
+
+@pytest.mark.parametrize("delta_T", [1e200, 1e-170], ids=["overflow", "underflow"])
+def test_rayleigh_distance_refuses_a_boundary_out_of_range(delta_T):
+    with pytest.raises(ValueError, match="delta_T"):
+        rayleigh_distance(ScenarioConfig(P_h=2, P_v=2, delta_T=delta_T))
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,33 @@ def test_cli_rayleigh_table(tmp_path):
     assert (tmp_path / "rayleigh_table.csv").exists()
 
 
+@pytest.mark.parametrize("delta_T", [1e200, 1e-170], ids=["overflow", "underflow"])
+def test_cli_rayleigh_table_refuses_a_configured_boundary_out_of_range(tmp_path, capsys, delta_T):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"delta_T": delta_T, "P_h": 2, "P_v": 2}))
+    rc = main(["rayleigh-table", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "delta_T" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "rayleigh_table.csv").exists()
+
+
+def test_cli_rayleigh_table_writes_a_point_source_boundary_of_zero(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"delta_T": 1e200, "P_h": 1, "P_v": 1}))
+    assert main(["rayleigh-table", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    last = (tmp_path / "rayleigh_table.csv").read_text().splitlines()[-1]
+    assert last.endswith(",configured,configured,0.0")
+
+
+@pytest.mark.parametrize("text", ["1_6", "+4", "2, 4", "4,-8", "\u0664"])
+def test_cli_int_lists_take_digits_only(tmp_path, capsys, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["complexity-sweep", "--p-max-list", text, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "integer list" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"delta_T": 0}')

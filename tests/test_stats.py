@@ -9,18 +9,22 @@ import pytest
 from nfmimo.channel import (
     WavefrontModel,
     channel_matrix,
+    combine_parts,
     los_phase,
+    matrix_parts,
     nlos_delays,
     nlos_ray_phases,
 )
 from nfmimo.geometry import ScenarioConfig
 from nfmimo.scattering import field_for_realization
 from nfmimo.stats import (
+    _PHASE_STREAM,
     THREADS_ENV_VAR,
     RO_LOS_PER_ANGLE_SET,
     RO_NLOS_PER_ANGLE_SET,
     RO_PER_ANGLE_SET,
     CorrelationSeries,
+    _capacities,
     capacity,
     frequency_cf,
     frequency_cf_series,
@@ -517,6 +521,30 @@ def test_mean_capacity_sequence_equals_scalar_calls(label, normalize_each, phase
     assert curve == [mean_capacity(SWEEP_CFG, model, rho, 2, **kw) for rho in SNRS]
     assert all(type(v) is float for v in curve)
     assert type(mean_capacity(SWEEP_CFG, model, SNRS[1], 2, **kw)) is float
+
+
+def test_one_block_of_phase_draws_equals_sequential_draws():
+    # mean_capacity draws a field's phases as (D, N) blocks instead of D draws of N.
+    block = np.random.default_rng([4, 0, _PHASE_STREAM]).uniform(-math.pi, math.pi, (7, 100))
+    rng = np.random.default_rng([4, 0, _PHASE_STREAM])
+    assert np.array_equal(block, [rng.uniform(-math.pi, math.pi, 100) for _ in range(7)])
+
+
+@pytest.mark.parametrize("label", ["spherical", "subarray:2x2", "planar"])
+def test_mean_capacity_phase_draw_blocks_match_single_draws(label):
+    # SWEEP_CFG has N = 10 rays and Q = 2, so 7 draws come in blocks of 5 and 2.
+    model, draws = WavefrontModel.parse(label), 7
+    total = np.zeros(len(SNRS))
+    for i in range(2):
+        fld = field_for_realization(SWEEP_CFG, 3, i)
+        parts = matrix_parts(0.0, SWEEP_CFG, model, fld)
+        rng = np.random.default_rng([3, i, _PHASE_STREAM])
+        for _ in range(draws):
+            H = combine_parts(parts, rng.uniform(-math.pi, math.pi, fld.n_rays), SWEEP_CFG.K)
+            total += _capacities(H, SNRS, False)
+    expected = total / draws / 2
+    got = mean_capacity(SWEEP_CFG, model, SNRS, 2, seed=3, phase_draws=draws)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_mean_capacity_sequence_identical_across_thread_counts(monkeypatch):
