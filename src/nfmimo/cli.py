@@ -24,7 +24,7 @@ def _parse_number_list(text: str) -> list[float]:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [_digits(tok) for tok in text.split(",") if tok]
+        return [_digits(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 

@@ -467,7 +467,8 @@ def mean_capacity(
         parts = matrix_parts(t, cfg, model, fld)
         rng = np.random.default_rng([seed, i, _PHASE_STREAM])
         total = np.zeros(len(rho_snrs))
-        # Draws per combine: the (D, Q, P) stack stays within one (P, N) table.
+        # A combine forms the P * N departure phasors once for all its draws; up to N // Q
+        # draws per combine keep the (D, Q, P) stack within one (P, N) table.
         step = max(1, fld.n_rays // cfg.Q)
         for lo in range(0, phase_draws, step):
             phases = rng.uniform(-math.pi, math.pi, (min(step, phase_draws - lo), fld.n_rays))

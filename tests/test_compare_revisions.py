@@ -56,3 +56,9 @@ def test_compare_csv_reads_non_finite_numbers(tmp_path):
     assert compare_revisions.compare_csv(a / "v.csv", b / "v.csv") == (False, pytest.approx(0.5 / 1.5))
     c = _write(tmp_path / "c", {"v.csv": "v\ninf\n1e308\n1.0\n"})
     assert compare_revisions.compare_csv(a / "v.csv", c / "v.csv") == (False, float("inf"))
+    d = _write(tmp_path / "d", {"v.csv": "v\nnan\n1.0\n"})
+    e = _write(tmp_path / "e", {"v.csv": "v\nnan\n1.5\n"})
+    assert compare_revisions.compare_csv(d / "v.csv", e / "v.csv") == (False, pytest.approx(0.5 / 1.5))
+    f = _write(tmp_path / "f", {"v.csv": "v\n1.0\n1.0\n"})
+    assert compare_revisions.compare_csv(d / "v.csv", f / "v.csv") == (False, float("inf"))
+    assert compare_revisions.compare_csv(f / "v.csv", d / "v.csv") == (False, float("inf"))

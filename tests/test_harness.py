@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfmimo.cli import main
+from nfmimo.cli import _parse_int_list, main
 from nfmimo.harness import (
     EXPERIMENT_KINDS,
     Experiment,
@@ -374,13 +374,18 @@ def test_cli_rayleigh_table_writes_a_point_source_boundary_of_zero(tmp_path):
     assert last.endswith(",configured,configured,0.0")
 
 
-@pytest.mark.parametrize("text", ["1_6", "+4", "2, 4", "4,-8", "\u0664"])
+@pytest.mark.parametrize("text", ["1_6", "+4", "2,1 6", "4,-8", "\u0664"])
 def test_cli_int_lists_take_digits_only(tmp_path, capsys, text):
     with pytest.raises(SystemExit) as exit_info:
         main(["complexity-sweep", "--p-max-list", text, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
     assert "integer list" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_cli_int_lists_allow_spaces_around_commas():
+    assert _parse_int_list("8, 16") == [8, 16]
+    assert _parse_int_list(" 1 ,2,") == [1, 2]
 
 
 def test_cli_error_paths(tmp_path, capsys):

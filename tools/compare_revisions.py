@@ -67,9 +67,9 @@ def compare_csv(a: Path, b: Path) -> tuple[bool, float | None]:
             if u is None or v is None:
                 if x != y:
                     return False, None
-            elif u != v:
-                scale = max(abs(u), abs(v))
-                worst = max(worst, math.inf if not math.isfinite(scale) else abs(u - v) / scale)
+            elif u != v and not (math.isnan(u) and math.isnan(v)):
+                rel = abs(u - v) / max(abs(u), abs(v))  # NaN against a number, or infinities apart: inf
+                worst = max(worst, math.inf if math.isnan(rel) else rel)
     return False, worst
 
 
