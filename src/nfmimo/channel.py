@@ -56,8 +56,8 @@ TWO_PI = 2.0 * math.pi
 BANDWIDTH_HZ = 50e6
 
 _VARIANTS = ("spherical", "planar", "subarray")
-# Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: a complex (P, N) table plus the
-# (Q, P) direct matrix, a bound on combines of D * Q <= N rows. Refused before anything P-sized exists.
+# Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: a complex (D * Q, P) stack of
+# phase draws, D * Q <= N, plus the (Q, P) direct matrix. Refused before anything P-sized exists.
 MATRIX_BUDGET_BYTES = 2**30
 
 
@@ -548,12 +548,12 @@ def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, 
 
 
 def _check_budget(cfg: ScenarioConfig) -> None:
-    """Refuse an array whose (P, N) table size plus direct matrix would exceed MATRIX_BUDGET_BYTES."""
+    """Refuse an array whose (D * Q, P) phase-draw stack, D * Q <= N, and direct matrix exceed MATRIX_BUDGET_BYTES."""
     need = cfg.P_h * cfg.P_v * (cfg.L_clusters * cfg.N_rays + cfg.Q) * 16
     if need > MATRIX_BUDGET_BYTES:
         raise ValueError(
-            f"a P_h x P_v = {cfg.P_h}x{cfg.P_v} array needs {need / 2**30:.2f} GiB of matrix tables, "
-            f"over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
+            f"a P_h x P_v = {cfg.P_h}x{cfg.P_v} array needs {need / 2**30:.2f} GiB for its phase-draw stack "
+            f"and direct matrix, over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
         )
 
 

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .geometry import _digits
-from .harness import EXPERIMENT_KINDS, Experiment, load_config, run_experiment
+from .harness import EXPERIMENT_KINDS, SWEEP_KEYS, Experiment, load_config, run_experiment
 
 
 def _parse_number_list(text: str) -> list[float]:
@@ -29,21 +29,56 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def _add_common(sub: argparse.ArgumentParser, with_model: bool = True, model_default: str = "spherical") -> None:
-    sub.add_argument("--config", type=Path, default=None, help="JSON scenario file (default: built-in profile)")
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument("--out", type=Path, default=Path("."), help="output directory (default: cwd)")
-    sub.add_argument(
-        "--realizations", dest="n_realizations", metavar="REALIZATIONS", type=int, default=500,
-        help="Monte Carlo field count (default 500)",
-    )
-    if with_model:
-        sub.add_argument(
-            "--model",
-            type=str,
-            default=model_default,
-            help=f"wavefront model: spherical | planar | subarray:HxV (default {model_default})",
-        )
+def _parse_int(text: str) -> int:
+    """ASCII digits after at most one '-': negative values (a --dq offset, a bad --seed) reach the range checks."""
+    try:
+        return -_digits(text[1:]) if text.startswith("-") else _digits(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer of digits 0-9, got {text!r}") from None
+
+
+# How each sweep key of harness.SWEEP_KEYS reads from the command line: (flag, text parser, help).
+# A parser of None makes a switch. Keys without an entry (rayleigh_table's grid) are library-only.
+_FLAGS = {
+    "model": ("--model", str, "wavefront model: spherical | planar | subarray:HxV"),
+    "t": ("--t", float, "evaluation time, s"),
+    "n_realizations": ("--realizations", _parse_int, "Monte Carlo field count"),
+    "sides": ("--sides", _parse_int_list, "comma-separated side lengths"),
+    "p_max_list": ("--p-max-list", _parse_int_list, "comma-separated tile sizes"),
+    "max_offset": ("--max-offset", _parse_int, "largest horizontal element offset"),
+    "dq": ("--dq", _parse_int, "receive element offset"),
+    "dt": ("--dt", float, "time lag, s"),
+    "points": ("--points", _parse_int, "number of lags or offsets"),
+    "dt_max": ("--dt-max", float, "largest time lag, s"),
+    "df_max": ("--df-max", float, "largest frequency offset, Hz"),
+    "snr_db_list": ("--snr-db", _parse_number_list, "comma-separated SNR points, dB"),
+    "normalize_each": ("--normalize-each", None, "normalize every matrix exactly instead of in expectation"),
+    "phase_draws": ("--phase-draws", _parse_int, "ray-phase redraws averaged per field (variance reduction)"),
+}
+
+_COMMAND_HELP = {
+    "error_vs_array": "model error vs array side length",
+    "error_vs_subarray": "model error vs square tile size",
+    "complexity_sweep": "operation counts vs square tile size",
+    "spatial_ccf": "spatial cross-correlation vs antenna offset",
+    "temporal_acf": "temporal autocorrelation vs time lag",
+    "frequency_cf": "frequency correlation vs frequency offset",
+    "capacity_sweep": "ensemble capacity vs SNR",
+    "rayleigh_table": "near/far boundary for standard apertures",
+}
+
+
+def _add_flag(sub: argparse.ArgumentParser, key: str, default) -> None:
+    flag, parse, text = _FLAGS[key]
+    if parse is None:
+        sub.add_argument(flag, dest=key, action="store_true", default=default, help=text)
+        return
+    if callable(default):  # computed from the config when the flag is left out
+        shown, default = "set by the config", None
+    else:
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+    metavar = flag[2:].replace("-", "_").upper()
+    sub.add_argument(flag, dest=key, metavar=metavar, type=parse, default=default, help=f"{text} (default {shown})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,82 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(k.replace("_", "-") for k in EXPERIMENT_KINDS))
-
-    p = sub.add_parser("rayleigh-table", help="near/far boundary for standard apertures")
-    _add_common(p, with_model=False)
-
-    p = sub.add_parser("error-vs-array", help="model error vs array side length")
-    _add_common(p, model_default="planar")
-    p.add_argument("--sides", type=_parse_int_list, default=[8, 16, 32, 64], help="comma-separated side lengths")
-    p.add_argument("--t", type=float, default=0.0, help="evaluation time, s")
-
-    p = sub.add_parser("error-vs-subarray", help="model error vs square tile size")
-    _add_common(p, with_model=False)
-    p.add_argument(
-        "--p-max-list", type=_parse_int_list, default=[1, 2, 4, 8, 16, 30, 32, 64],
-        help="comma-separated tile sizes",
-    )
-    p.add_argument("--t", type=float, default=0.0, help="evaluation time, s")
-
-    p = sub.add_parser("complexity-sweep", help="operation counts vs square tile size")
-    _add_common(p, with_model=False)
-    p.add_argument(
-        "--p-max-list", type=_parse_int_list, default=[1, 2, 4, 8, 16, 30],
-        help="comma-separated tile sizes",
-    )
-
-    p = sub.add_parser("spatial-ccf", help="spatial cross-correlation vs antenna offset")
-    _add_common(p)
-    p.add_argument("--max-offset", type=int, default=None, help="largest horizontal element offset")
-    p.add_argument("--dq", type=int, default=0, help="receive element offset")
-    p.add_argument("--dt", type=float, default=0.0, help="time lag, s")
-    p.add_argument("--t", type=float, default=0.0, help="evaluation time, s")
-
-    p = sub.add_parser("temporal-acf", help="temporal autocorrelation vs time lag")
-    _add_common(p)
-    p.add_argument("--dt-max", type=float, default=0.05, help="largest time lag, s")
-    p.add_argument("--points", type=int, default=101, help="number of lags")
-    p.add_argument("--t", type=float, default=0.0, help="evaluation time, s")
-
-    p = sub.add_parser("frequency-cf", help="frequency correlation vs frequency offset")
-    _add_common(p)
-    p.add_argument("--df-max", type=float, default=1e7, help="largest frequency offset, Hz")
-    p.add_argument("--points", type=int, default=101, help="number of offsets")
-    p.add_argument("--t", type=float, default=0.0, help="evaluation time, s")
-
-    p = sub.add_parser("capacity-sweep", help="ensemble capacity vs SNR")
-    _add_common(p)
-    p.add_argument(
-        "--snr-db", dest="snr_db_list", metavar="SNR_DB", type=_parse_number_list,
-        default=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-        help="comma-separated SNR points, dB",
-    )
-    p.add_argument("--normalize-each", action="store_true", help="normalize every matrix exactly instead of in expectation")
-    p.add_argument(
-        "--phase-draws", type=int, default=1,
-        help="ray-phase redraws averaged per field (variance reduction)",
-    )
-    p.add_argument("--t", type=float, default=0.0, help="evaluation time, s")
-
+    for kind, keys in SWEEP_KEYS.items():
+        p = sub.add_parser(kind.replace("_", "-"), help=_COMMAND_HELP[kind])
+        p.add_argument("--config", type=Path, default=None, help="JSON scenario file (default: built-in profile)")
+        p.add_argument("--seed", type=_parse_int, default=0, help="master seed (default 0)")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory (default: cwd)")
+        if "n_realizations" not in keys:
+            p.add_argument(
+                "--realizations", dest="n_realizations", metavar="REALIZATIONS", type=_parse_int, default=None,
+                help="accepted and unused: this kind draws no Monte Carlo fields",
+            )
+        for key, (_, default) in keys.items():
+            if key in _FLAGS:
+                _add_flag(p, key, default)
     return parser
-
-
-# The sweep keys each kind records, each read from the parsed argument of the same name.
-_SWEEP_KEYS = {
-    "rayleigh_table": (),
-    "error_vs_array": ("sides", "model", "t"),
-    "error_vs_subarray": ("p_max_list", "t"),
-    "complexity_sweep": ("p_max_list",),
-    "spatial_ccf": ("model", "max_offset", "dq", "dt", "t", "n_realizations"),
-    "temporal_acf": ("model", "dt_max", "points", "t", "n_realizations"),
-    "frequency_cf": ("model", "df_max", "points", "t", "n_realizations"),
-    "capacity_sweep": ("model", "snr_db_list", "normalize_each", "phase_draws", "t", "n_realizations"),
-}
-
-
-def _sweep_from_args(kind: str, args: argparse.Namespace) -> dict:
-    """The sweep of kind from its parsed arguments; an unset --max-offset (None) stays out."""
-    return {key: getattr(args, key) for key in _SWEEP_KEYS[kind] if getattr(args, key) is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,10 +111,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     kind = args.command.replace("-", "_")
     try:
-        if args.n_realizations < 1:
+        if args.n_realizations is not None and args.n_realizations < 1:
             raise ValueError(f"--realizations must be >= 1, got {args.n_realizations}")
         cfg = load_config(args.config)
-        exp = Experiment(kind=kind, sweep=_sweep_from_args(kind, args), seed=args.seed, output=args.out)
+        # Unset flags whose default comes from the config (None) stay out of the sweep and the manifest.
+        sweep = {key: value for key in SWEEP_KEYS[kind] if (value := vars(args).get(key)) is not None}
+        exp = Experiment(kind=kind, sweep=sweep, seed=args.seed, output=args.out)
         manifest = run_experiment(exp, cfg)
     except (ValueError, OSError) as exc:
         print(f"nfmimo: error: {exc}", file=sys.stderr)

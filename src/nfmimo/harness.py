@@ -39,17 +39,6 @@ from .stats import (
     temporal_acf_series,
 )
 
-EXPERIMENT_KINDS = (
-    "error_vs_array",
-    "error_vs_subarray",
-    "complexity_sweep",
-    "spatial_ccf",
-    "temporal_acf",
-    "frequency_cf",
-    "capacity_sweep",
-    "rayleigh_table",
-)
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -122,12 +111,15 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _model_from_sweep(sweep: dict, default: str = "spherical") -> WavefrontModel:
-    return WavefrontModel.parse(str(sweep.get("model", default)))
+# Sweep readers: each turns the value given for key into the value its runner uses, or raises a
+# ValueError naming key. Numbers are ints or floats (never bools or numeric strings); lists are lists.
 
 
-def _int_list(sweep: dict, key: str, default: list[int]) -> list[int]:
-    values = sweep.get(key, default)
+def _model(key: str, value) -> WavefrontModel:
+    return WavefrontModel.parse(str(value))
+
+
+def _int_list(key: str, values) -> list[int]:
     if not (isinstance(values, (list, tuple)) and all(map(_integral, values))):
         raise ValueError(f"sweep key {key!r} must be a list of integers, got {values!r}")
     if not values:
@@ -135,13 +127,90 @@ def _int_list(sweep: dict, key: str, default: list[int]) -> list[int]:
     return [int(v) for v in values]
 
 
-def _float_list(sweep: dict, key: str, default: list[float]) -> list[float]:
-    values = sweep.get(key, default)
+def _float_list(key: str, values) -> list[float]:
     if not (isinstance(values, (list, tuple)) and all(map(_finite_number, values))):
         raise ValueError(f"sweep key {key!r} must be a list of finite numbers, got {values!r}")
     if not values:
         raise ValueError(f"sweep key {key!r} must be a nonempty list")
     return [float(v) for v in values]
+
+
+def _finite(key: str, value) -> float:
+    if not _finite_number(value):
+        raise ValueError(f"sweep key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _int(key: str, value) -> int:
+    """An int or an integral float."""
+    if not _integral(value):
+        raise ValueError(f"sweep key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"sweep key {key!r} must be a bool, got {value!r}")
+    return value
+
+
+def _apertures(key: str, value) -> list[tuple[float, float]]:
+    if not (
+        isinstance(value, (list, tuple))
+        and value
+        and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value)
+        and all(_finite_number(v) and v > 0 for pair in value for v in pair)
+    ):
+        raise ValueError(
+            f"sweep key {key!r} must be a nonempty list of [width, height] pairs of positive finite numbers, "
+            f"got {value!r}"
+        )
+    return [(float(w), float(h)) for w, h in value]
+
+
+_TIME = {"t": (_finite, 0.0)}
+_MONTE_CARLO = {"model": (_model, "spherical"), **_TIME, "n_realizations": (_int, 500)}
+_LAG_AXIS = {**_MONTE_CARLO, "points": (_int, 101)}
+
+# The one schema of every kind's sweep: key -> (reader, default), where a callable default is computed
+# from the config. run_experiment refuses any other key and passes the runner each key's read value.
+SWEEP_KEYS = {
+    "error_vs_array": {"sides": (_int_list, (8, 16, 32, 64)), "model": (_model, "planar"), **_TIME},
+    "error_vs_subarray": {"p_max_list": (_int_list, (1, 2, 4, 8, 16, 30, 32, 64)), **_TIME},
+    "complexity_sweep": {"p_max_list": (_int_list, (1, 2, 4, 8, 16, 30))},
+    "spatial_ccf": {
+        **_MONTE_CARLO,
+        "max_offset": (_int, lambda cfg: min(32, cfg.P_h - 1)),
+        "dq": (_int, 0),
+        "dt": (_finite, 0.0),
+    },
+    "temporal_acf": {**_LAG_AXIS, "dt_max": (_finite, 0.05)},
+    "frequency_cf": {**_LAG_AXIS, "df_max": (_finite, 1e7)},
+    "capacity_sweep": {
+        **_MONTE_CARLO,
+        "snr_db_list": (_float_list, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+        "normalize_each": (_bool, False),
+        "phase_draws": (_int, 1),
+    },
+    "rayleigh_table": {
+        "frequencies_hz": (_float_list, (2.4e9, 5e9)),
+        "apertures_m": (_apertures, ((1.0, 0.1), (1.0, 2.0), (2.0, 2.0))),
+    },
+}
+EXPERIMENT_KINDS = tuple(SWEEP_KEYS)
+
+
+def _read_sweep(kind: str, sweep: dict, cfg: ScenarioConfig) -> dict:
+    """Every sweep key of kind read from sweep, or from its default; an unknown key is refused by name."""
+    table = SWEEP_KEYS[kind]
+    for key in sweep:
+        if key not in table:
+            raise ValueError(f"unknown sweep key {key!r} for {kind}; expected one of {', '.join(table)}")
+    values = {}
+    for key, (read, default) in table.items():
+        value = sweep[key] if key in sweep else default(cfg) if callable(default) else default
+        values[key] = read(key, value)
+    return values
 
 
 def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
@@ -152,23 +221,6 @@ def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
             raise ValueError(
                 f"p_max = {p_max} outside [1, {limit}]; tile sizes cannot exceed the array side"
             )
-
-
-def _finite(sweep: dict, key: str, default: float) -> float:
-    """A finite number from the sweep (an int or a float, not a bool); else a ValueError naming key."""
-    value = sweep.get(key, default)
-    if not _finite_number(value):
-        raise ValueError(f"sweep key {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _int(sweep: dict, key: str, default: int) -> int:
-    """An integer from the sweep (an int or an integral float, not a bool); else a ValueError naming key."""
-    value = sweep.get(key, default)
-    if not _integral(value):
-        raise ValueError(f"sweep key {key!r} must be an integer, got {value!r}")
-    return int(value)
-
 
 def _write_series(
     exp: Experiment, outputs: dict, axis_name: str, axis, values, *, n_realizations: int, t: float = 0.0, model=None
@@ -193,30 +245,17 @@ def _write_series(
     outputs[path.name] = _sha256(path)
 
 
-def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
+def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, frequencies_hz, apertures_m) -> None:
     """Near/far boundary for the standard frequency x aperture grid.
 
     Also appends the configured scenario's own array as a final row so the
     table always reports the active geometry.
     """
-    frequencies = _float_list(exp.sweep, "frequencies_hz", [2.4e9, 5e9])
-    if min(frequencies) <= 0:
-        raise ValueError(f"sweep key 'frequencies_hz' must hold frequencies > 0, got {frequencies!r}")
-    apertures = exp.sweep.get("apertures_m", [[1.0, 0.1], [1.0, 2.0], [2.0, 2.0]])
-    if not (
-        isinstance(apertures, (list, tuple))
-        and apertures
-        and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in apertures)
-        and all(_finite_number(v) and v > 0 for pair in apertures for v in pair)
-    ):
-        raise ValueError(
-            f"sweep key 'apertures_m' must be a nonempty list of [width, height] pairs of positive finite numbers, "
-            f"got {apertures!r}"
-        )
+    if min(frequencies_hz) <= 0:
+        raise ValueError(f"sweep key 'frequencies_hz' must hold frequencies > 0, got {frequencies_hz!r}")
     rows = []
-    for f_c in frequencies:
-        for w, h in apertures:
-            w, h = float(w), float(h)
+    for f_c in frequencies_hz:
+        for w, h in apertures_m:
             boundary = rayleigh_distance_aperture(math.hypot(w, h), cfg.c / f_c)
             if not (math.isfinite(boundary) and boundary > 0):
                 raise ValueError(
@@ -232,26 +271,21 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
     outputs[path.name] = _sha256(path)
 
 
-def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
+def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, sides, model, t) -> None:
     """Model error against the per-element reference as the array side grows.
 
     Subarray tile sizes are clamped to the current side so one sweep can
     cross sides smaller than the requested tile.
     """
-    sides = _int_list(exp.sweep, "sides", [8, 16, 32, 64])
-    model = _model_from_sweep(exp.sweep, default="planar")
     if model.variant == "spherical":
         raise ValueError("error sweeps compare against the spherical reference; pick another model")
-    t = _finite(exp.sweep, "t", 0.0)
     deltas = []
     for side in sides:
         if side < 1:
             raise ValueError(f"array sides must be >= 1, got {side}")
         cfg_side = replace(cfg, P_h=side, P_v=side)
         if model.variant == "subarray":
-            side_model = WavefrontModel.subarray(
-                min(model.p_max_h, side), min(model.p_max_v, side)
-            )
+            side_model = WavefrontModel.subarray(min(model.p_max_h, side), min(model.p_max_v, side))
         else:
             side_model = model
         fld = field_for_realization(cfg_side, exp.seed, 0)
@@ -259,79 +293,61 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
     _write_series(exp, outputs, "array_side", sides, deltas, n_realizations=1, t=t, model=model)
 
 
-def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
+def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, p_max_list, t) -> None:
     """Model error of square tilings as the tile size grows, one fixed field."""
-    p_max_list = _int_list(exp.sweep, "p_max_list", [1, 2, 4, 8, 16, 30, 32, 64])
-    t = _finite(exp.sweep, "t", 0.0)
     _check_p_max(p_max_list, cfg)
     fld = field_for_realization(cfg, exp.seed, 0)
     deltas = model_error_delta([WavefrontModel.subarray(p, p) for p in p_max_list], t, cfg, fld)
     _write_series(exp, outputs, "p_max", p_max_list, deltas, n_realizations=1, t=t)
 
 
-def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
+def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, p_max_list) -> None:
     """Operation counts of square tilings over tile size."""
-    p_max_list = _int_list(exp.sweep, "p_max_list", [1, 2, 4, 8, 16, 30])
     _check_p_max(p_max_list, cfg)
-    totals = [
-        ro_complexity(WavefrontModel.subarray(p, p), cfg).ro_total for p in p_max_list
-    ]
+    totals = [ro_complexity(WavefrontModel.subarray(p, p), cfg).ro_total for p in p_max_list]
     _write_series(exp, outputs, "p_max", p_max_list, totals, n_realizations=0)
 
 
-def _run_spatial_ccf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
-    model = _model_from_sweep(exp.sweep)
-    max_offset = _int(exp.sweep, "max_offset", min(32, cfg.P_h - 1))
+def _run_spatial_ccf(
+    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, max_offset, dq, dt
+) -> None:
     if not 0 <= max_offset <= cfg.P_h - 1:
         raise ValueError(f"max_offset must be within [0, {cfg.P_h - 1}], got {max_offset}")
     offsets = [(dh, 0) for dh in range(max_offset + 1)]
-    dq, dt, t = _int(exp.sweep, "dq", 0), _finite(exp.sweep, "dt", 0.0), _finite(exp.sweep, "t", 0.0)
-    n_realizations = _int(exp.sweep, "n_realizations", 500)
     series = spatial_ccf_series(offsets, dq, dt, t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
         exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
 
 
-def _run_temporal_acf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
-    model = _model_from_sweep(exp.sweep)
-    dt_max = _finite(exp.sweep, "dt_max", 0.05)
-    points = _int(exp.sweep, "points", 101)
+def _run_temporal_acf(
+    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, points, dt_max
+) -> None:
     if dt_max < 0 or points < 1:
         raise ValueError("dt_max must be >= 0 and points >= 1")
-    dts = list(np.linspace(0.0, dt_max, points))
-    t, n_realizations = _finite(exp.sweep, "t", 0.0), _int(exp.sweep, "n_realizations", 500)
-    series = temporal_acf_series(dts, t, cfg, model, n_realizations, seed=exp.seed)
+    series = temporal_acf_series(list(np.linspace(0.0, dt_max, points)), t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
         exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
 
 
-def _run_frequency_cf(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
-    model = _model_from_sweep(exp.sweep)
-    df_max = _finite(exp.sweep, "df_max", 1e7)
-    points = _int(exp.sweep, "points", 101)
+def _run_frequency_cf(
+    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, points, df_max
+) -> None:
     if df_max < 0 or points < 1:
         raise ValueError("df_max must be >= 0 and points >= 1")
-    dfs = list(np.linspace(0.0, df_max, points))
-    t, n_realizations = _finite(exp.sweep, "t", 0.0), _int(exp.sweep, "n_realizations", 500)
-    series = frequency_cf_series(dfs, t, cfg, model, n_realizations, seed=exp.seed)
+    series = frequency_cf_series(list(np.linspace(0.0, df_max, points)), t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
         exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
 
 
-def _run_capacity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> None:
-    model = _model_from_sweep(exp.sweep)
-    snr_db = _float_list(exp.sweep, "snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
-    n_realizations = _int(exp.sweep, "n_realizations", 500)
-    normalize_each = exp.sweep.get("normalize_each", False)
-    if not isinstance(normalize_each, bool):
-        raise ValueError(f"sweep key 'normalize_each' must be a bool, got {normalize_each!r}")
-    phase_draws = _int(exp.sweep, "phase_draws", 1)
-    t = _finite(exp.sweep, "t", 0.0)
+def _run_capacity_sweep(
+    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, snr_db_list, normalize_each,
+    phase_draws,
+) -> None:
     rho_snrs = []
-    for db in snr_db:
+    for db in snr_db_list:
         try:
             rho = 10.0 ** (db / 10.0)
         except OverflowError:
@@ -340,16 +356,9 @@ def _run_capacity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict) -> 
             raise ValueError(f"sweep key 'snr_db_list' holds {db!r} dB, whose linear SNR is not finite")
         rho_snrs.append(rho)
     values = mean_capacity(
-        cfg,
-        model,
-        rho_snrs,
-        n_realizations,
-        seed=exp.seed,
-        t=t,
-        normalize_each=normalize_each,
-        phase_draws=phase_draws,
+        cfg, model, rho_snrs, n_realizations, seed=exp.seed, t=t, normalize_each=normalize_each, phase_draws=phase_draws
     )
-    _write_series(exp, outputs, "snr_db", snr_db, values, n_realizations=n_realizations, t=t, model=model)
+    _write_series(exp, outputs, "snr_db", snr_db_list, values, n_realizations=n_realizations, t=t, model=model)
 
 
 _RUNNERS = {
@@ -369,11 +378,13 @@ def run_experiment(exp: Experiment, cfg: ScenarioConfig) -> RunManifest:
 
     Deterministic for fixed (seed, config, sweep): output CSV bytes are
     identical across runs; only the manifest's wall-clock field varies.
+    The manifest records the sweep as given, not its defaults.
     """
+    values = _read_sweep(exp.kind, exp.sweep, cfg)
     exp.output.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     start = time.perf_counter()
-    _RUNNERS[exp.kind](exp, cfg, outputs)
+    _RUNNERS[exp.kind](exp, cfg, outputs, **values)
     elapsed = time.perf_counter() - start
     manifest = RunManifest(
         experiment=exp.kind,

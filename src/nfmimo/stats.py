@@ -37,7 +37,7 @@ from .channel import (
     tau_los,
 )
 from .fileio import atomic_open
-from .geometry import ScenarioConfig
+from .geometry import ScenarioConfig, _digits
 from .scattering import ScattererField, field_for_realization
 
 THREADS_ENV_VAR = "NFMIMO_THREADS"
@@ -66,9 +66,9 @@ def worker_count(n_tasks: int | None = None) -> int:
     if not raw:
         return 1
     try:
-        n = int(raw)
+        n = _digits(raw)
     except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer of digits 0-9, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
     n = min(n, os.cpu_count() or 1)
@@ -468,7 +468,7 @@ def mean_capacity(
         rng = np.random.default_rng([seed, i, _PHASE_STREAM])
         total = np.zeros(len(rho_snrs))
         # A combine forms the P * N departure phasors once for all its draws; up to N // Q
-        # draws per combine keep the (D, Q, P) stack within one (P, N) table.
+        # draws per combine keep the (D * Q, P) stack within the P * N elements MATRIX_BUDGET_BYTES allows.
         step = max(1, fld.n_rays // cfg.Q)
         for lo in range(0, phase_draws, step):
             phases = rng.uniform(-math.pi, math.pi, (min(step, phase_draws - lo), fld.n_rays))

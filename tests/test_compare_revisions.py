@@ -1,6 +1,7 @@
 """tools/compare_revisions.py: the CSV comparison, on two synthetic output directories."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,37 @@ def test_compare_csv_reads_non_finite_numbers(tmp_path):
     f = _write(tmp_path / "f", {"v.csv": "v\n1.0\n1.0\n"})
     assert compare_revisions.compare_csv(d / "v.csv", f / "v.csv") == (False, float("inf"))
     assert compare_revisions.compare_csv(f / "v.csv", d / "v.csv") == (False, float("inf"))
+
+
+def test_compare_dirs_reads_manifests_without_the_wall_clock(tmp_path):
+    def manifest(sweep, wall_clock_s):
+        return json.dumps({"experiment": "temporal_acf", "sweep": sweep, "wall_clock_s": wall_clock_s})
+
+    a = _write(tmp_path / "a", {
+        "kind/manifest.json": manifest({"points": 3}, 0.25),
+        "other/manifest.json": manifest({"points": 3}, 0.25),
+        "only_a/manifest.json": manifest({}, 0.1),
+        "kind/off-axis.json": "{}",
+    })
+    b = _write(tmp_path / "b", {
+        "kind/manifest.json": manifest({"points": 3}, 1.5),
+        "other/manifest.json": manifest({"points": 4}, 0.25),
+    })
+    report = {name: (status, rel) for name, status, rel in compare_revisions.compare_dirs(a, b)}
+    assert report == {
+        "kind/manifest.json": ("equal", None),
+        "other/manifest.json": ("differs", None),
+        "only_a/manifest.json": ("only in A", None),
+    }
+
+
+def test_off_axis_invocations_cover_every_sweep_flag_and_model():
+    from nfmimo.cli import _FLAGS
+
+    runs = compare_revisions.off_axis_invocations()
+    names = [name for name, _ in runs]
+    assert len(names) == len(set(names))
+    flags = {arg for _, args in runs for arg in args if arg.startswith("--")}
+    assert {flag for flag, _, _ in _FLAGS.values()} <= flags
+    models = {args[args.index("--model") + 1] for _, args in runs if "--model" in args}
+    assert models == set(compare_revisions.MODELS)

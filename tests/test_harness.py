@@ -1,5 +1,6 @@
 """Experiment harness and CLI: config loading, runners, manifests, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfmimo.cli import _parse_int_list, main
+from nfmimo.cli import _FLAGS, _parse_int, _parse_int_list, main
 from nfmimo.harness import (
     EXPERIMENT_KINDS,
+    SWEEP_KEYS,
     Experiment,
     RunManifest,
     load_config,
@@ -292,6 +294,17 @@ def test_bad_thread_env_rejected(monkeypatch):
     assert worker_count() == 3
 
 
+@pytest.mark.parametrize("raw", ["1_6", "+2", " 2 3", "\u0663"])
+def test_thread_env_takes_digits_only(monkeypatch, raw):
+    # int() read "1_6" as 16 and "+2" as 2
+    from nfmimo.stats import worker_count
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv(THREADS_ENV_VAR, raw)
+    with pytest.raises(ValueError, match=THREADS_ENV_VAR):
+        worker_count()
+
+
 def test_thread_count_capped(monkeypatch):
     # Inspects the computed count only; no thread is started.
     from nfmimo.stats import worker_count
@@ -381,6 +394,41 @@ def test_cli_int_lists_take_digits_only(tmp_path, capsys, text):
     assert exit_info.value.code == 2
     assert "integer list" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rayleigh-table", "--seed"],
+        ["temporal-acf", "--realizations"],
+        ["temporal-acf", "--points"],
+        ["spatial-ccf", "--max-offset"],
+        ["capacity-sweep", "--realizations", "1", "--phase-draws"],
+    ],
+    ids=["seed", "realizations", "points", "max-offset", "phase-draws"],
+)
+def test_cli_int_flags_take_digits_only(tmp_path, capsys, args, text):
+    # int() ran "--seed 1_0" as seed 10 and "--points +3" as 3 points
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, text, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert "digits 0-9" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_int_flags_take_one_leading_minus():
+    assert _parse_int("-1") == -1 and _parse_int("0") == 0 and _parse_int("12") == 12
+    for text in ("--1", "-+1", "- 1", "", "-"):
+        with pytest.raises(argparse.ArgumentTypeError, match="digits 0-9"):
+            _parse_int(text)
+
+
+def test_cli_flags_cover_every_sweep_key_but_the_rayleigh_grid():
+    keys = {key for table in SWEEP_KEYS.values() for key in table}
+    assert set(_FLAGS) == keys - {"frequencies_hz", "apertures_m"}
 
 
 def test_cli_int_lists_allow_spaces_around_commas():
@@ -583,6 +631,16 @@ def test_run_experiment_rejects_non_integer_and_non_bool_sweep_keys(tmp_path, ki
     with pytest.raises(ValueError, match=f"'{key}'"):
         run_experiment(Experiment(kind=kind, sweep=sweep, output=tmp_path), cfg)
     assert os.listdir(tmp_path) == []
+
+
+def test_run_experiment_refuses_an_unknown_sweep_key(tmp_path):
+    # "dtmax" used to run at the default dt_max of 0.05 s while the manifest recorded dtmax: 0.5
+    cfg = validate_config(SMALL_CFG_JSON)
+    sweep = {"dtmax": 0.5, "points": 3, "n_realizations": 1}
+    exp = Experiment(kind="temporal_acf", sweep=sweep, output=tmp_path / "run")
+    with pytest.raises(ValueError, match="'dtmax'"):
+        run_experiment(exp, cfg)
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_experiment_reads_integral_floats_as_integers(tmp_path):
