@@ -16,9 +16,11 @@ batch of (p, q, t) points, of which los_phase, nlos_ray_phases, cir_* and
 transfer_function are one-point views. matrix_parts covers the whole array:
 the direct path on the tile grid, gathered per element, and the scattered
 departure side as real pieces per tile column and row. combine_parts forms
-the departure phasors in cache-sized blocks of whole tile rows and meets
-each block with the ray phasors of all receive elements and draws in one
-product: no (P, N) table is held. A tile's phasors are products of per-tile
+the departure phasors in blocks of whole tile rows, _BLOCK_PHASORS per-element
+phasors at a time, and meets each one-chunk run of a block with the ray
+phasors of all receive elements and draws in one product: no (P, N) table
+is held, and every product keeps its shape whatever the block size, so the
+matrix does not depend on it. A tile's phasors are products of per-tile
 horizontal and vertical factors, as its steering phase is linear; large
 tiles multiply the factors per tile without expanding them.
 
@@ -518,6 +520,9 @@ def transfer_function(
 
 
 _FACTORED_AREA = 64  # tile area from which factors beat expanded phasors (measured, CHANGES.md)
+# Per-element phasors (1x1 and expanded tiles) formed at once: fewer, larger blocks pay the per-block
+# numpy calls less often. Factored tiles form _CIS_CHUNK phasors at a time, which times faster for them.
+_BLOCK_PHASORS = 2 * _CIS_CHUNK
 
 
 def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, dz, dz2):
@@ -526,25 +531,42 @@ def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, 
     Yields (v0, a, b) from element row v0 (0-based), padded past the array edge by short trailing tiles.
     Below _FACTORED_AREA, a is (rows, counts_h * p_max_h, N) per-element phasors in one reused buffer and
     b None: exp(j(kh g1 + kv g2)) for 1x1 tiles, else A * B with A = exp(j kh g1), B = exp(j kv g2).
+    These are formed for several runs at once, up to _BLOCK_PHASORS, and yielded run by run: a product's
+    rounding may depend on its shape, so each run keeps the shape it has at a one-chunk budget.
     Larger tiles give the factors of their k tile rows, a = A (k, counts_h, p_max_h, N), b = B (k, p_max_v, counts_h, N).
     """
     n_h, n_v, ph, pv, n = partition.counts_h, partition.counts_v, partition.p_max_h, partition.p_max_v, u.shape[-1]
     _, _, kh, kv = _tiles(np.arange(1, n_h * ph + 1), np.arange(1, n_v * pv + 1), cfg, partition)
     factored = ph * pv >= _FACTORED_AREA
-    step = max(1, _CIS_CHUNK // (n_h * (ph + pv if factored else ph * pv) * n))  # phasors held per tile row
+    per_row = n_h * (ph + pv if factored else ph * pv) * n  # phasors held per tile row
+    run = max(1, _CIS_CHUNK // per_row)  # tile rows per yielded run
+    step = run if factored else run * max(1, _BLOCK_PHASORS // (run * per_row))  # tile rows formed at once
     buf = None if factored else np.empty((step * pv, n_h * ph, n), dtype=complex)
+    if ph == pv == 1:  # gains and phase of a 1x1 block, formed in place
+        kd = TWO_PI / cfg.wavelength * cfg.delta_T
+        f1, f2 = np.empty((2, step, n_h, n))
     for s0 in range(0, n_v, step):
         s = slice(s0, s0 + step)
-        g1, g2 = _gains(u, hh, dz[s, None], dz2[s, None], cfg)
-        if ph == pv == 1:
-            yield s0, _cis(kh[:, None] * g1 + kv[s, None, None] * g2, out=buf[:len(g1)]), None
-            continue
-        a, b = _cis(kh.reshape(n_h, ph, 1) * g1[:, :, None]), _cis(kv.reshape(n_v, pv, 1, 1)[s] * g2[:, None])
-        if not factored:
+        if ph == pv == 1:  # _gains, then kh * g1 + kv * g2: the same operations in the same order
+            g1, g2 = f1[:len(dz[s])], f2[:len(dz[s])]
+            r = np.sqrt(np.add(hh, dz2[s, None], out=g2), out=g2)
+            if r.all():
+                np.multiply(u, np.divide(kd, r, out=r), out=g1)
+                np.multiply(dz[s, None], r, out=g2)
+            else:  # a ray at an element centre
+                g1[...], g2[...] = _gains(u, hh, dz[s, None], dz2[s, None], cfg)
+            np.add(np.multiply(kh[:, None], g1, out=g1), np.multiply(kv[s, None, None], g2, out=g2), out=g1)
+            block = _cis(g1, out=buf[:len(g1)])
+        else:
+            g1, g2 = _gains(u, hh, dz[s, None], dz2[s, None], cfg)
+            a, b = _cis(kh.reshape(n_h, ph, 1) * g1[:, :, None]), _cis(kv.reshape(n_v, pv, 1, 1)[s] * g2[:, None])
+            if factored:
+                yield s0 * pv, a, b
+                continue
             block = buf[:len(a) * pv]
             np.multiply(a[:, None], b[..., None, :], out=block.reshape(len(a), pv, n_h, ph, n))
-            a, b = block, None
-        yield s0 * pv, a, b
+        for v in range(0, len(block), run * pv):
+            yield s0 * pv + v, block[v:v + run * pv], None
 
 
 def _check_budget(cfg: ScenarioConfig) -> None:

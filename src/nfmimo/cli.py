@@ -81,7 +81,11 @@ def _add_flag(sub: argparse.ArgumentParser, key: str, default) -> None:
     sub.add_argument(flag, dest=key, metavar=metavar, type=parse, default=default, help=f"{text} (default {shown})")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The nfmimo parser with every subcommand; only the subcommand named command gets its flags.
+
+    A call parses one subcommand, so the flags of the other seven are never built.
+    """
     parser = argparse.ArgumentParser(
         prog="nfmimo",
         description=(
@@ -91,7 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(k.replace("_", "-") for k in EXPERIMENT_KINDS))
     for kind, keys in SWEEP_KEYS.items():
-        p = sub.add_parser(kind.replace("_", "-"), help=_COMMAND_HELP[kind])
+        name = kind.replace("_", "-")
+        p = sub.add_parser(name, help=_COMMAND_HELP[kind], add_help=name == command)
+        if name != command:  # never parses: no flags, not even -h
+            continue
         p.add_argument("--config", type=Path, default=None, help="JSON scenario file (default: built-in profile)")
         p.add_argument("--seed", type=_parse_int, default=0, help="master seed (default 0)")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory (default: cwd)")
@@ -107,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     kind = args.command.replace("-", "_")
     try:
         if args.n_realizations is not None and args.n_realizations < 1:

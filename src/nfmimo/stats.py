@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -85,6 +84,8 @@ def _map_realizations(fn, n: int) -> list:
     workers = worker_count(n)
     if workers <= 1:
         return [fn(i) for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor  # only here: one worker never loads it or its logging
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, range(n)))
 
@@ -480,6 +481,30 @@ def mean_capacity(
     return float(means[0]) if scalar else [float(v) for v in means]
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum of the entries of x: the exactly rounded sum, which depends on the values alone, not on the loop path.
+
+    Finite entries are summed exactly per binary exponent: x = m * 2**e with m the 53-bit integer
+    mantissa, split into 26-bit halves whose per-exponent sums (np.bincount) stay integers below
+    2**53 for fewer than 2**26 entries; one Python integer then holds the total, and its division
+    by a power of two rounds once. Non-finite entries go through math.fsum itself.
+    """
+    x = x.ravel()
+    if x.size >= 2**26 or not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    m, e = np.frexp(x, out=(np.empty(x.shape), np.empty(x.shape, np.intp)))
+    m *= 2.0**27  # x = m * 2**(e - 27) = (hi * 2**26 + lo) * 2**(e - 53) with integers hi, lo
+    hi = np.floor(m)
+    lo = np.multiply(np.subtract(m, hi, out=m), 2.0**26, out=m)
+    e_min = int(e.min()) if x.size else 0
+    e -= e_min
+    total = 0
+    for k, (h, l) in enumerate(zip(np.bincount(e, hi).tolist(), np.bincount(e, lo).tolist())):
+        total += ((int(h) << 26) + int(l)) << k
+    shift = e_min - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def model_error_delta(
     model: WavefrontModel | Sequence[WavefrontModel],
     t: float,
@@ -517,7 +542,8 @@ def model_error_delta(
             abs_ref = np.abs(h_ref)
         if unit:
             h_model = h_ref
-        # fsum rounds the sum exactly, so the total depends on the terms alone, not on the loop path.
-        total = math.fsum((np.abs(h_model - h_ref) / abs_ref).ravel().tolist())
+        terms = np.abs(h_model - h_ref)
+        terms /= abs_ref
+        total = _exact_sum(terms)
         errors.append(float("-inf") if total == 0.0 else 10.0 * math.log10(total))
     return errors[0] if single else errors

@@ -627,6 +627,26 @@ def test_departure_table_and_tile_factors_are_bit_identical_to_the_block_fill(mo
         assert np.array_equal(a, a_ref.swapaxes(0, 1)) and np.array_equal(b, b_ref.transpose(1, 2, 0, 3))
 
 
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize(
+    "model",
+    [SPHERICAL, WavefrontModel.subarray(2, 2), WavefrontModel.subarray(4, 4), WavefrontModel.subarray(3, 2)],
+    ids=lambda m: m.label,
+)
+def test_combine_parts_does_not_depend_on_the_block_budget(monkeypatch, model, draws):
+    # 43x37 with 100 rays: the 1x1, 2x2 and 3x2 tilings form several one-chunk runs per block and
+    # end in a short block; 3x2 and 2x2 tiles overhang the array edge.
+    cfg = dataclasses.replace(ScenarioConfig(P_h=43, P_v=37, Q=2), psi_T=0.7)
+    field = field_for_realization(cfg, 3, 1)
+    parts = matrix_parts(0.2, cfg, model, field)
+    phases = field.phases() if draws == 1 else np.random.default_rng(4).uniform(0, 2 * math.pi, (draws, 100))
+    H = combine_parts(parts, phases, cfg.K)
+    for budget in (_CIS_CHUNK, 100 * cfg.P_h * cfg.P_v):  # one chunk (the earlier budget), the whole array
+        with monkeypatch.context() as m:
+            m.setattr(channel_module, "_BLOCK_PHASORS", budget)
+            assert np.array_equal(combine_parts(parts, phases, cfg.K), H)
+
+
 def _per_element_tiles(p_h, p_v, cfg, partition):
     """Midpoints (3, S) of the distinct tiles holding elements (p_h, p_v), each element's tile, kh and kv."""
     tile = (p_h - 1) // partition.p_max_h * partition.counts_v + (p_v - 1) // partition.p_max_v

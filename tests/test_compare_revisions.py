@@ -97,3 +97,39 @@ def test_off_axis_invocations_cover_every_sweep_flag_and_model():
     assert {flag for flag, _, _ in _FLAGS.values()} <= flags
     models = {args[args.index("--model") + 1] for _, args in runs if "--model" in args}
     assert models == set(compare_revisions.MODELS)
+
+
+def test_compare_arrays_reports_each_array_of_each_file(tmp_path):
+    import numpy as np
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    h = np.array([[1 + 2j, np.nan], [3.0, -0.0]])
+    np.savez(tmp_path / "a" / "64_spherical.npz", same=h, last_bit=np.array([0.1, 0.2]), dtype=np.arange(3),
+             shape=np.zeros(3), only_a=np.ones(1))
+    np.savez(tmp_path / "b" / "64_spherical.npz", same=h.copy(), last_bit=np.array([0.1, np.nextafter(0.2, 1)]),
+             dtype=np.arange(3.0), shape=np.zeros(4))
+    np.savez(tmp_path / "b" / "128_planar.npz", parts=np.ones(2))
+    report = dict(compare_revisions.compare_arrays(tmp_path / "a", tmp_path / "b"))
+    assert list(report) == sorted(report)
+    assert report == {
+        "128_planar.npz:parts": "only in B",
+        "64_spherical.npz:dtype": "differs",  # equal values, int against float
+        "64_spherical.npz:last_bit": "differs",
+        "64_spherical.npz:only_a": "only in A",
+        "64_spherical.npz:same": "equal",  # NaN equal to NaN
+        "64_spherical.npz:shape": "differs",
+    }
+
+
+def test_array_script_saves_matrix_parts_and_combine_parts(tmp_path):
+    root = TOOL.parent.parent
+    assert compare_revisions.run_arrays(root, tmp_path / "a", sides=(3,), models=("spherical", "subarray:2x2")) == []
+    assert compare_revisions.run_arrays(root, tmp_path / "b", sides=(3,), models=("spherical", "subarray:2x2")) == []
+    report = compare_revisions.compare_arrays(tmp_path / "a", tmp_path / "b")
+    assert {status for _, status in report} == {"equal"}
+    names = {name for name, _ in report}
+    for stem in ("3_spherical.npz", "3_subarray_2x2.npz"):
+        assert {f"{stem}:combine_parts.1", f"{stem}:combine_parts.3", f"{stem}:matrix_parts.0"} <= names
+    failures = compare_revisions.run_arrays(root, tmp_path / "c", sides=(3,), models=("subarray:9x9",))
+    assert len(failures) == 1 and "exceeds" in failures[0]

@@ -436,6 +436,53 @@ def test_cli_int_lists_allow_spaces_around_commas():
     assert _parse_int_list(" 1 ,2,") == [1, 2]
 
 
+def test_cli_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    lines = [line.strip() for line in out.splitlines()]
+    for kind in EXPERIMENT_KINDS:  # each on its own line, followed by its help text
+        assert any(line.startswith(kind.replace("_", "-") + " ") for line in lines)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_cli_subcommand_help_shows_every_flag_with_its_default(capsys, monkeypatch, kind):
+    monkeypatch.setenv("COLUMNS", "400")  # one help line per flag
+    with pytest.raises(SystemExit) as exc:
+        main([kind.replace("_", "-"), "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--config", "--seed", "--out", "--realizations"):
+        assert flag in out
+    for key, (_, default) in SWEEP_KEYS[kind].items():
+        if key not in _FLAGS:
+            continue
+        flag, parse, text = _FLAGS[key]
+        if parse is None:  # a switch, off unless given
+            assert f"{flag}  " in out and text in out
+        elif callable(default):
+            assert f"{text} (default set by the config)" in out
+        else:
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            assert f"{text} (default {shown})" in out
+
+
+@pytest.mark.parametrize("argv", [["not-a-command"], ["not-a-command", "--seed", "1"], [], ["--seed", "1"]])
+def test_cli_without_a_known_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: nfmimo" in capsys.readouterr().err
+
+
+def test_cli_refuses_another_subcommands_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rayleigh-table", "--snr-db", "10", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --snr-db" in capsys.readouterr().err
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"delta_T": 0}')
@@ -763,8 +810,9 @@ def test_failed_run_keeps_previous_outputs(tmp_path):
 
 @pytest.mark.parametrize("args", [["capacity-sweep", "--realizations", "1"], ["error-vs-subarray", "--p-max-list", "1,2"]])
 def test_cli_refuses_an_array_over_the_matrix_budget(tmp_path, capsys, args):
-    # 2000 x 2000 elements with 100 rays would need a 6.7 GB departure table; the budget
-    # check must fire before any P-sized array exists (a 1x1 partition alone is 96 MB).
+    # 2000 x 2000 elements with 100 rays would need 6.2 GiB for the (D*Q, P) phase-draw stack plus
+    # the direct matrix; the budget check must fire before any P-sized array exists (a 1x1
+    # partition alone is 96 MB).
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"P_h": 2000, "P_v": 2000}))
     tracemalloc.start()

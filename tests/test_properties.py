@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nfmimo.channel import WavefrontModel, _cis, channel_matrix
 from nfmimo.geometry import ScenarioConfig
 from nfmimo.scattering import field_for_realization
-from nfmimo.stats import capacity, spatial_ccf_series, temporal_acf_series
+from nfmimo.stats import _exact_sum, capacity, spatial_ccf_series, temporal_acf_series
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -101,3 +101,26 @@ def test_capacity_is_invariant_under_complex_scaling(cfg, seed, snr, magnitude, 
 def test_phasor_kernel_matches_numpy_exp(theta):
     theta = np.array(theta)
     assert np.max(np.abs(_cis(theta) - np.exp(1j * theta))) <= 4.5e-16
+
+
+# Model-error terms are non-negative: exact zeros, subnormals and magnitudes from 1e-300 to 1e300.
+error_terms = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308), st.floats(1e-300, 1e300))
+
+
+@PROPERTY_SETTINGS
+@given(terms=st.lists(error_terms, min_size=1, max_size=300))
+def test_exact_sum_is_fsum_bit_for_bit(terms):
+    assert _exact_sum(np.array(terms)).hex() == math.fsum(terms).hex()
+
+
+@PROPERTY_SETTINGS
+@given(term=error_terms)
+def test_exact_sum_of_one_element_is_that_element(term):
+    assert _exact_sum(np.array([term])).hex() == term.hex()
+
+
+@PROPERTY_SETTINGS
+@given(terms=st.lists(st.floats(-1e300, 1e300).filter(bool), min_size=1, max_size=60), rows=st.integers(1, 3))
+def test_exact_sum_of_signed_terms_in_any_shape_is_fsum(terms, rows):
+    x = np.array(terms * rows).reshape(rows, -1)
+    assert _exact_sum(x).hex() == math.fsum(x.ravel().tolist()).hex()

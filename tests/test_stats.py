@@ -1,6 +1,7 @@
 """Correlation statistics, capacity, model error, and operation counts."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from nfmimo.stats import (
     RO_PER_ANGLE_SET,
     CorrelationSeries,
     _capacities,
+    _exact_sum,
     capacity,
     frequency_cf,
     frequency_cf_series,
@@ -604,6 +606,51 @@ def test_model_error_total_is_the_exactly_rounded_sum():
     for model in (PLANAR, WavefrontModel.subarray(4, 4), WavefrontModel.subarray(3, 5)):
         terms = (np.abs(channel_matrix(0.0, cfg, model, field).H - h_ref) / np.abs(h_ref)).ravel().tolist()
         assert model_error_delta(model, 0.0, cfg, field) == 10.0 * math.log10(math.fsum(terms))
+
+
+def test_model_error_of_all_zero_terms_is_the_minus_inf_sentinel():
+    assert _exact_sum(np.zeros((2, 64))).hex() == "0x0.0p+0"
+    cfg = ScenarioConfig(P_h=8, P_v=8, Q=2, L_clusters=2, N_rays=5)
+    field = field_for_realization(cfg, 6, 0)
+    # A 1x1 tiling is the reference itself: every term is zero.
+    assert model_error_delta(WavefrontModel.subarray(1, 1), 0.0, cfg, field) == float("-inf")
+
+
+@pytest.mark.parametrize(
+    "terms", [[math.inf, 1.0], [1.0, math.nan, 2.0], [math.inf, math.inf], [math.nan], [-math.inf, 3.0]], ids=str
+)
+def test_exact_sum_of_non_finite_terms_is_fsum(terms):
+    assert _exact_sum(np.array(terms)).hex() == math.fsum(terms).hex()
+
+
+def test_exact_sum_refuses_inf_minus_inf_like_fsum():
+    with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
+        math.fsum([math.inf, -math.inf])
+    with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
+        _exact_sum(np.array([math.inf, -math.inf]))
+
+
+def test_exact_sum_overflows_like_fsum():
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308])
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1e308, 1e308]))
+
+
+def test_one_worker_never_loads_concurrent_futures(monkeypatch):
+    import subprocess
+    import sys
+
+    import nfmimo
+
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    monkeypatch.setenv("PYTHONPATH", str(Path(nfmimo.__file__).resolve().parents[1]))
+    code = (
+        "import sys; import nfmimo.cli; from nfmimo.stats import _map_realizations; "
+        "assert _map_realizations(lambda i: i * i, 3) == [0, 1, 4]; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "[]\n"
 
 
 def test_model_error_list_validation():

@@ -4,6 +4,7 @@ Run from anywhere inside the repository:
 
     python3 tools/compare_revisions.py HEAD~1          # HEAD~1 against the working tree
     python3 tools/compare_revisions.py HEAD~1 HEAD     # two commits
+    python3 tools/compare_revisions.py --arrays HEAD~1 # also compare the matrix arrays
 
 Each revision is checked out with `git worktree` under a temporary directory
 (the working tree is used in place) and removed afterwards. Every experiment
@@ -17,6 +18,13 @@ exactly. For each manifest.json it prints whether every field but
 wall_clock_s is equal. It exits 1 when a run fails or an output is missing
 on one side, otherwise 0. It needs git and nothing beyond the standard
 library.
+
+With --arrays, a fresh interpreter per revision also saves the outputs of
+channel.matrix_parts (every array and number in its result) and of
+channel.combine_parts (the field's own phases and a stack of three draws)
+for each of ARRAY_MODELS at each of ARRAY_SIDES, default scenario, seed 0,
+t = 0; each array is then compared with np.array_equal (NaN equal to NaN,
+dtypes equal). That mode needs numpy.
 """
 
 from __future__ import annotations
@@ -51,6 +59,40 @@ OFF_AXIS_CONFIG = {
 }
 MODELS = ("spherical", "planar", "subarray:2x2", "subarray:4x4")
 WORKING_TREE = "."
+# The --arrays mode: tilings and square array sides of the default scenario.
+ARRAY_MODELS = ("spherical", "subarray:2x2", "subarray:4x4", "subarray:8x8", "planar")
+ARRAY_SIDES = (64, 128)
+# Run as `python -c ARRAY_SCRIPT OUT SIDES MODELS` against one revision's src/: one .npz per side and model,
+# keys matrix_parts.<index path> for the arrays and numbers of its (nested) result, and combine_parts.<draws>.
+ARRAY_SCRIPT = """
+import sys
+from pathlib import Path
+import numpy as np
+from nfmimo.channel import WavefrontModel, combine_parts, matrix_parts
+from nfmimo.geometry import ScenarioConfig
+from nfmimo.scattering import field_for_realization
+
+def flat(value, name, out):
+    if isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            flat(item, f"{name}.{i}", out)
+    elif isinstance(value, (np.ndarray, float, int, complex)):
+        out[name] = np.asarray(value)
+
+out_dir = Path(sys.argv[1])
+out_dir.mkdir(parents=True, exist_ok=True)
+for side in map(int, sys.argv[2].split(",")):
+    cfg = ScenarioConfig(P_h=side, P_v=side)
+    field = field_for_realization(cfg, 0, 0)
+    draws = np.random.default_rng(1).uniform(0.0, 2 * np.pi, (3, field.n_rays))
+    for label in sys.argv[3].split(","):
+        arrays = {}
+        parts = matrix_parts(0.0, cfg, WavefrontModel.parse(label), field)
+        flat(parts, "matrix_parts", arrays)
+        arrays["combine_parts.1"] = combine_parts(parts, field.phases(), cfg.K)
+        arrays["combine_parts.3"] = combine_parts(parts, draws, cfg.K)
+        np.savez(out_dir / f"{side}_{label.replace(':', '_')}.npz", **arrays)
+"""
 
 
 def off_axis_invocations() -> list[tuple[str, tuple[str, ...]]]:
@@ -139,6 +181,42 @@ def compare_dirs(a: Path, b: Path) -> list[tuple[str, str, float | None]]:
     return report
 
 
+def compare_arrays(a: Path, b: Path) -> list[tuple[str, str]]:
+    """Per array in the .npz files under a or b ("<file>:<key>", status), sorted; status as in compare_dirs.
+
+    Arrays are equal when their dtypes match and np.array_equal holds, NaN equal to NaN.
+    """
+    import numpy as np
+
+    def arrays(root: Path) -> dict[str, np.ndarray]:
+        found = {}
+        for path in sorted(root.rglob("*.npz")):
+            with np.load(path) as data:
+                found.update({f"{path.relative_to(root).as_posix()}:{key}": data[key] for key in data.files})
+        return found
+
+    arrays_a, arrays_b = arrays(a), arrays(b)
+    report = []
+    for name in sorted(arrays_a.keys() | arrays_b.keys()):
+        if name not in arrays_b:
+            report.append((name, "only in A"))
+        elif name not in arrays_a:
+            report.append((name, "only in B"))
+        else:
+            x, y = arrays_a[name], arrays_b[name]
+            same = x.dtype == y.dtype and np.array_equal(x, y, equal_nan=x.dtype.kind in "fc")
+            report.append((name, "equal" if same else "differs"))
+    return report
+
+
+def run_arrays(tree: Path, out: Path, sides=ARRAY_SIDES, models=ARRAY_MODELS) -> list[str]:
+    """Save the matrix arrays of tree's src/ into out in one fresh process; returns the failures."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", ARRAY_SCRIPT, str(out), ",".join(map(str, sides)), ",".join(models)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    return [] if proc.returncode == 0 else [f"arrays: exit {proc.returncode}: {proc.stderr.strip()}"]
+
+
 def run_invocations(tree: Path, out: Path) -> list[str]:
     """Run every invocation against tree's src/ in fresh processes, each into out/<name>; returns the failures."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -165,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision A")
     parser.add_argument("change", nargs="?", default=WORKING_TREE, help="git revision B (default: the working tree)")
+    parser.add_argument("--arrays", action="store_true", help="also compare matrix_parts and combine_parts arrays")
     args = parser.parse_args(argv)
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     with tempfile.TemporaryDirectory(prefix="compare-revisions-") as tmp:
@@ -183,10 +262,14 @@ def main(argv: list[str] | None = None) -> int:
             failures = []
             for side, tree in zip("AB", trees):
                 failures += [f"{side} {line}" for line in run_invocations(tree, tmp / f"out-{side}")]
+                if args.arrays:
+                    failures += [f"{side} {line}" for line in run_arrays(tree, tmp / f"arrays-{side}")]
         finally:
             for path in added:
                 _git(root, "worktree", "remove", "--force", str(path))
         report = compare_dirs(tmp / "out-A", tmp / "out-B")
+        if args.arrays:
+            report += [(name, status, None) for name, status in compare_arrays(tmp / "arrays-A", tmp / "arrays-B")]
     print(f"A = {args.base}, B = {'working tree' if args.change == WORKING_TREE else args.change}")
     width = max((len(name) for name, _, _ in report), default=0)
     for name, status, rel in report:
