@@ -352,15 +352,15 @@ def _pieces(dx, dy, dz, cfg: ScenarioConfig):
     return dx * math.cos(cfg.psi_T) + dy * math.sin(cfg.psi_T), dx * dx + dy * dy, dz, dz * dz
 
 
-def _gains(u, hh, dz, dz2, cfg: ScenarioConfig):
-    """_departure_gains from its pieces, which broadcast against each other."""
-    kd = TWO_PI / cfg.wavelength * cfg.delta_T
-    r = np.sqrt(hh + dz2)
+def _gains(u, hh, dz, dz2, cfg: ScenarioConfig, out=(None, None)):
+    """_departure_gains from its pieces, which broadcast against each other; out, full-shape, takes g1, g2."""
+    g1, g2 = out
+    r = np.sqrt(np.add(hh, dz2, out=g2), out=g2)
     if not r.all():
         zero = r == 0.0
         r, u = np.where(zero, 1.0, r), u + zero * math.cos(cfg.psi_T)
-    scale = kd / r
-    return u * scale, dz * scale
+    scale = np.divide(TWO_PI / cfg.wavelength * cfg.delta_T, r, out=g2)
+    return np.multiply(u, scale, out=g1), np.multiply(dz, scale, out=g2)
 
 
 def _tile_pieces(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition, sh=slice(None), sv=slice(None)):
@@ -520,8 +520,7 @@ def transfer_function(
 
 
 _FACTORED_AREA = 64  # tile area from which factors beat expanded phasors (measured, CHANGES.md)
-# Per-element phasors (1x1 and expanded tiles) formed at once: fewer, larger blocks pay the per-block
-# numpy calls less often. Factored tiles form _CIS_CHUNK phasors at a time, which times faster for them.
+# Per-element phasors (1x1 and expanded tiles) formed at once; factored tiles time faster at _CIS_CHUNK.
 _BLOCK_PHASORS = 2 * _CIS_CHUNK
 
 
@@ -542,23 +541,14 @@ def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, 
     run = max(1, _CIS_CHUNK // per_row)  # tile rows per yielded run
     step = run if factored else run * max(1, _BLOCK_PHASORS // (run * per_row))  # tile rows formed at once
     buf = None if factored else np.empty((step * pv, n_h * ph, n), dtype=complex)
-    if ph == pv == 1:  # gains and phase of a 1x1 block, formed in place
-        kd = TWO_PI / cfg.wavelength * cfg.delta_T
-        f1, f2 = np.empty((2, step, n_h, n))
+    gains = np.empty((2, step, n_h, n))  # g1, g2 of a block, formed in place
     for s0 in range(0, n_v, step):
         s = slice(s0, s0 + step)
-        if ph == pv == 1:  # _gains, then kh * g1 + kv * g2: the same operations in the same order
-            g1, g2 = f1[:len(dz[s])], f2[:len(dz[s])]
-            r = np.sqrt(np.add(hh, dz2[s, None], out=g2), out=g2)
-            if r.all():
-                np.multiply(u, np.divide(kd, r, out=r), out=g1)
-                np.multiply(dz[s, None], r, out=g2)
-            else:  # a ray at an element centre
-                g1[...], g2[...] = _gains(u, hh, dz[s, None], dz2[s, None], cfg)
+        g1, g2 = _gains(u, hh, dz[s, None], dz2[s, None], cfg, out=gains[:, :len(dz[s])])
+        if ph == pv == 1:  # kh * g1 + kv * g2
             np.add(np.multiply(kh[:, None], g1, out=g1), np.multiply(kv[s, None, None], g2, out=g2), out=g1)
             block = _cis(g1, out=buf[:len(g1)])
         else:
-            g1, g2 = _gains(u, hh, dz[s, None], dz2[s, None], cfg)
             a, b = _cis(kh.reshape(n_h, ph, 1) * g1[:, :, None]), _cis(kv.reshape(n_v, pv, 1, 1)[s] * g2[:, None])
             if factored:
                 yield s0 * pv, a, b

@@ -4,7 +4,6 @@ Run from anywhere inside the repository:
 
     python3 tools/compare_revisions.py HEAD~1          # HEAD~1 against the working tree
     python3 tools/compare_revisions.py HEAD~1 HEAD     # two commits
-    python3 tools/compare_revisions.py --arrays HEAD~1 # also compare the matrix arrays
 
 Each revision is checked out with `git worktree` under a temporary directory
 (the working tree is used in place) and removed afterwards. Every experiment
@@ -15,16 +14,15 @@ and subarray:4x4 models. Each run is a fresh interpreter. For each CSV the
 script prints whether the bytes are equal and the largest relative
 difference of its numbers, |a - b| / max(|a|, |b|); text cells must match
 exactly. For each manifest.json it prints whether every field but
-wall_clock_s is equal. It exits 1 when a run fails or an output is missing
-on one side, otherwise 0. It needs git and nothing beyond the standard
-library.
+wall_clock_s is equal.
 
-With --arrays, a fresh interpreter per revision also saves the outputs of
+A fresh interpreter per revision also saves the outputs of
 channel.matrix_parts (every array and number in its result) and of
 channel.combine_parts (the field's own phases and a stack of three draws)
 for each of ARRAY_MODELS at each of ARRAY_SIDES, default scenario, seed 0,
 t = 0; each array is then compared with np.array_equal (NaN equal to NaN,
-dtypes equal). That mode needs numpy.
+dtypes equal). The script exits 1 when a run fails or an output or array
+is missing on one side, otherwise 0. It needs git and numpy.
 """
 
 from __future__ import annotations
@@ -38,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # One invocation per experiment kind on the default scenario; Monte Carlo kinds
 # use few fields so that a comparison takes seconds, not minutes.
@@ -59,7 +59,7 @@ OFF_AXIS_CONFIG = {
 }
 MODELS = ("spherical", "planar", "subarray:2x2", "subarray:4x4")
 WORKING_TREE = "."
-# The --arrays mode: tilings and square array sides of the default scenario.
+# Tilings and square array sides of the default scenario whose matrix arrays are compared.
 ARRAY_MODELS = ("spherical", "subarray:2x2", "subarray:4x4", "subarray:8x8", "planar")
 ARRAY_SIDES = (64, 128)
 # Run as `python -c ARRAY_SCRIPT OUT SIDES MODELS` against one revision's src/: one .npz per side and model,
@@ -186,8 +186,6 @@ def compare_arrays(a: Path, b: Path) -> list[tuple[str, str]]:
 
     Arrays are equal when their dtypes match and np.array_equal holds, NaN equal to NaN.
     """
-    import numpy as np
-
     def arrays(root: Path) -> dict[str, np.ndarray]:
         found = {}
         for path in sorted(root.rglob("*.npz")):
@@ -243,7 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision A")
     parser.add_argument("change", nargs="?", default=WORKING_TREE, help="git revision B (default: the working tree)")
-    parser.add_argument("--arrays", action="store_true", help="also compare matrix_parts and combine_parts arrays")
     args = parser.parse_args(argv)
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     with tempfile.TemporaryDirectory(prefix="compare-revisions-") as tmp:
@@ -262,14 +259,12 @@ def main(argv: list[str] | None = None) -> int:
             failures = []
             for side, tree in zip("AB", trees):
                 failures += [f"{side} {line}" for line in run_invocations(tree, tmp / f"out-{side}")]
-                if args.arrays:
-                    failures += [f"{side} {line}" for line in run_arrays(tree, tmp / f"arrays-{side}")]
+                failures += [f"{side} {line}" for line in run_arrays(tree, tmp / f"arrays-{side}")]
         finally:
             for path in added:
                 _git(root, "worktree", "remove", "--force", str(path))
         report = compare_dirs(tmp / "out-A", tmp / "out-B")
-        if args.arrays:
-            report += [(name, status, None) for name, status in compare_arrays(tmp / "arrays-A", tmp / "arrays-B")]
+        report += [(name, status, None) for name, status in compare_arrays(tmp / "arrays-A", tmp / "arrays-B")]
     print(f"A = {args.base}, B = {'working tree' if args.change == WORKING_TREE else args.change}")
     width = max((len(name) for name, _, _ in report), default=0)
     for name, status, rel in report:
