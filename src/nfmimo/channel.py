@@ -59,7 +59,8 @@ BANDWIDTH_HZ = 50e6
 
 _VARIANTS = ("spherical", "planar", "subarray")
 # Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: a complex (D * Q, P) stack of
-# phase draws, D * Q <= N, plus the (Q, P) direct matrix. Refused before anything P-sized exists.
+# phase draws, D * Q <= N, plus the (Q, P) direct matrix. Refused before anything P-sized exists. The
+# correlation runners hold each field's (axis points, N) complex phasors to the same budget.
 MATRIX_BUDGET_BYTES = 2**30
 
 
@@ -337,23 +338,19 @@ def _angles(dx, dy, dz):
     return np.arctan2(dy, dx), np.arctan2(dz, np.hypot(dx, dy))
 
 
-def _departure_gains(dx, dy, dz, cfg: ScenarioConfig):
-    """Tile steering slopes g1, g2 toward displacements d: grid offsets (kh, kv) steer by kh*g1 + kv*g2.
-
-    g1 = k*delta_T*(ux cos psi_T + uy sin psi_T) and g2 = k*delta_T*uz with u = d/|d|,
-    i.e. k*delta_T*cos(az - psi_T)*cos(el) and k*delta_T*sin(el). A zero displacement
-    takes u = +x, the direction of the angles arctan2(0, 0) = 0 (never NaN).
-    """
-    return _gains(*_pieces(dx, dy, dz, cfg), cfg)
-
-
 def _pieces(dx, dy, dz, cfg: ScenarioConfig):
     """The pieces of the gains: u = dx cos psi_T + dy sin psi_T and hh = dx*dx + dy*dy, then dz and dz*dz."""
     return dx * math.cos(cfg.psi_T) + dy * math.sin(cfg.psi_T), dx * dx + dy * dy, dz, dz * dz
 
 
 def _gains(u, hh, dz, dz2, cfg: ScenarioConfig, out=(None, None)):
-    """_departure_gains from its pieces, which broadcast against each other; out, full-shape, takes g1, g2."""
+    """Tile steering slopes g1, g2 toward displacements d: grid offsets (kh, kv) steer by kh*g1 + kv*g2.
+
+    g1 = k*delta_T*(ux cos psi_T + uy sin psi_T) and g2 = k*delta_T*uz with u = d/|d|,
+    i.e. k*delta_T*cos(az - psi_T)*cos(el) and k*delta_T*sin(el), from the _pieces of d,
+    which broadcast against each other; out, full-shape, takes g1, g2. A zero displacement
+    takes u = +x, the direction of the angles arctan2(0, 0) = 0 (never NaN).
+    """
     g1, g2 = out
     r = np.sqrt(np.add(hh, dz2, out=g2), out=g2)
     if not r.all():
@@ -365,8 +362,8 @@ def _gains(u, hh, dz, dz2, cfg: ScenarioConfig, out=(None, None)):
 
 def _tile_pieces(pos: np.ndarray, cfg: ScenarioConfig, partition: SubarrayPartition, sh=slice(None), sv=slice(None)):
     """_pieces toward the rays (rows of pos): u, hh (columns, N) of tile columns sh, dz, dz2 (rows, N) of tile rows sv."""
-    cx, cy = partition.centers[sh, 0, :2].T[:, :, None]  # a midpoint's x, y follow its column, its z its row
-    return _pieces(pos[:, 0] - cx, pos[:, 1] - cy, pos[:, 2] - partition.centers[0, sv, 2][:, None], cfg)
+    x, y, z = partition.x[sh, None], partition.y[sh, None], partition.z[sv, None]
+    return _pieces(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z, cfg)
 
 
 def _tiles(p_h, p_v, cfg: ScenarioConfig, partition: SubarrayPartition):
@@ -388,11 +385,11 @@ def _direct(sh, sv, rx, cfg: ScenarioConfig, partition: SubarrayPartition):
     angles are the reverse bearing, in (-pi, pi], and the departure elevation.
     """
     x, y, z, kq, t = rx
-    d = x - partition.centers[sh, 0, 0], y - partition.centers[sh, 0, 1], partition.centers[0, sv, 2] - z
+    d = x - partition.x[sh], y - partition.y[sh], partition.z[sv] - z
     az, el = _angles(*d)
     az_r = math.pi - az
     az_r = np.where(az_r > math.pi, az_r - TWO_PI, az_r)
-    return *_departure_gains(*d, cfg), _mr_terms(az_r, el, kq, t, cfg)
+    return *_gains(*_pieces(*d, cfg), cfg), _mr_terms(az_r, el, kq, t, cfg)
 
 
 def _arrival_phases(pos: np.ndarray, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -559,16 +556,6 @@ def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, 
             yield s0 * pv + v, block[v:v + run * pv], None
 
 
-def _check_budget(cfg: ScenarioConfig) -> None:
-    """Refuse an array whose (D * Q, P) phase-draw stack, D * Q <= N, and direct matrix exceed MATRIX_BUDGET_BYTES."""
-    need = cfg.P_h * cfg.P_v * (cfg.L_clusters * cfg.N_rays + cfg.Q) * 16
-    if need > MATRIX_BUDGET_BYTES:
-        raise ValueError(
-            f"a P_h x P_v = {cfg.P_h}x{cfg.P_v} array needs {need / 2**30:.2f} GiB for its phase-draw stack "
-            f"and direct matrix, over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
-        )
-
-
 def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField):
     """Matrix ingredients shared by every draw of the ray phases.
 
@@ -578,7 +565,11 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     + delay phase per ray.
     Arrays over MATRIX_BUDGET_BYTES are refused with a ValueError naming P_h and P_v.
     """
-    _check_budget(cfg)
+    if (need := cfg.P_h * cfg.P_v * (cfg.L_clusters * cfg.N_rays + cfg.Q) * 16) > MATRIX_BUDGET_BYTES:
+        raise ValueError(
+            f"a P_h x P_v = {cfg.P_h}x{cfg.P_v} array needs {need / 2**30:.2f} GiB for its phase-draw stack "
+            f"and direct matrix, over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
+        )
     partition = model.partition_for(cfg)
     p = np.arange(cfg.P_h * cfg.P_v)
     sh, sv, kh, kv = _tiles(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)

@@ -268,11 +268,10 @@ def element_to_subarray(p: int, p_max: int) -> int:
 class SubarrayPartition:
     """Partition of the transmit grid into near-square tiles of target size.
 
-    counts_* and sizes_* follow the trailing-remainder rule: every tile spans
-    p_max elements on an axis except possibly the last. centers is a
-    read-only (counts_h, counts_v, 3) array: centers[sh-1, sv-1] holds the
-    global (x, y, z) midpoint of tile (sh, sv); the per-tile
-    planar-wavefront approximation is anchored there.
+    counts_* and sizes_* follow the trailing-remainder rule: every tile spans p_max elements on an
+    axis except possibly the last. The per-tile planar-wavefront approximation of tile (sh, sv),
+    1-based, is anchored at its global midpoint (x[sh-1], y[sh-1], z[sv-1]): a midpoint's x and y
+    follow its tile column and its z its tile row, so x and y hold counts_h floats, z counts_v.
     """
 
     p_max_h: int
@@ -281,7 +280,9 @@ class SubarrayPartition:
     counts_v: int
     sizes_h: tuple[int, ...]
     sizes_v: tuple[int, ...]
-    centers: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
     def subarray_of_element(self, p_h: int, p_v: int) -> tuple[int, int]:
         return (
@@ -313,7 +314,7 @@ def subarray_center(sh: int, sv: int, cfg: ScenarioConfig, partition: "SubarrayP
         raise ValueError(f"sh must be in [1, {partition.counts_h}], got {sh}")
     if not 1 <= sv <= partition.counts_v:
         raise ValueError(f"sv must be in [1, {partition.counts_v}], got {sv}")
-    return Vec3(*map(float, partition.centers[sh - 1, sv - 1]))
+    return Vec3(float(partition.x[sh - 1]), float(partition.y[sh - 1]), float(partition.z[sv - 1]))
 
 
 @lru_cache(maxsize=128)
@@ -323,9 +324,9 @@ def make_partition(cfg: ScenarioConfig, p_max_h: int, p_max_v: int) -> SubarrayP
     counts_v = partition_counts(cfg.P_v, p_max_v)
     sizes_h = tuple(subarray_size(i, cfg.P_h, p_max_h) for i in range(1, counts_h + 1))
     sizes_v = tuple(subarray_size(i, cfg.P_v, p_max_v) for i in range(1, counts_v + 1))
-    sh, sv = np.arange(1, counts_h + 1)[:, None], np.arange(1, counts_v + 1)
-    centers = np.stack(np.broadcast_arrays(*_tile_midpoints(sh, sv, cfg, p_max_h, p_max_v)), axis=-1)
-    centers.setflags(write=False)
+    x, y, z = _tile_midpoints(np.arange(1, counts_h + 1), np.arange(1, counts_v + 1), cfg, p_max_h, p_max_v)
+    for axis in (x, y, z):
+        axis.setflags(write=False)
     return SubarrayPartition(
         p_max_h=p_max_h,
         p_max_v=p_max_v,
@@ -333,7 +334,9 @@ def make_partition(cfg: ScenarioConfig, p_max_h: int, p_max_v: int) -> SubarrayP
         counts_v=counts_v,
         sizes_h=sizes_h,
         sizes_v=sizes_v,
-        centers=centers,
+        x=x,
+        y=y,
+        z=z,
     )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import WavefrontModel
+from .channel import MATRIX_BUDGET_BYTES, WavefrontModel
 from .fileio import atomic_open
 from .geometry import (
     ScenarioConfig,
@@ -222,6 +222,16 @@ def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
                 f"p_max = {p_max} outside [1, {limit}]; tile sizes cannot exceed the array side"
             )
 
+
+def _check_axis(key: str, count: int, cfg: ScenarioConfig) -> None:
+    """Refuse a correlation axis of count points if a field's (count, L_clusters * N_rays) phasors exceed the budget."""
+    if (need := count * cfg.L_clusters * cfg.N_rays * 16) > MATRIX_BUDGET_BYTES:
+        raise ValueError(
+            f"sweep key {key!r} gives {count} axis points, whose phasors need {need / 2**30:.2f} GiB per field, "
+            f"over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
+        )
+
+
 def _write_series(
     exp: Experiment, outputs: dict, axis_name: str, axis, values, *, n_realizations: int, t: float = 0.0, model=None
 ) -> None:
@@ -313,6 +323,7 @@ def _run_spatial_ccf(
 ) -> None:
     if not 0 <= max_offset <= cfg.P_h - 1:
         raise ValueError(f"max_offset must be within [0, {cfg.P_h - 1}], got {max_offset}")
+    _check_axis("max_offset", max_offset + 1, cfg)
     offsets = [(dh, 0) for dh in range(max_offset + 1)]
     series = spatial_ccf_series(offsets, dq, dt, t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
@@ -320,23 +331,17 @@ def _run_spatial_ccf(
     )
 
 
-def _run_temporal_acf(
-    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, points, dt_max
+def _run_lag_axis(
+    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, points, **lag
 ) -> None:
-    if dt_max < 0 or points < 1:
-        raise ValueError("dt_max must be >= 0 and points >= 1")
-    series = temporal_acf_series(list(np.linspace(0.0, dt_max, points)), t, cfg, model, n_realizations, seed=exp.seed)
-    _write_series(
-        exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
-    )
-
-
-def _run_frequency_cf(
-    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, points, df_max
-) -> None:
-    if df_max < 0 or points < 1:
-        raise ValueError("df_max must be >= 0 and points >= 1")
-    series = frequency_cf_series(list(np.linspace(0.0, df_max, points)), t, cfg, model, n_realizations, seed=exp.seed)
+    """The temporal ACF (lag key dt_max) or frequency CF (df_max) at points lags from 0 to the lag key's value."""
+    ((key, lag_max),) = lag.items()
+    if lag_max < 0 or points < 1:
+        raise ValueError(f"{key} must be >= 0 and points >= 1")
+    _check_axis("points", points, cfg)
+    # Read from this module at call time, where perfbench's tracer rebinds both.
+    series_of = temporal_acf_series if key == "dt_max" else frequency_cf_series
+    series = series_of(list(np.linspace(0.0, lag_max, points)), t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
         exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
@@ -367,8 +372,8 @@ _RUNNERS = {
     "error_vs_subarray": _run_error_vs_subarray,
     "complexity_sweep": _run_complexity_sweep,
     "spatial_ccf": _run_spatial_ccf,
-    "temporal_acf": _run_temporal_acf,
-    "frequency_cf": _run_frequency_cf,
+    "temporal_acf": _run_lag_axis,
+    "frequency_cf": _run_lag_axis,
     "capacity_sweep": _run_capacity_sweep,
 }
 

@@ -23,7 +23,6 @@ import numpy as np
 from .channel import (
     ChannelRealization,
     WavefrontModel,
-    _check_budget,
     _cis,
     channel_matrix,
     combine_parts,
@@ -528,7 +527,6 @@ def model_error_delta(
         raise ValueError("at least one model is required")
     if any(m.variant == "spherical" for m in models):
         raise ValueError("the per-element (spherical) model is the error reference itself")
-    _check_budget(cfg)  # before any model's partition, which is P-sized for a 1x1 tiling
     h_ref = abs_ref = None
     errors = []
     for m in models:

@@ -29,8 +29,9 @@ from nfmimo.channel import (
     _angles,
     _cis,
     _departure_blocks,
-    _departure_gains,
+    _gains,
     _mr_terms,
+    _pieces,
     _receivers,
     channel_matrix,
     cir_los,
@@ -537,7 +538,7 @@ def test_departure_gains_of_a_zero_displacement_follow_the_arctan2_convention():
     cfg = dataclasses.replace(UNEVEN_CFG, psi_T=0.7)
     k_delta = 2 * math.pi / cfg.wavelength * cfg.delta_T
     zero = np.zeros(2)
-    g1, g2 = _departure_gains(zero, zero, zero, cfg)
+    g1, g2 = _gains(*_pieces(zero, zero, zero, cfg), cfg)
     az = el = math.atan2(0.0, 0.0)
     assert np.all(g1 == k_delta * math.cos(az - cfg.psi_T) * math.cos(el)) and np.all(g2 == 0.0)
 
@@ -565,7 +566,8 @@ def _block_table(pos, cfg):
     """The (P, N) per-element departure table filled over 512-element blocks, each block through _cis."""
     p = np.arange(cfg.P_h * cfg.P_v)
     h, v = p % cfg.P_h, p // cfg.P_h
-    cx, cy, cz = make_partition(cfg, 1, 1).centers[h, v].T
+    unit = make_partition(cfg, 1, 1)
+    cx, cy, cz = unit.x[h], unit.y[h], unit.z[v]
     kh, kv = (cfg.P_h - 2 * (h + 1) + 1) / 2.0, (cfg.P_v - 2 * (v + 1) + 1) / 2.0
     table = np.empty((p.size, len(pos)), dtype=complex)
     for lo in range(0, p.size, 512):
@@ -577,9 +579,9 @@ def _block_table(pos, cfg):
 
 def _block_factors(pos, cfg, partition):
     """Per-tile factors A and B from gains evaluated over every (tile, ray) pair at once."""
-    n_h, n_v, _ = partition.centers.shape
+    n_h, n_v = partition.counts_h, partition.counts_v
     ph, pv = partition.p_max_h, partition.p_max_v
-    cx, cy, cz = partition.centers.reshape(-1, 3).T[:, :, None]
+    cx, cy, cz = partition.x[:, None, None], partition.y[:, None, None], partition.z[:, None]  # (n_h, n_v, N) gains
     g1, g2 = _block_gains(pos[:, 0] - cx, pos[:, 1] - cy, pos[:, 2] - cz, cfg)
     kh = (cfg.P_h - 2 * np.arange(1, n_h * ph + 1) + 1) / 2.0
     kv = (cfg.P_v - 2 * np.arange(1, n_v * pv + 1) + 1) / 2.0
@@ -648,11 +650,12 @@ def test_combine_parts_does_not_depend_on_the_block_budget(monkeypatch, model, d
 
 
 def _per_element_tiles(p_h, p_v, cfg, partition):
-    """Midpoints (3, S) of the distinct tiles holding elements (p_h, p_v), each element's tile, kh and kv."""
+    """Midpoints x, y, z (S each) of the distinct tiles holding elements (p_h, p_v), each element's tile, kh and kv."""
     tile = (p_h - 1) // partition.p_max_h * partition.counts_v + (p_v - 1) // partition.p_max_v
     tiles, s_of_p = np.unique(tile, return_inverse=True)
-    centers = partition.centers.reshape(-1, 3)[tiles]
-    return centers.T, s_of_p, (cfg.P_h - 2 * p_h + 1) / 2.0, (cfg.P_v - 2 * p_v + 1) / 2.0
+    sh, sv = np.divmod(tiles, partition.counts_v)
+    midpoints = partition.x[sh], partition.y[sh], partition.z[sv]
+    return midpoints, s_of_p, (cfg.P_h - 2 * p_h + 1) / 2.0, (cfg.P_v - 2 * p_v + 1) / 2.0
 
 
 def _per_element_direct_phases(elements, rx, bulk, cfg):
@@ -663,7 +666,7 @@ def _per_element_direct_phases(elements, rx, bulk, cfg):
     az, el = _angles(*d)
     az_r = math.pi - az
     az_r = np.where(az_r > math.pi, az_r - 2 * math.pi, az_r)
-    a1, a2 = _departure_gains(*d, cfg)
+    a1, a2 = _gains(*_pieces(*d, cfg), cfg)
     mr = _mr_terms(az_r, el, kq, t, cfg)
     return kh * a1[:, s_of_p] + kv * a2[:, s_of_p] + mr[:, s_of_p] + bulk[:, None]
 

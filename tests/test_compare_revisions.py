@@ -123,6 +123,8 @@ def test_compare_arrays_reports_each_array_of_each_file(tmp_path):
 
 
 def test_array_script_saves_matrix_parts_and_combine_parts(tmp_path):
+    import numpy as np
+
     root = TOOL.parent.parent
     assert compare_revisions.run_arrays(root, tmp_path / "a", sides=(3,), models=("spherical", "subarray:2x2")) == []
     assert compare_revisions.run_arrays(root, tmp_path / "b", sides=(3,), models=("spherical", "subarray:2x2")) == []
@@ -131,5 +133,10 @@ def test_array_script_saves_matrix_parts_and_combine_parts(tmp_path):
     names = {name for name, _ in report}
     for stem in ("3_spherical.npz", "3_subarray_2x2.npz"):
         assert {f"{stem}:combine_parts.1", f"{stem}:combine_parts.3", f"{stem}:matrix_parts.0"} <= names
+        assert {f"{stem}:point_phases.direct", f"{stem}:point_phases.scattered"} <= names
+        with np.load(tmp_path / "a" / stem) as data:
+            # one phase per point, and one per point and ray of the seed-0 field (100 rays)
+            assert data["point_phases.direct"].shape == (8,) and data["point_phases.scattered"].shape == (8, 100)
+            assert np.isfinite(data["point_phases.scattered"]).all()
     failures = compare_revisions.run_arrays(root, tmp_path / "c", sides=(3,), models=("subarray:9x9",))
     assert len(failures) == 1 and "exceeds" in failures[0]

@@ -320,19 +320,28 @@ def test_partition_invariants_random_configs():
         part = make_partition(cfg, p_h, p_v)
         assert sum(part.sizes_h) == P_h
         assert sum(part.sizes_v) == P_v
-        assert len(part.centers) == part.counts_h
-        assert all(len(col) == part.counts_v for col in part.centers)
+        assert len(part.x) == len(part.y) == part.counts_h
+        assert len(part.z) == part.counts_v
 
 
 def test_partition_centers_are_a_read_only_array_of_the_scalar_view():
     cfg = ScenarioConfig(P_h=7, P_v=5, psi_T=0.3)
     part = make_partition(cfg, 3, 2)
-    assert part.centers.shape == (3, 3, 3) and not part.centers.flags.writeable
+    assert part.x.shape == part.y.shape == part.z.shape == (3,)
+    assert not any(a.flags.writeable for a in (part.x, part.y, part.z))
     for sh in range(1, 4):
         for sv in range(1, 4):
-            assert tuple(part.centers[sh - 1, sv - 1]) == subarray_center(sh, sv, cfg, part).as_tuple()
+            midpoint = (part.x[sh - 1], part.y[sh - 1], part.z[sv - 1])
+            assert midpoint == subarray_center(sh, sv, cfg, part).as_tuple()
     # the trailing tiles hold one element each: their midpoints are element positions
     assert subarray_center(3, 3, cfg, part) == bs_element_position(7, 5, cfg)
+
+
+def test_partition_holds_one_midpoint_per_tile_column_and_per_tile_row():
+    # A 1x1 tiling of 2000 x 2000 elements holds 3 x 2000 floats, not a (2000, 2000, 3) grid.
+    part = make_partition(ScenarioConfig(P_h=2000, P_v=2000), 1, 1)
+    assert not hasattr(part, "centers")
+    assert [(a.shape, a.dtype) for a in (part.x, part.y, part.z)] == [((2000,), np.float64)] * 3
 
 
 def test_element_rowcol_roundtrip():

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from nfmimo.cli import _FLAGS, _parse_int, _parse_int_list, main
+from nfmimo.geometry import ScenarioConfig, make_partition
 from nfmimo.harness import (
     EXPERIMENT_KINDS,
     SWEEP_KEYS,
     Experiment,
     RunManifest,
+    _check_axis,
     load_config,
     run_experiment,
     validate_config,
@@ -811,8 +813,8 @@ def test_failed_run_keeps_previous_outputs(tmp_path):
 @pytest.mark.parametrize("args", [["capacity-sweep", "--realizations", "1"], ["error-vs-subarray", "--p-max-list", "1,2"]])
 def test_cli_refuses_an_array_over_the_matrix_budget(tmp_path, capsys, args):
     # 2000 x 2000 elements with 100 rays would need 6.2 GiB for the (D*Q, P) phase-draw stack plus
-    # the direct matrix; the budget check must fire before any P-sized array exists (a 1x1
-    # partition alone is 96 MB).
+    # the direct matrix; the budget check must fire before any P-sized array exists (the element
+    # index and tile arrays of matrix_parts alone would take 160 MB).
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"P_h": 2000, "P_v": 2000}))
     tracemalloc.start()
@@ -826,3 +828,64 @@ def test_cli_refuses_an_array_over_the_matrix_budget(tmp_path, capsys, args):
     assert "P_h x P_v = 2000x2000" in err and "MATRIX_BUDGET_BYTES" in err
     assert peak < 16 * 2**20
     assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+# Flags that keep each kind's sweep small on a large array; every kind also gets --realizations 1.
+_SMALL_SWEEPS = {"spatial_ccf": ["--max-offset", "2"], "temporal_acf": ["--points", "3"], "frequency_cf": ["--points", "3"]}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_cli_runs_every_kind_on_a_large_array_without_a_large_allocation(tmp_path, capsys, kind):
+    # At 2000 x 2000 elements the kinds that build a matrix refuse it through the budget, and the
+    # others hold nothing that grows with P_h * P_v: a partition is one midpoint per tile column and row.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"P_h": 2000, "P_v": 2000}))
+    args = [kind.replace("_", "-"), "--realizations", "1", *_SMALL_SWEEPS.get(kind, [])]
+    make_partition.cache_clear()  # a partition cached by an earlier test would hide its allocation
+    tracemalloc.start()
+    try:
+        rc = main([*args, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    if kind in ("capacity_sweep", "error_vs_subarray"):
+        assert rc == 2 and "MATRIX_BUDGET_BYTES" in err
+    else:
+        assert rc == 0, err
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "config, args, key",
+    [
+        ({}, ["temporal-acf", "--points", "1000000000"], "points"),
+        ({}, ["frequency-cf", "--points", "1000000000"], "points"),
+        ({"P_h": 2000001, "P_v": 1}, ["spatial-ccf", "--max-offset", "2000000"], "max_offset"),
+    ],
+    ids=["temporal-acf", "frequency-cf", "spatial-ccf"],
+)
+def test_cli_refuses_a_correlation_axis_over_the_matrix_budget(tmp_path, capsys, config, args, key):
+    # Each field's (axis points, L_clusters * N_rays) phasors would need far more than the budget;
+    # the axis is refused before it is built.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        rc = main([*args, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"sweep key {key!r}" in err and "MATRIX_BUDGET_BYTES" in err
+    assert peak < 16 * 2**20
+    assert not list((tmp_path / "run").glob("*"))
+
+
+def test_correlation_axis_budget_counts_each_fields_phasors():
+    # 5 clusters of 20 rays: 2**30 / (100 * 16) = 671088.64 axis points fit in the budget.
+    cfg = ScenarioConfig()
+    _check_axis("points", 671088, cfg)
+    with pytest.raises(ValueError, match="sweep key 'points' gives 671089 axis points"):
+        _check_axis("points", 671089, cfg)

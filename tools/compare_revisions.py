@@ -17,12 +17,14 @@ exactly. For each manifest.json it prints whether every field but
 wall_clock_s is equal.
 
 A fresh interpreter per revision also saves the outputs of
-channel.matrix_parts (every array and number in its result) and of
+channel.matrix_parts (every array and number in its result), of
 channel.combine_parts (the field's own phases and a stack of three draws)
-for each of ARRAY_MODELS at each of ARRAY_SIDES, default scenario, seed 0,
-t = 0; each array is then compared with np.array_equal (NaN equal to NaN,
-dtypes equal). The script exits 1 when a run fails or an output or array
-is missing on one side, otherwise 0. It needs git and numpy.
+and of channel.point_phases (the direct phases and the scattered phases of
+the field at one fixed batch of points that mix elements, receive elements
+and times) for each of ARRAY_MODELS at each of ARRAY_SIDES, default
+scenario, seed 0, t = 0; each array is then compared with np.array_equal
+(NaN equal to NaN, dtypes equal). The script exits 1 when a run fails or an
+output or array is missing on one side, otherwise 0. It needs git and numpy.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ WORKING_TREE = "."
 ARRAY_MODELS = ("spherical", "subarray:2x2", "subarray:4x4", "subarray:8x8", "planar")
 ARRAY_SIDES = (64, 128)
 # Run as `python -c ARRAY_SCRIPT OUT SIDES MODELS` against one revision's src/: one .npz per side and model,
-# keys matrix_parts.<index path> for the arrays and numbers of its (nested) result, and combine_parts.<draws>.
+# keys matrix_parts.<index path> for the arrays and numbers of its (nested) result, combine_parts.<draws>,
+# and point_phases.direct and point_phases.scattered.
 ARRAY_SCRIPT = """
 import sys
 from pathlib import Path
 import numpy as np
-from nfmimo.channel import WavefrontModel, combine_parts, matrix_parts
+from nfmimo.channel import WavefrontModel, combine_parts, matrix_parts, point_phases
 from nfmimo.geometry import ScenarioConfig
 from nfmimo.scattering import field_for_realization
 
@@ -85,12 +88,20 @@ for side in map(int, sys.argv[2].split(",")):
     cfg = ScenarioConfig(P_h=side, P_v=side)
     field = field_for_realization(cfg, 0, 0)
     draws = np.random.default_rng(1).uniform(0.0, 2 * np.pi, (3, field.n_rays))
+    # Corner, middle and repeated elements (one as a linear index), every receive element, three times.
+    mid = side // 2 + 1
+    points = [
+        ((1, 1), 1, 0.0), ((side, side), 4, 0.01), ((mid, 1), 2, 0.0), ((1, side), 3, 0.02),
+        ((mid, mid), 1, 0.01), ((1, 1), 4, 0.02), (side * side, 2, 0.01), ((mid, 1), 3, 0.0),
+    ]
     for label in sys.argv[3].split(","):
-        arrays = {}
-        parts = matrix_parts(0.0, cfg, WavefrontModel.parse(label), field)
+        arrays, model = {}, WavefrontModel.parse(label)
+        parts = matrix_parts(0.0, cfg, model, field)
         flat(parts, "matrix_parts", arrays)
         arrays["combine_parts.1"] = combine_parts(parts, field.phases(), cfg.K)
         arrays["combine_parts.3"] = combine_parts(parts, draws, cfg.K)
+        direct, scattered = point_phases(points, cfg, model)
+        arrays["point_phases.direct"], arrays["point_phases.scattered"] = direct, scattered(field)
         np.savez(out_dir / f"{side}_{label.replace(':', '_')}.npz", **arrays)
 """
 
