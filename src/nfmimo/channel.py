@@ -1,6 +1,6 @@
 """Complex channel synthesis under spherical, planar, and subarray wavefronts.
 
-Every model is one partition of the transmit array: angles and propagation
+Every model is one partition of the transmit array: directions and propagation
 distances are evaluated once per tile midpoint, elements inside a tile see a
 linear steering phase. A 1x1 tiling recovers the exact per-element
 (spherical) evaluation; a single full-array tile is the far-field planar
@@ -8,9 +8,9 @@ baseline. Bulk propagation phase always rides on the midpoint-to-midpoint
 path lengths, expressed through the path delay so that the time response at
 the carrier and the frequency response agree identically.
 
-The phase formula is coded once: _direct, _arrival_phases and the
-departure side sit on _gains (direction cosines, no trig) and _angles
-(receive side only). _tiles is the one element-to-tile mapping: tile
+The phase formula is coded once, in direction cosines at both ends with no
+per-path trig: _gains at the transmit end and _receive at the receive end,
+under _direct and _arrival_phases. _tiles is the one element-to-tile mapping: tile
 column, tile row and steering offsets kh, kv. point_phases evaluates a
 batch of (p, q, t) points, of which los_phase, nlos_ray_phases, cir_* and
 transfer_function are one-point views. matrix_parts covers the whole array:
@@ -68,9 +68,9 @@ MATRIX_BUDGET_BYTES = 2**30
 class WavefrontModel:
     """Wavefront treatment of the transmit array.
 
-    spherical: per-element angles/distances (exact reference).
-    planar: one angle set at the full-array midpoint.
-    subarray: per-tile angles for a tiling with target size (p_max_h, p_max_v).
+    spherical: per-element directions/distances (exact reference).
+    planar: one direction set at the full-array midpoint.
+    subarray: per-tile directions for a tiling with target size (p_max_h, p_max_v).
     """
 
     variant: str
@@ -319,25 +319,6 @@ def _cis(theta, out=None) -> np.ndarray:
     return out
 
 
-def _mr_terms(az_r, el_r, kq, t, cfg: ScenarioConfig):
-    """Receive steering and Doppler phase pieces shared by every path type.
-
-    kq is the receive element's k_index. Works elementwise (broadcasting)
-    for array-valued angles, kq and t; returns their ordered sum.
-    """
-    k = TWO_PI / cfg.wavelength
-    cos_el = np.cos(el_r)
-    term_az = k * kq * cfg.delta_R * np.cos(az_r - cfg.psi_R) * cos_el * math.cos(cfg.theta_R)
-    term_el = k * kq * cfg.delta_R * np.sin(el_r) * math.sin(cfg.theta_R)
-    term_dop = k * cfg.v_R * t * np.cos(az_r - cfg.eta_R) * cos_el
-    return term_az + term_el + term_dop
-
-
-def _angles(dx, dy, dz):
-    """Azimuth and elevation of displacements (dx, dy, dz); dz is the signed rise (drop for the direct ray)."""
-    return np.arctan2(dy, dx), np.arctan2(dz, np.hypot(dx, dy))
-
-
 def _pieces(dx, dy, dz, cfg: ScenarioConfig):
     """The pieces of the gains: u = dx cos psi_T + dy sin psi_T and hh = dx*dx + dy*dy, then dz and dz*dz."""
     return dx * math.cos(cfg.psi_T) + dy * math.sin(cfg.psi_T), dx * dx + dy * dy, dz, dz * dz
@@ -378,24 +359,45 @@ def _receivers(qts, cfg: ScenarioConfig) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 5).T
 
 
+def _receive(dx, dy, dz, kq, t, cfg: ScenarioConfig):
+    """Receive steering + Doppler phase of receive elements kq (k_index) at times t toward displacements d, broadcasting.
+
+    k*delta_R*kq*((ux cos psi_R + uy sin psi_R) cos theta_R + uz sin theta_R) + k*v_R*t*(ux cos eta_R + uy sin eta_R)
+    with u = d/|d|, the direction cosines of _gains; a zero displacement takes u = +x, as there.
+    """
+    k, cos_tilt = TWO_PI / cfg.wavelength, math.cos(cfg.theta_R)
+    a, b = k * cfg.delta_R * kq, k * cfg.v_R * t  # steering and Doppler weights
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    if not r.all():
+        zero = r == 0.0
+        r[zero], dx = 1.0, dx + zero
+    phase = (a * (math.cos(cfg.psi_R) * cos_tilt) + b * math.cos(cfg.eta_R)) * dx + a * math.sin(cfg.theta_R) * dz
+    phase += (a * (math.sin(cfg.psi_R) * cos_tilt) + b * math.sin(cfg.eta_R)) * dy
+    return np.divide(phase, r, out=phase)
+
+
 def _direct(sh, sv, rx, cfg: ScenarioConfig, partition: SubarrayPartition):
     """Direct-path gains a1, a2 and receive terms mr from tiles (sh, sv) to receive points rx (rows x, y, z, kq, t).
 
-    All broadcast; an element's phase is kh*a1 + kv*a2 + mr + bulk. Arrival
-    angles are the reverse bearing, in (-pi, pi], and the departure elevation.
+    All broadcast; an element's phase is kh*a1 + kv*a2 + mr + bulk. The departure displacement d has the
+    drop as its z; arrival is the reverse bearing at the same elevation, the mirrored d = (-dx, dy, dz).
     """
     x, y, z, kq, t = rx
-    d = x - partition.x[sh], y - partition.y[sh], partition.z[sv] - z
-    az, el = _angles(*d)
-    az_r = math.pi - az
-    az_r = np.where(az_r > math.pi, az_r - TWO_PI, az_r)
-    return *_gains(*_pieces(*d, cfg), cfg), _mr_terms(az_r, el, kq, t, cfg)
+    dx, dy, dz = x - partition.x[sh], y - partition.y[sh], partition.z[sv] - z
+    return *_gains(*_pieces(dx, dy, dz, cfg), cfg), _receive(-dx, dy, dz, kq, t, cfg)
 
 
 def _arrival_phases(pos: np.ndarray, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Per-ray arrival + Doppler + bulk phase (M, N) per receive point; bulk is -2*pi*f times the per-ray delays."""
     x, y, z, kq, t = rx[:, :, None]
-    return _mr_terms(*_angles(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z), kq, t, cfg) + bulk
+    return np.add(phases := _receive(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z, kq, t, cfg), bulk, out=phases)
+
+
+def _bulk(freq, delays) -> np.ndarray:
+    """The delay phases -2*pi*f*tau; a ValueError when f is not finite or overflows one of them."""
+    if not np.isfinite(bulk := -TWO_PI * freq * delays).all():
+        raise ValueError(f"f = {freq!r} Hz gives a non-finite delay phase -2*pi*f*tau")
+    return bulk
 
 
 def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | None = None):
@@ -405,7 +407,8 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
     function of a scatterer field giving the (n_points, n_rays)
     deterministic per-ray phases (random phase excluded). The geometry
     that does not depend on the field is evaluated here once, so a sweep
-    makes one call and evaluates scattered once per field.
+    makes one call and evaluates scattered once per field. An f that
+    makes a delay phase non-finite is a ValueError.
     """
     freq = cfg.f_c if f is None else f
     # Each point indexes its distinct element and its distinct (q, t) pair.
@@ -419,14 +422,14 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
     p_h, p_v = np.array(list(elements), dtype=np.intp).reshape(-1, 2).T
     sh, sv, kh, kv = _tiles(p_h, p_v, cfg, partition := model.partition_for(cfg))
     rx = _receivers(receivers, cfg)
-    bulk = -TWO_PI * freq * np.array([tau_los(t, cfg) for _, t in receivers])
+    bulk = _bulk(freq, np.array([tau_los(t, cfg) for _, t in receivers]))
     mids = _midpoints([t for _, t in receivers], cfg)
     a1, a2, mr = _direct(sh[i_el], sv[i_el], rx[:, i_rx], cfg, partition)
     direct = kh[i_el] * a1 + kv[i_el] * a2 + mr + bulk[i_rx]
 
     def scattered(field: ScattererField) -> np.ndarray:
         pos = field.positions()
-        arr = _arrival_phases(pos, rx, -TWO_PI * freq * _path_delays(pos, mids, cfg), cfg)
+        arr = _arrival_phases(pos, rx, _bulk(freq, _path_delays(pos, mids, cfg)), cfg)
         g1, g2 = _gains(*_tile_pieces(pos, cfg, partition, sh, sv), cfg)
         return (kh[:, None] * g1 + kv[:, None] * g2)[i_el] + arr[i_rx]
 
@@ -434,13 +437,7 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
 
 
 def los_phase(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, f: float | None = None) -> float:
-    """Total direct-path phase for transmit element p, receive element q: point_phases at one point.
-
-    Departure angles are taken at the tile midpoint containing p toward the
-    receive element; arrival angles follow the reverse-bearing relations.
-    The bulk term enters as -2*pi*f*tau so that evaluations at different
-    frequencies share the exact same code path (f defaults to the carrier).
-    """
+    """Total direct-path phase for transmit element p, receive element q: point_phases at one point."""
     return float(point_phases([(p, q, t)], cfg, model, f)[0][0])
 
 
@@ -506,7 +503,7 @@ def transfer_function(
     time-domain coefficient exactly. f must stay within half of
     BANDWIDTH_HZ of the carrier unless check_band is disabled.
     """
-    if check_band and abs(f - cfg.f_c) > BANDWIDTH_HZ / 2:
+    if check_band and not abs(f - cfg.f_c) <= BANDWIDTH_HZ / 2:  # a NaN f fails it too
         raise ValueError(
             f"f = {f} Hz lies outside the band [f_c - {BANDWIDTH_HZ/2:.0f}, "
             f"f_c + {BANDWIDTH_HZ/2:.0f}] around f_c = {cfg.f_c} Hz"
@@ -614,7 +611,7 @@ def combine_parts(parts, rand_phases: np.ndarray, K: float) -> np.ndarray:
 def channel_matrix(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField) -> ChannelRealization:
     """Assemble the full Q x (P_h*P_v) narrowband matrix at time t.
 
-    Vectorized equivalent of cir_total over every antenna pair: angles and
+    Vectorized equivalent of cir_total over every antenna pair: directions and
     distances are evaluated once per tile and steered across its elements.
     """
     parts = matrix_parts(t, cfg, model, field)

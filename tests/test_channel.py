@@ -26,12 +26,11 @@ from nfmimo.channel import (
     ChannelRealization,
     WavefrontModel,
     _CIS_CHUNK,
-    _angles,
     _cis,
     _departure_blocks,
     _gains,
-    _mr_terms,
     _pieces,
+    _receive,
     _receivers,
     channel_matrix,
     cir_los,
@@ -47,8 +46,9 @@ from nfmimo.channel import (
     tau_los,
     transfer_function,
 )
-from nfmimo.geometry import ScenarioConfig, Vec3, make_partition, subarray_center
+from nfmimo.geometry import ScenarioConfig, Vec3, make_partition, mr_element_position, subarray_center
 from nfmimo.scattering import Ray, ScattererField, field_for_realization
+from test_precision import mp, reference_direct_phase
 
 SPHERICAL = WavefrontModel.spherical()
 PLANAR = WavefrontModel.planar()
@@ -272,12 +272,14 @@ def test_cir_los_matches_brute_force_oracle():
 
 
 def test_cir_los_oracle_under_motion_and_tilt():
+    # The float oracle is itself about 2 ulp of its ~7e3 rad phase off, so the
+    # expected phasor comes from the 50-digit reference phase.
     cfg = ScenarioConfig(P_h=3, P_v=2, Q=3, eta_R=0.8, theta_R=0.4, v_R=12.0)
     for p in range(1, 7):
         for q in range(1, 4):
             p_h = (p - 1) % cfg.P_h + 1
             p_v = (p - 1) // cfg.P_h + 1
-            expected = np.exp(1j * brute_force_los_phase(p_h, p_v, q, 0.7, cfg))
+            expected = complex(mp.expj(reference_direct_phase(p_h, p_v, q, 0.7, cfg)))
             got = cir_los(p, q, 0.7, cfg, SPHERICAL)
             assert abs(got - expected) < 1e-12
 
@@ -543,14 +545,26 @@ def test_departure_gains_of_a_zero_displacement_follow_the_arctan2_convention():
     assert np.all(g1 == k_delta * math.cos(az - cfg.psi_T) * math.cos(el)) and np.all(g2 == 0.0)
 
     # A ray exactly at a tile midpoint (and one at an element of the 1x1
-    # tiling) gives finite matrices that match the oracles' atan2(0, 0).
+    # tiling) gives finite matrices that match the oracles' atan2(0, 0). So
+    # does one exactly at receive element 2 at t = 0.2: its k_index is 0, so
+    # the oracle's own element position is bit-equal, and the arrival
+    # direction still sets the Doppler phase.
     mid = subarray_center(2, 1, cfg, make_partition(cfg, 3, 2)).as_tuple()
     element = subarray_center(4, 3, cfg, make_partition(cfg, 1, 1)).as_tuple()
-    field = ScattererField(((Ray(Vec3(*mid), 0.5), Ray(Vec3(*element), -1.0)), (Ray(Vec3(30.0, 4.0, 2.0), 2.0),)))
+    receiver = mr_element_position(2, 0.2, cfg).as_tuple()
+    rays = (Ray(Vec3(*mid), 0.5), Ray(Vec3(*element), -1.0)), (Ray(Vec3(30.0, 4.0, 2.0), 2.0), Ray(Vec3(*receiver), 0.3))
+    field = ScattererField(rays)
+    points = [((4, 3), 2, 0.2), ((1, 1), 2, 0.2), ((7, 5), 1, 0.2), ((2, 1), 2, 0.0)]
     for model, tile in ((WavefrontModel.subarray(3, 2), (3, 2)), (SPHERICAL, (1, 1))):
         H = channel_matrix(0.2, cfg, model, field).H
         assert np.all(np.isfinite(H))
         assert np.max(np.abs(H - _oracle_matrices(cfg, 0.2, field, tile)[1])) < 5e-12
+        direct, scattered = point_phases(points, cfg, model)
+        phases = scattered(field)
+        assert np.all(np.isfinite(direct)) and np.all(np.isfinite(phases))
+        for ((p_h, p_v), q, t), got in zip(points, phases):
+            expected = [brute_force_ray_phase(p_h, p_v, q, t, cfg, ray.position.as_tuple(), tile) for ray in field.rays()]
+            assert np.max(np.abs(got - expected)) < 5e-12
 
 
 def _block_gains(dx, dy, dz, cfg):
@@ -662,12 +676,9 @@ def _per_element_direct_phases(elements, rx, bulk, cfg):
     """Direct-path phase per receive point (rows) and element (columns), evaluated per distinct tile."""
     (cx, cy, cz), s_of_p, kh, kv = elements
     x, y, z, kq, t = rx[:, :, None]
-    d = x - cx, y - cy, cz - z
-    az, el = _angles(*d)
-    az_r = math.pi - az
-    az_r = np.where(az_r > math.pi, az_r - 2 * math.pi, az_r)
-    a1, a2 = _gains(*_pieces(*d, cfg), cfg)
-    mr = _mr_terms(az_r, el, kq, t, cfg)
+    dx, dy, dz = x - cx, y - cy, cz - z
+    a1, a2 = _gains(*_pieces(dx, dy, dz, cfg), cfg)
+    mr = _receive(-dx, dy, dz, kq, t, cfg)  # the reverse bearing at the departure elevation
     return kh * a1[:, s_of_p] + kv * a2[:, s_of_p] + mr[:, s_of_p] + bulk[:, None]
 
 
@@ -877,6 +888,24 @@ def test_transfer_function_band_check():
         1, 1, 0.0, cfg.f_c + 2 * BANDWIDTH_HZ, cfg, SPHERICAL, field, check_band=False
     )
     assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+
+@pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, 1e308])
+def test_non_finite_frequency_is_refused(f):
+    # A NaN f used to pass the band check (abs(nan - f_c) > B/2 is False) and
+    # give a NaN response; f = inf or 1e308 overflowed -2*pi*f to -inf first.
+    cfg = ScenarioConfig(P_h=2, P_v=2, Q=1)
+    field = field_for_realization(cfg, 6, 0)
+    for check_band in (True, False):
+        with pytest.raises(ValueError, match="f = "):
+            transfer_function(1, 1, 0.0, f, cfg, SPHERICAL, field, check_band=check_band)
+    for phases in (
+        lambda: los_phase(1, 1, 0.0, cfg, SPHERICAL, f=f),
+        lambda: nlos_ray_phases(1, 1, 0.0, cfg, SPHERICAL, field, f=f),
+        lambda: point_phases([(1, 1, 0.0), (4, 1, 0.1)], cfg, PLANAR, f),
+    ):
+        with pytest.raises(ValueError, match="f = "):
+            phases()
 
 
 # ---------------------------------------------------------------------------

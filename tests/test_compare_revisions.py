@@ -106,19 +106,23 @@ def test_compare_arrays_reports_each_array_of_each_file(tmp_path):
     (tmp_path / "b").mkdir()
     h = np.array([[1 + 2j, np.nan], [3.0, -0.0]])
     np.savez(tmp_path / "a" / "64_spherical.npz", same=h, last_bit=np.array([0.1, 0.2]), dtype=np.arange(3),
-             shape=np.zeros(3), only_a=np.ones(1))
+             shape=np.zeros(3), only_a=np.ones(1), complex=h, overflow=np.array([1.0, np.inf]))
     np.savez(tmp_path / "b" / "64_spherical.npz", same=h.copy(), last_bit=np.array([0.1, np.nextafter(0.2, 1)]),
-             dtype=np.arange(3.0), shape=np.zeros(4))
+             dtype=np.arange(3.0), shape=np.zeros(4), complex=h * np.array([[1, 1], [1.25, 1]]),
+             overflow=np.array([1.0, 1e308]))
     np.savez(tmp_path / "b" / "128_planar.npz", parts=np.ones(2))
-    report = dict(compare_revisions.compare_arrays(tmp_path / "a", tmp_path / "b"))
+    report = {name: (status, rel) for name, status, rel in compare_revisions.compare_arrays(tmp_path / "a", tmp_path / "b")}
     assert list(report) == sorted(report)
+    last_bit = np.nextafter(0.2, 1)
     assert report == {
-        "128_planar.npz:parts": "only in B",
-        "64_spherical.npz:dtype": "differs",  # equal values, int against float
-        "64_spherical.npz:last_bit": "differs",
-        "64_spherical.npz:only_a": "only in A",
-        "64_spherical.npz:same": "equal",  # NaN equal to NaN
-        "64_spherical.npz:shape": "differs",
+        "128_planar.npz:parts": ("only in B", None),
+        "64_spherical.npz:complex": ("differs", pytest.approx(0.75 / 3.75)),  # 3 against 3.75; NaN equal to NaN
+        "64_spherical.npz:dtype": ("differs", None),  # equal values, int against float
+        "64_spherical.npz:last_bit": ("differs", pytest.approx((last_bit - 0.2) / last_bit)),
+        "64_spherical.npz:only_a": ("only in A", None),
+        "64_spherical.npz:overflow": ("differs", float("inf")),  # infinities apart, as compare_csv
+        "64_spherical.npz:same": ("equal", 0.0),  # NaN equal to NaN
+        "64_spherical.npz:shape": ("differs", None),
     }
 
 
@@ -129,8 +133,8 @@ def test_array_script_saves_matrix_parts_and_combine_parts(tmp_path):
     assert compare_revisions.run_arrays(root, tmp_path / "a", sides=(3,), models=("spherical", "subarray:2x2")) == []
     assert compare_revisions.run_arrays(root, tmp_path / "b", sides=(3,), models=("spherical", "subarray:2x2")) == []
     report = compare_revisions.compare_arrays(tmp_path / "a", tmp_path / "b")
-    assert {status for _, status in report} == {"equal"}
-    names = {name for name, _ in report}
+    assert {status for _, status, _ in report} == {"equal"}
+    names = {name for name, _, _ in report}
     for stem in ("3_spherical.npz", "3_subarray_2x2.npz"):
         assert {f"{stem}:combine_parts.1", f"{stem}:combine_parts.3", f"{stem}:matrix_parts.0"} <= names
         assert {f"{stem}:point_phases.direct", f"{stem}:point_phases.scattered"} <= names

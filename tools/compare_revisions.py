@@ -23,7 +23,8 @@ and of channel.point_phases (the direct phases and the scattered phases of
 the field at one fixed batch of points that mix elements, receive elements
 and times) for each of ARRAY_MODELS at each of ARRAY_SIDES, default
 scenario, seed 0, t = 0; each array is then compared with np.array_equal
-(NaN equal to NaN, dtypes equal). The script exits 1 when a run fails or an
+(NaN equal to NaN, dtypes equal), and differing arrays of one shape and
+dtype print their largest relative difference as the CSVs do. The script exits 1 when a run fails or an
 output or array is missing on one side, otherwise 0. It needs git and numpy.
 """
 
@@ -192,10 +193,27 @@ def compare_dirs(a: Path, b: Path) -> list[tuple[str, str, float | None]]:
     return report
 
 
-def compare_arrays(a: Path, b: Path) -> list[tuple[str, str]]:
-    """Per array in the .npz files under a or b ("<file>:<key>", status), sorted; status as in compare_dirs.
+def relative_difference(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries of two same-shape arrays that differ, as in compare_csv.
 
-    Arrays are equal when their dtypes match and np.array_equal holds, NaN equal to NaN.
+    Entries equal in value, NaN included, count 0; NaN against a number, or infinities apart, count inf.
+    """
+    x, y = (v.astype(np.result_type(v, float)) for v in (x, y))
+    differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+    if not differ.any():
+        return 0.0
+    x, y = x[differ], y[differ]
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    return math.inf if np.isnan(rel).any() else float(rel.max())
+
+
+def compare_arrays(a: Path, b: Path) -> list[tuple[str, str, float | None]]:
+    """Per array in the .npz files under a or b ("<file>:<key>", status, largest relative difference), sorted.
+
+    status is as in compare_dirs. Arrays are equal when their dtypes match and np.array_equal holds, NaN
+    equal to NaN. The relative difference (relative_difference) is given for arrays of equal shape and
+    dtype, else None.
     """
     def arrays(root: Path) -> dict[str, np.ndarray]:
         found = {}
@@ -208,13 +226,17 @@ def compare_arrays(a: Path, b: Path) -> list[tuple[str, str]]:
     report = []
     for name in sorted(arrays_a.keys() | arrays_b.keys()):
         if name not in arrays_b:
-            report.append((name, "only in A"))
+            report.append((name, "only in A", None))
         elif name not in arrays_a:
-            report.append((name, "only in B"))
+            report.append((name, "only in B", None))
         else:
             x, y = arrays_a[name], arrays_b[name]
-            same = x.dtype == y.dtype and np.array_equal(x, y, equal_nan=x.dtype.kind in "fc")
-            report.append((name, "equal" if same else "differs"))
+            if x.dtype != y.dtype or x.shape != y.shape:
+                report.append((name, "differs", None))
+            elif np.array_equal(x, y, equal_nan=x.dtype.kind in "fc"):
+                report.append((name, "equal", 0.0))
+            else:
+                report.append((name, "differs", relative_difference(x, y)))
     return report
 
 
@@ -275,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in added:
                 _git(root, "worktree", "remove", "--force", str(path))
         report = compare_dirs(tmp / "out-A", tmp / "out-B")
-        report += [(name, status, None) for name, status in compare_arrays(tmp / "arrays-A", tmp / "arrays-B")]
+        report += compare_arrays(tmp / "arrays-A", tmp / "arrays-B")
     print(f"A = {args.base}, B = {'working tree' if args.change == WORKING_TREE else args.change}")
     width = max((len(name) for name, _, _ in report), default=0)
     for name, status, rel in report:
