@@ -8,19 +8,19 @@ baseline. Bulk propagation phase always rides on the midpoint-to-midpoint
 path lengths, expressed through the path delay so that the time response at
 the carrier and the frequency response agree identically.
 
-The phase formula is coded once, in direction cosines at both ends with no
-per-path trig: _gains at the transmit end and _receive at the receive end,
-under _direct and _arrival_phases. _tiles is the one element-to-tile mapping: tile
-column, tile row and steering offsets kh, kv. point_phases evaluates a
-batch of (p, q, t) points, of which los_phase, nlos_ray_phases, cir_* and
+The phase formula is coded once, in direction cosines with no per-path trig:
+_gains at the transmit end and _receive at the receive end, both under
+_direct and _arrival_phases. _tiles is the one element-to-tile mapping: tile
+column, tile row and steering offsets kh, kv. point_phases evaluates a batch
+of (p, q, t) points, of which los_phase, nlos_ray_phases, cir_* and
 transfer_function are one-point views. matrix_parts covers the whole array:
 the direct path on the tile grid, gathered per element, and the scattered
 departure side as real pieces per tile column and row. combine_parts forms
-the departure phasors in blocks of whole tile rows, _BLOCK_PHASORS per-element
-phasors at a time, and meets each one-chunk run of a block with the ray
-phasors of all receive elements and draws in one product: no (P, N) table
-is held, and every product keeps its shape whatever the block size, so the
-matrix does not depend on it. A tile's phasors are products of per-tile
+the departure phasors in blocks of whole tile rows, _BLOCK_PHASORS
+per-element phasors at a time, and meets each one-chunk run of a block with
+the ray phasors of all receive elements and draws in one product: no (P, N)
+table is held, and every product keeps its shape whatever the block size, so
+the matrix does not depend on it. A tile's phasors are products of per-tile
 horizontal and vertical factors, as its steering phase is linear; large
 tiles multiply the factors per tile without expanding them.
 
@@ -360,7 +360,7 @@ def _receivers(qts, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _receive(dx, dy, dz, kq, t, cfg: ScenarioConfig):
-    """Receive steering + Doppler phase of receive elements kq (k_index) at times t toward displacements d, broadcasting.
+    """Receive steering + Doppler phase of receive elements kq (k_index) at times t toward displacements d (broadcast).
 
     k*delta_R*kq*((ux cos psi_R + uy sin psi_R) cos theta_R + uz sin theta_R) + k*v_R*t*(ux cos eta_R + uy sin eta_R)
     with u = d/|d|, the direction cosines of _gains; a zero displacement takes u = +x, as there.
@@ -390,7 +390,9 @@ def _direct(sh, sv, rx, cfg: ScenarioConfig, partition: SubarrayPartition):
 def _arrival_phases(pos: np.ndarray, rx: np.ndarray, bulk: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Per-ray arrival + Doppler + bulk phase (M, N) per receive point; bulk is -2*pi*f times the per-ray delays."""
     x, y, z, kq, t = rx[:, :, None]
-    return np.add(phases := _receive(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z, kq, t, cfg), bulk, out=phases)
+    phases = _receive(pos[:, 0] - x, pos[:, 1] - y, pos[:, 2] - z, kq, t, cfg)
+    phases += bulk
+    return phases
 
 
 def _bulk(freq, delays) -> np.ndarray:
@@ -437,7 +439,7 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
 
 
 def los_phase(p, q: int, t: float, cfg: ScenarioConfig, model: WavefrontModel, f: float | None = None) -> float:
-    """Total direct-path phase for transmit element p, receive element q: point_phases at one point."""
+    """Direct-path phase of transmit element p and receive element q at f (default f_c): point_phases at one point."""
     return float(point_phases([(p, q, t)], cfg, model, f)[0][0])
 
 

@@ -136,6 +136,21 @@ def _number(cell: str) -> float | None:
         return None
 
 
+def relative_difference(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries of two same-shape arrays that differ.
+
+    Entries equal in value, NaN included, count 0; NaN against a number, or infinities apart, count inf.
+    """
+    x, y = (v.astype(np.result_type(v, float)) for v in (x, y))
+    differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+    if not differ.any():
+        return 0.0
+    x, y = x[differ], y[differ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    return math.inf if np.isnan(rel).any() else float(rel.max())
+
+
 def compare_csv(a: Path, b: Path) -> tuple[bool, float | None]:
     """(bytes equal, largest relative difference of the numeric cells) of two CSV files.
 
@@ -148,17 +163,16 @@ def compare_csv(a: Path, b: Path) -> tuple[bool, float | None]:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return False, None
-    worst = 0.0
+    numbers = []
     for row_a, row_b in zip(rows_a, rows_b):
         for x, y in zip(row_a, row_b):
             u, v = _number(x), _number(y)
             if u is None or v is None:
                 if x != y:
                     return False, None
-            elif u != v and not (math.isnan(u) and math.isnan(v)):
-                rel = abs(u - v) / max(abs(u), abs(v))  # NaN against a number, or infinities apart: inf
-                worst = max(worst, math.inf if math.isnan(rel) else rel)
-    return False, worst
+            else:
+                numbers.append((u, v))
+    return False, relative_difference(*np.array(numbers, dtype=float).reshape(-1, 2).T)
 
 
 def compare_manifests(a: Path, b: Path) -> bool:
@@ -191,21 +205,6 @@ def compare_dirs(a: Path, b: Path) -> list[tuple[str, str, float | None]]:
             equal, rel = compare_csv(a / name, b / name)
             report.append((name, "equal" if equal else "differs", rel))
     return report
-
-
-def relative_difference(x: np.ndarray, y: np.ndarray) -> float:
-    """Largest |a - b| / max(|a|, |b|) over the entries of two same-shape arrays that differ, as in compare_csv.
-
-    Entries equal in value, NaN included, count 0; NaN against a number, or infinities apart, count inf.
-    """
-    x, y = (v.astype(np.result_type(v, float)) for v in (x, y))
-    differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
-    if not differ.any():
-        return 0.0
-    x, y = x[differ], y[differ]
-    with np.errstate(invalid="ignore"):
-        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
-    return math.inf if np.isnan(rel).any() else float(rel.max())
 
 
 def compare_arrays(a: Path, b: Path) -> list[tuple[str, str, float | None]]:
