@@ -13,6 +13,11 @@ and SCATTERED_ULPS of the reference, each counted in the ulp of that phase.
 The bounds hold the float evaluation as it stands: the worst direct phase
 was 1.87 ulp, of which the bulk term -2*pi*f*tau alone (tau_los, at
 t = 0.2) is 1.38 ulp, and the worst scattered phase was 2.29 ulp.
+
+The correlation parts of st_ccf_parts and the frequency_cf_series values at
+one realization are checked the same way, as exp(j * phase difference) of
+the 50-digit phases averaged over rays with mp.fsum, within an absolute
+bound (CCF_ABS, FREQUENCY_CF_ABS).
 """
 
 import math
@@ -23,12 +28,18 @@ import pytest
 from nfmimo.channel import WavefrontModel, point_phases
 from nfmimo.geometry import ScenarioConfig, k_index
 from nfmimo.scattering import field_for_realization
+from nfmimo.stats import frequency_cf_series, st_ccf_parts
 
 mp = mpmath.mp.clone()  # a private context: 50 digits here leave the global mpmath settings alone
 mp.dps = 50
 
 DIRECT_ULPS = 2.0
 SCATTERED_ULPS = 3.0
+# Absolute bounds on correlation values, whose magnitudes are at most 1. The worst cases were 1.24e-12
+# (direct part of st_ccf_parts), 1.15e-12 (its scattered part) and 7.3e-16 (frequency_cf_series): a
+# phase difference of two ~6,800-rad phases keeps their ulp-level errors, a delay phase of ~20 rad does not.
+CCF_ABS = 3e-12
+FREQUENCY_CF_ABS = 2e-15
 
 # Moving, tilted receiver; transmit array off broadside; 7 = 2+2+2+1 = 3+3+1 and 5 = 2+2+1 leave short trailing tiles.
 CFG = ScenarioConfig(P_h=7, P_v=5, Q=3, L_clusters=2, N_rays=3, psi_T=0.7, theta_R=0.4, eta_R=0.8, v_R=12.0)
@@ -124,3 +135,57 @@ def test_point_phases_are_within_a_few_ulps_of_the_extended_precision_reference(
             worst_scattered = max(worst_scattered, ulps(got, reference_ray_phase(p_h, p_v, q, t, CFG, ray, tile)))
     assert worst_direct <= DIRECT_ULPS, f"direct phase {worst_direct:.2f} ulp"
     assert worst_scattered <= SCATTERED_ULPS, f"scattered phase {worst_scattered:.2f} ulp"
+
+
+# (dp, dq, dt, t) of st_ccf_parts from base element (1, 1), receive element 1.
+CCF_CASES = [((0, 0), 0, 0.01, 0.2), ((2, 1), 1, 0.0, 0.0), ((5, 3), 2, 0.005, 0.37), ((1, 0), 0, 0.2, 0.0)]
+CCF_SEED = 3
+
+
+def _mean_expj(phase_differences):
+    """The mean of exp(j * phase) over the given 50-digit phases, summed with mp.fsum."""
+    return mp.fsum(mp.expj(d) for d in phase_differences) / len(phase_differences)
+
+
+def _mp_abs_error(got, ref):
+    return float(abs(mp.mpc(complex(got)) - ref))
+
+
+@pytest.mark.parametrize("label", list(MODELS))
+def test_ccf_parts_are_within_a_bound_of_the_extended_precision_reference(label):
+    tile = MODELS[label]
+    # One realization: the scattered part is the ray mean of realization 0's field.
+    rays = [tuple(map(float, row)) for row in field_for_realization(CFG, CCF_SEED, 0).positions()]
+    worst_direct = worst_scattered = 0.0
+    for dp, dq, dt, t in CCF_CASES:
+        rho_los, rho_nlos, _ = st_ccf_parts(dp, dq, dt, t, CFG, WavefrontModel.parse(label), 1, seed=CCF_SEED)
+        a, b = ((1, 1, 1, t), (1 + dp[0], 1 + dp[1], 1 + dq, t + dt))
+        direct = mp.expj(reference_direct_phase(*a, CFG, tile) - reference_direct_phase(*b, CFG, tile))
+        scattered = _mean_expj(
+            [reference_ray_phase(*a, CFG, ray, tile) - reference_ray_phase(*b, CFG, ray, tile) for ray in rays]
+        )
+        worst_direct = max(worst_direct, _mp_abs_error(rho_los, direct))
+        worst_scattered = max(worst_scattered, _mp_abs_error(rho_nlos, scattered))
+    assert worst_direct <= CCF_ABS, f"direct part off by {worst_direct:.3g}"
+    assert worst_scattered <= CCF_ABS, f"scattered part off by {worst_scattered:.3g}"
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37])
+def test_frequency_cf_is_within_a_bound_of_the_extended_precision_reference(t):
+    dfs = [0.0, 1e5, 3.3e6, 1e7]
+    got = frequency_cf_series(dfs, t, CFG, WavefrontModel.spherical(), 1, seed=CCF_SEED).values
+    _, mid_r = _receive_element(1, t, CFG)
+    mid_t = (mp.mpf(0), mp.mpf(0), CFG.H_0 + mp.mpf(CFG.P_v) / 2 * CFG.delta_T)
+
+    def distance(a, b):
+        return mp.sqrt(mp.fsum((x - y) ** 2 for x, y in zip(a, b)))
+
+    tau_los = distance(mid_t, mid_r) / CFG.c
+    rays = [tuple(mp.mpf(float(v)) for v in row) for row in field_for_realization(CFG, CCF_SEED, 0).positions()]
+    delays = [(distance(mid_t, s) + distance(s, mid_r)) / CFG.c for s in rays]
+    w_los, w_nlos = mp.mpf(CFG.K) / (CFG.K + 1), 1 / (mp.mpf(CFG.K) + 1)
+    worst = 0.0
+    for df, value in zip(dfs, got):
+        ref = w_los * mp.expj(2 * mp.pi * df * tau_los) + w_nlos * _mean_expj([2 * mp.pi * df * d for d in delays])
+        worst = max(worst, _mp_abs_error(value, ref))
+    assert worst <= FREQUENCY_CF_ABS, f"frequency correlation off by {worst:.3g}"
