@@ -23,6 +23,7 @@ import numpy as np
 from .channel import (
     ChannelRealization,
     WavefrontModel,
+    _CIS_CHUNK,
     _cis,
     channel_matrix,
     combine_parts,
@@ -73,20 +74,22 @@ def worker_count(n_tasks: int | None = None) -> int:
     return n if n_tasks is None else max(1, min(n, n_tasks))
 
 
-def _map_realizations(fn, n: int) -> list:
-    """Evaluate fn(0..n-1), in index order regardless of scheduling.
+def _realization_mean(fn, n: int):
+    """Mean of fn(0..n-1), summed in index order as the results arrive, regardless of scheduling.
 
     Each realization derives its own RNG stream from (seed, index), and the
-    reduction below walks results in index order, so any thread count
-    produces identical output.
+    sum walks results in index order, so any thread count produces
+    identical output. No result is kept once it is added.
     """
+    if n < 1:
+        raise ValueError(f"n_realizations must be >= 1, got {n}")
     workers = worker_count(n)
     if workers <= 1:
-        return [fn(i) for i in range(n)]
+        return sum(map(fn, range(n))) / n
     from concurrent.futures import ThreadPoolExecutor  # only here: one worker never loads it or its logging
 
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n)))
+        return sum(ex.map(fn, range(n))) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,12 +170,18 @@ def _validate_pair(base_p, dp, base_q, dq, cfg: ScenarioConfig):
     return p1, (int(p2[0]), int(p2[1])), int(q2)
 
 
-def _field_mean(sample, cfg: ScenarioConfig, n_realizations: int, seed: int):
-    """Mean of sample(field) over the fields of realizations 0..n-1, summed in index order."""
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    samples = _map_realizations(lambda i: sample(field_for_realization(cfg, seed, i)), n_realizations)
-    return sum(samples) / n_realizations
+def _axis_runs(n_points: int, cfg: ScenarioConfig) -> list[slice]:
+    """Runs of axis points whose (points, rays) phasors fit one _cis chunk, or one point when a point's do not."""
+    step = max(1, _CIS_CHUNK // (cfg.L_clusters * cfg.N_rays))
+    return [slice(lo, lo + step) for lo in range(0, n_points, step)]
+
+
+def _ray_mean(field_rows, cfg: ScenarioConfig, n_realizations: int, seed: int) -> np.ndarray:
+    """Mean over fields 0..n-1 of each axis point's ray mean of exp(j * phase); field_rows(field) yields a run at a time."""
+    return _realization_mean(
+        lambda i: np.concatenate([_cis(rows).mean(axis=1) for rows in field_rows(field_for_realization(cfg, seed, i))]),
+        n_realizations,
+    )
 
 
 def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_realizations: int, seed: int):
@@ -183,16 +192,13 @@ def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_reali
     independent fields, the per-field mean of deterministic per-ray
     conjugate phasors (random phases cancel ray-by-ray; cross-ray terms
     average to zero and are dropped analytically). One point_phases call
-    evaluates the field-independent geometry of every point.
+    per run of others evaluates the field-independent geometry of its points.
     """
-    los, scattered = point_phases([base, *others], cfg, model)
-    rho_los = _cis(los[0] - los[1:])
-
-    def one(fld: ScattererField) -> np.ndarray:
-        phases = scattered(fld)
-        return _cis(phases[0] - phases[1:]).mean(axis=1)
-
-    return rho_los, _field_mean(one, cfg, n_realizations, seed)
+    los, scattered = zip(*(point_phases([base, *others[run]], cfg, model) for run in _axis_runs(len(others), cfg)))
+    rho_los = np.concatenate([_cis(direct[0] - direct[1:]) for direct in los])
+    return rho_los, _ray_mean(
+        lambda fld: (phases[0] - phases[1:] for phases in (run(fld) for run in scattered)), cfg, n_realizations, seed
+    )
 
 
 def _rician_mix(cfg: ScenarioConfig, rho_los, rho_nlos):
@@ -361,17 +367,15 @@ def frequency_cf_series(
         raise ValueError(f"frequency offsets df must be >= 0, got {min(dfs)}")
     dfs_arr = np.asarray(dfs, dtype=float)
 
-    def delay_cf(delays: np.ndarray) -> np.ndarray:
+    def delay_phases(delays: np.ndarray, runs=_axis_runs(len(dfs), cfg)):
         # Delays are positive, so the largest offset and delay bound every phase argument.
         if not math.isfinite(2.0 * math.pi * float(dfs_arr.max()) * float(delays.max())):
             raise ValueError(f"frequency offsets df up to {float(dfs_arr.max())!r} Hz overflow the delay phase 2*pi*df*tau")
-        return _cis(2.0 * math.pi * dfs_arr[:, None] * delays[None, :]).mean(axis=1)
+        return (2.0 * math.pi * dfs_arr[run, None] * delays[None, :] for run in runs)
 
-    parts = (
-        delay_cf(np.array([tau_los(t, cfg)])),
-        _field_mean(lambda fld: delay_cf(nlos_delays(t, cfg, fld)), cfg, n_realizations, seed),
-    )
-    return _mixed_series("df_hz", dfs_arr, parts, t, cfg, model, n_realizations, seed)
+    (direct,) = delay_phases(np.array([tau_los(t, cfg)]), [slice(None)])
+    scattered = _ray_mean(lambda fld: delay_phases(nlos_delays(t, cfg, fld)), cfg, n_realizations, seed)
+    return _mixed_series("df_hz", dfs_arr, (_cis(direct)[:, 0], scattered), t, cfg, model, n_realizations, seed)
 
 
 def _check_snr(rho_snr) -> float:
@@ -455,8 +459,6 @@ def mean_capacity(
     rho_snrs = [_check_snr(rho) for rho in ([rho_snr] if scalar else rho_snr)]
     if not rho_snrs:
         raise ValueError("rho_snr must hold at least one SNR")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     if phase_draws < 1:
         raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")
 
@@ -466,17 +468,13 @@ def mean_capacity(
             return _capacities(channel_matrix(t, cfg, model, fld).H, rho_snrs, normalize_each)
         parts = matrix_parts(t, cfg, model, fld)
         rng = np.random.default_rng([seed, i, _PHASE_STREAM])
-        total = np.zeros(len(rho_snrs))
         # A combine forms the P * N departure phasors once for all its draws; up to N // Q
         # draws per combine keep the (D * Q, P) stack within the P * N elements MATRIX_BUDGET_BYTES allows.
         step = max(1, fld.n_rays // cfg.Q)
-        for lo in range(0, phase_draws, step):
-            phases = rng.uniform(-math.pi, math.pi, (min(step, phase_draws - lo), fld.n_rays))
-            for H in combine_parts(parts, phases, cfg.K):
-                total += _capacities(H, rho_snrs, normalize_each)
-        return total / phase_draws
+        draws = (rng.uniform(-math.pi, math.pi, (min(step, phase_draws - lo), fld.n_rays)) for lo in range(0, phase_draws, step))
+        return sum(_capacities(H, rho_snrs, normalize_each) for d in draws for H in combine_parts(parts, d, cfg.K)) / phase_draws
 
-    means = sum(_map_realizations(one, n_realizations)) / n_realizations
+    means = _realization_mean(one, n_realizations)
     return float(means[0]) if scalar else [float(v) for v in means]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nfmimo.channel import (
+    _CIS_CHUNK,
     WavefrontModel,
     channel_matrix,
     combine_parts,
@@ -243,6 +244,11 @@ def test_series_match_per_lag_loop(label):
     assert np.max(np.abs(ccf.values - ref)) < 1e-12
 
 
+# Axis points in one run of the correlation reduction for CCF_CFG (10 rays), and an axis of three runs.
+CCF_RUN = _CIS_CHUNK // (CCF_CFG.L_clusters * CCF_CFG.N_rays)
+LONG_LAGS = list(np.linspace(0.0, 0.05, 2 * CCF_RUN + 7))
+
+
 def test_series_identical_across_thread_counts(monkeypatch):
     def run():
         return np.concatenate(
@@ -250,6 +256,7 @@ def test_series_identical_across_thread_counts(monkeypatch):
                 temporal_acf_series([0.0, 0.02], 0.0, CCF_CFG, PLANAR, 5, seed=1).values,
                 spatial_ccf_series([(1, 0), (3, 2)], 1, 0.01, 0.0, CCF_CFG, SPHERICAL, 5, seed=1).values,
                 frequency_cf_series([0.0, 1e6], 0.0, CCF_CFG, SPHERICAL, 5, seed=1).values,
+                temporal_acf_series(LONG_LAGS, 0.0, CCF_CFG, PLANAR, 5, seed=1).values,
             ]
         )
 
@@ -257,6 +264,48 @@ def test_series_identical_across_thread_counts(monkeypatch):
     serial = run()
     monkeypatch.setenv(THREADS_ENV_VAR, "2")
     assert np.array_equal(run(), serial)
+
+
+@pytest.mark.parametrize("label", ["spherical", "subarray:2x2", "planar"])
+def test_long_axis_values_equal_one_lag_series_bit_for_bit(label):
+    # The axis is reduced in runs of CCF_RUN points; a value must not depend on its run or its neighbours.
+    model = WavefrontModel.parse(label)
+    acf = temporal_acf_series(LONG_LAGS, 0.1, CCF_CFG, model, 2, seed=3).values
+    dfs = [lag * 4e8 for lag in LONG_LAGS]
+    fcf = frequency_cf_series(dfs, 0.1, CCF_CFG, model, 2, seed=3).values
+    for k in (0, CCF_RUN - 1, CCF_RUN, 2 * CCF_RUN + 1, len(LONG_LAGS) - 1):
+        assert acf[k] == temporal_acf_series([LONG_LAGS[k]], 0.1, CCF_CFG, model, 2, seed=3).values[0]
+        assert fcf[k] == frequency_cf_series([dfs[k]], 0.1, CCF_CFG, model, 2, seed=3).values[0]
+
+
+def test_correlation_memory_does_not_grow_with_the_axis_or_the_realizations(tmp_path, capsys):
+    # A field's phasors are formed one run of axis points at a time, and each realization's
+    # result is added as it arrives: the peak is a few MiB, whatever the axis length or realization count.
+    import tracemalloc
+
+    from nfmimo.cli import main
+
+    cfg, dfs = ScenarioConfig(), list(np.linspace(0.0, 2e7, 2000))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for n in (5, 40):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            frequency_cf_series(dfs, 0.0, cfg, SPHERICAL, n, seed=2)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        for kind in ("temporal-acf", "frequency-cf"):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([kind, "--points", "20000", "--realizations", "1", "--out", str(tmp_path / kind)]) == 0
+            peaks[kind] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    mib = {key: round(v / 2**20, 2) for key, v in peaks.items()}
+    assert abs(peaks[40] - peaks[5]) <= 0.25 * 2**20, mib
+    assert peaks["temporal-acf"] <= 16 * 2**20, mib
+    assert peaks["frequency-cf"] <= 8 * 2**20, mib
 
 
 def test_series_validation():
@@ -646,8 +695,8 @@ def test_one_worker_never_loads_concurrent_futures(monkeypatch):
     monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
     monkeypatch.setenv("PYTHONPATH", str(Path(nfmimo.__file__).resolve().parents[1]))
     code = (
-        "import sys; import nfmimo.cli; from nfmimo.stats import _map_realizations; "
-        "assert _map_realizations(lambda i: i * i, 3) == [0, 1, 4]; "
+        "import sys; import nfmimo.cli; from nfmimo.stats import _realization_mean; "
+        "assert _realization_mean(lambda i: i * i, 3) == (0 + 1 + 4) / 3; "
         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
     )
     assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "[]\n"
