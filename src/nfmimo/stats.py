@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -389,13 +390,21 @@ def _capacities(H: np.ndarray, rho_snrs, normalize: bool) -> np.ndarray:
 
     The Q x Q product H H^H is formed once and shared by every SNR, so a
     whole SNR curve costs one matrix product plus one small determinant per
-    point. normalize first scales H so its squared Frobenius norm is P*Q.
+    point. normalize first scales H so its squared Frobenius norm is P*Q;
+    a matrix whose squared norm is zero, subnormal or infinite in floats is
+    first divided by its largest real or imaginary part in magnitude.
     """
+    if not np.isfinite(H).all():
+        raise ValueError("H must hold only finite entries")
     n_q, n_p = H.shape
     if normalize:
-        fro2 = float(np.sum(H.real**2 + H.imag**2))
-        if fro2 == 0.0:
-            raise ValueError("all-zero matrix cannot be normalized for capacity")
+        with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+            fro2 = float(np.sum(H.real**2 + H.imag**2))
+        if not sys.float_info.min <= fro2 < math.inf:
+            if (largest := float(np.max(np.maximum(np.abs(H.real), np.abs(H.imag))))) == 0.0:
+                raise ValueError("all-zero matrix cannot be normalized for capacity")
+            H = H / largest
+            fro2 = float(np.sum(H.real**2 + H.imag**2))
         H = H * math.sqrt(n_p * n_q / fro2)
     hh = H @ H.conj().T
     eye = np.eye(n_q, dtype=complex)

@@ -410,7 +410,9 @@ def test_capacity_single_receive_closed_form():
 def test_capacity_scale_invariance():
     rng = np.random.default_rng(2)
     H = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-    assert abs(capacity(H, 10.0) - capacity(H * (3 - 4j), 10.0)) < 1e-9
+    # 1e200 and 1e-200 overflow and underflow the squared Frobenius norm.
+    for scale in (3 - 4j, 1e200, 1e-200):
+        assert abs(capacity(H, 10.0) - capacity(H * scale, 10.0)) < 1e-9
 
 
 def test_capacity_monotone_in_snr():
@@ -450,6 +452,12 @@ def test_capacity_validation():
         capacity(np.ones((2, 2), dtype=complex), -1.0)
     with pytest.raises(ValueError):
         capacity(np.ones((2, 2), dtype=complex), float("inf"))
+    for bad in ([[math.nan, 1.0]], [[math.inf, 1.0]], [[1.0, complex(0.0, -math.inf)]]):
+        with pytest.raises(ValueError, match="H must hold only finite entries"):
+            capacity(bad, 1.0)
+    # One entry far above or below the others: the squared norm overflows or underflows, the capacity is log2(2).
+    assert capacity([[1e200, 1.0]], 1.0) == capacity([[1.0, 1e-200]], 1.0) == 1.0
+    assert capacity([[1e-200, 1e-200]], 1.0) == 1.0
 
 
 def test_mean_capacity_deterministic_and_validated():
