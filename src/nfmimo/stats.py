@@ -37,7 +37,7 @@ from .channel import (
     tau_los,
 )
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, _digits
+from .geometry import ScenarioConfig, _digits, _finite_number
 from .scattering import ScattererField, field_for_realization
 
 THREADS_ENV_VAR = "NFMIMO_THREADS"
@@ -380,7 +380,7 @@ def frequency_cf_series(
 
 
 def _check_snr(rho_snr) -> float:
-    if not (math.isfinite(rho_snr) and rho_snr >= 0):
+    if not (_finite_number(rho_snr) and rho_snr >= 0):
         raise ValueError(f"rho_snr must be finite and >= 0, got {rho_snr!r}")
     return rho_snr
 

@@ -458,6 +458,12 @@ def test_capacity_validation():
     # One entry far above or below the others: the squared norm overflows or underflows, the capacity is log2(2).
     assert capacity([[1e200, 1.0]], 1.0) == capacity([[1.0, 1e-200]], 1.0) == 1.0
     assert capacity([[1e-200, 1e-200]], 1.0) == 1.0
+    # A bool is not an SNR, although it subclasses int.
+    for snr in (True, [10.0, False]):
+        with pytest.raises(ValueError, match="rho_snr"):
+            mean_capacity(ScenarioConfig(P_h=2, P_v=2, Q=1, L_clusters=1, N_rays=2), SPHERICAL, snr, 1)
+    with pytest.raises(ValueError, match="rho_snr"):
+        capacity(np.ones((2, 2), dtype=complex), True)
 
 
 def test_mean_capacity_deterministic_and_validated():
