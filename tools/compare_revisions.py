@@ -10,8 +10,10 @@ Each revision is checked out with `git worktree` under a temporary directory
 kind of the CLI runs once per revision on the built-in default scenario at
 seed 0; then every kind runs on a small off-axis scenario with every sweep
 flag set away from its default, under the spherical, planar, subarray:2x2
-and subarray:4x4 models. Each run is a fresh interpreter. For each CSV the
-script prints whether the bytes are equal and the largest relative
+and subarray:4x4 models; temporal-acf and frequency-cf also run on the
+default scenario with an axis that spans several runs of the correlation
+reduction (LONG_AXIS_INVOCATIONS). Each run is a fresh interpreter. For
+each CSV the script prints whether the bytes are equal and the largest relative
 difference of its numbers, |a - b| / max(|a|, |b|); text cells must match
 exactly. For each manifest.json it prints whether every field but
 wall_clock_s is equal.
@@ -53,6 +55,12 @@ INVOCATIONS = (
     ("temporal-acf", "--realizations", "4", "--points", "21"),
     ("frequency-cf", "--realizations", "4", "--points", "21"),
     ("capacity-sweep", "--realizations", "4"),
+)
+# Correlations reduce a field's phases in runs of at most 16384 // 100 = 163 axis points on the default
+# scenario, so 500 points span four runs. Written under long-axis/<kind>.
+LONG_AXIS_INVOCATIONS = (
+    ("temporal-acf", "--realizations", "2", "--points", "500"),
+    ("frequency-cf", "--realizations", "2", "--points", "500"),
 )
 # A small scenario off broadside: a rotated transmit array, a tilted receiver,
 # cluster means away from the axis and a shorter range.
@@ -254,6 +262,7 @@ def run_invocations(tree: Path, out: Path) -> list[str]:
     config = out / "off-axis.json"
     config.write_text(json.dumps(OFF_AXIS_CONFIG))
     runs = [(args[0], args) for args in INVOCATIONS]
+    runs += [(f"long-axis/{args[0]}", args) for args in LONG_AXIS_INVOCATIONS]
     runs += [(name, (*args, "--config", str(config))) for name, args in off_axis_invocations()]
     failures = []
     for name, (kind, *args) in runs:
