@@ -224,7 +224,14 @@ def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
 
 
 def _check_axis(key: str, count: int, cfg: ScenarioConfig) -> None:
-    """Refuse a correlation axis of count points if a field's (count, L_clusters * N_rays) phasors exceed the budget."""
+    """Refuse a correlation axis of count points if a field's (count, L_clusters * N_rays) phasors exceed the budget.
+
+    The statistics form a field's phases in runs of axis points, so a
+    field's peak does not grow with the axis or the realization count; the
+    axis itself still costs about 110 (frequency) to 290 (temporal) bytes
+    per point. This bound counts one complex number per point and ray, 1,600
+    bytes per point at 100 rays (671,088 points), above that measured cost.
+    """
     if (need := count * cfg.L_clusters * cfg.N_rays * 16) > MATRIX_BUDGET_BYTES:
         raise ValueError(
             f"sweep key {key!r} gives {count} axis points, whose phasors need {need / 2**30:.2f} GiB per field, "
