@@ -380,7 +380,8 @@ def frequency_cf_series(
 
 
 def _check_snr(rho_snr) -> float:
-    if not (_finite_number(rho_snr) and rho_snr >= 0):
+    # A numpy scalar is judged by its Python value: an integer SNR array passes, a bool one does not.
+    if not (_finite_number(rho_snr.item() if isinstance(rho_snr, np.generic) else rho_snr) and rho_snr >= 0):
         raise ValueError(f"rho_snr must be finite and >= 0, got {rho_snr!r}")
     return rho_snr
 

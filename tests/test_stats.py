@@ -458,10 +458,12 @@ def test_capacity_validation():
     # One entry far above or below the others: the squared norm overflows or underflows, the capacity is log2(2).
     assert capacity([[1e200, 1.0]], 1.0) == capacity([[1.0, 1e-200]], 1.0) == 1.0
     assert capacity([[1e-200, 1e-200]], 1.0) == 1.0
-    # A bool is not an SNR, although it subclasses int.
-    for snr in (True, [10.0, False]):
+    # A bool is not an SNR, although it subclasses int; numpy scalars are judged by their Python value.
+    tiny = ScenarioConfig(P_h=2, P_v=2, Q=1, L_clusters=1, N_rays=2)
+    for snr in (True, [10.0, False], np.array([1, 0], dtype=bool)):
         with pytest.raises(ValueError, match="rho_snr"):
-            mean_capacity(ScenarioConfig(P_h=2, P_v=2, Q=1, L_clusters=1, N_rays=2), SPHERICAL, snr, 1)
+            mean_capacity(tiny, SPHERICAL, snr, 1)
+    assert mean_capacity(tiny, SPHERICAL, np.array([1, 10]), 1) == mean_capacity(tiny, SPHERICAL, [1.0, 10.0], 1)
     with pytest.raises(ValueError, match="rho_snr"):
         capacity(np.ones((2, 2), dtype=complex), True)
 
