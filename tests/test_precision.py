@@ -17,7 +17,10 @@ t = 0.2) is 1.38 ulp, and the worst scattered phase was 2.29 ulp.
 The correlation parts of st_ccf_parts and the frequency_cf_series values at
 one realization are checked the same way, as exp(j * phase difference) of
 the 50-digit phases averaged over rays with mp.fsum, within an absolute
-bound (CCF_ABS, FREQUENCY_CF_ABS).
+bound (CCF_ABS, FREQUENCY_CF_ABS). The full channel_matrix at one time is
+checked entry by entry as w_los*exp(j direct) + w_nlos/sqrt(N) * the mp.fsum
+of exp(j (random phase + ray phase)) (MATRIX_ABS), and its capacity against
+log2 of the 50-digit determinant of the normalized reference (CAPACITY_ABS).
 """
 
 import math
@@ -25,10 +28,10 @@ import math
 import mpmath
 import pytest
 
-from nfmimo.channel import WavefrontModel, point_phases
+from nfmimo.channel import WavefrontModel, channel_matrix, point_phases
 from nfmimo.geometry import ScenarioConfig, k_index
 from nfmimo.scattering import field_for_realization
-from nfmimo.stats import frequency_cf_series, st_ccf_parts
+from nfmimo.stats import capacity, frequency_cf_series, st_ccf_parts
 
 mp = mpmath.mp.clone()  # a private context: 50 digits here leave the global mpmath settings alone
 mp.dps = 50
@@ -40,6 +43,11 @@ SCATTERED_ULPS = 3.0
 # phase difference of two ~6,800-rad phases keeps their ulp-level errors, a delay phase of ~20 rad does not.
 CCF_ABS = 3e-12
 FREQUENCY_CF_ABS = 2e-15
+# Absolute bounds on matrix entries (magnitude about 1) and on capacity in bits/s/Hz at SNR 10. The worst
+# entry was 2.02e-12 off, the ulp-level error of its ~6,800-rad phases; relative to the entry that reaches
+# 7.3e-11 only on entries near zero, so the bound is absolute. The worst capacity was 2.2e-13 off.
+MATRIX_ABS = 4e-12
+CAPACITY_ABS = 1e-12
 
 # Moving, tilted receiver; transmit array off broadside; 7 = 2+2+2+1 = 3+3+1 and 5 = 2+2+1 leave short trailing tiles.
 CFG = ScenarioConfig(P_h=7, P_v=5, Q=3, L_clusters=2, N_rays=3, psi_T=0.7, theta_R=0.4, eta_R=0.8, v_R=12.0)
@@ -189,3 +197,41 @@ def test_frequency_cf_is_within_a_bound_of_the_extended_precision_reference(t):
         ref = w_los * mp.expj(2 * mp.pi * df * tau_los) + w_nlos * _mean_expj([2 * mp.pi * df * d for d in delays])
         worst = max(worst, _mp_abs_error(value, ref))
     assert worst <= FREQUENCY_CF_ABS, f"frequency correlation off by {worst:.3g}"
+
+
+def _reference_matrix(t, tile):
+    """The (Q, P) matrix at time t as 50-digit entries, column p = (p_v - 1) * P_h + p_h as in channel_matrix."""
+    w_los, w_nlos = mp.sqrt(mp.mpf(CFG.K) / (CFG.K + 1)), mp.sqrt(1 / (mp.mpf(CFG.K) + 1))
+    rays = [tuple(map(float, row)) for row in FIELD.positions()]
+    random_phases = [mp.mpf(float(v)) for v in FIELD.phases()]
+    rows = []
+    for q in range(1, CFG.Q + 1):
+        row = []
+        for p in range(1, CFG.P_h * CFG.P_v + 1):
+            p_h, p_v = _pair(p)
+            nlos = mp.fsum(
+                mp.expj(phi + reference_ray_phase(p_h, p_v, q, t, CFG, ray, tile)) for phi, ray in zip(random_phases, rays)
+            )
+            direct = mp.expj(reference_direct_phase(p_h, p_v, q, t, CFG, tile))
+            row.append(w_los * direct + w_nlos / mp.sqrt(len(rays)) * nlos)
+        rows.append(row)
+    return mp.matrix(rows)
+
+
+def _reference_capacity(H, rho_snr):
+    """log2 det(I + (rho/P) Hbar Hbar^H) with Hbar = H scaled to squared Frobenius norm P*Q, in 50 digits."""
+    n_q, n_p = H.rows, H.cols
+    hbar = H * mp.sqrt(n_p * n_q / mp.fsum(abs(h) ** 2 for h in H))
+    return mp.log(mp.re(mp.det(mp.eye(n_q) + (mp.mpf(rho_snr) / n_p) * hbar * hbar.H)), 2)
+
+
+@pytest.mark.parametrize("label", list(MODELS))
+def test_channel_matrix_and_capacity_are_within_a_bound_of_the_extended_precision_reference(label):
+    t = 0.37
+    ref = _reference_matrix(t, MODELS[label])
+    H = channel_matrix(t, CFG, WavefrontModel.parse(label), FIELD).H
+    assert H.shape == (ref.rows, ref.cols)
+    worst = max(_mp_abs_error(H[i, j], ref[i, j]) for i in range(ref.rows) for j in range(ref.cols))
+    assert worst <= MATRIX_ABS, f"matrix entry off by {worst:.3g}"
+    off = float(abs(mp.mpf(capacity(H, 10)) - _reference_capacity(ref, 10)))
+    assert off <= CAPACITY_ABS, f"capacity off by {off:.3g}"
