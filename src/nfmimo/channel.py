@@ -247,7 +247,7 @@ _CIS_LO = (TWO_PI / 1024 - _CIS_HI) + 2.4492935982947064e-16 / 1024
 _CIS_KMAX = 2.0**25
 # Elements per chunk: the kernel's temporaries stay bounded and in cache.
 _CIS_CHUNK = 16384
-_CIS_BUFFERS = threading.local()  # _cis chunk buffers, made once per thread (realizations may run in threads)
+_CIS_BUFFERS = threading.local()  # _cis chunk buffers, made once per thread: callers may run nfmimo from their own threads
 
 
 def _cis_libm(theta):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,10 +36,8 @@ from .channel import (
     tau_los,
 )
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, _digits, _finite_number
+from .geometry import ScenarioConfig, _finite_number
 from .scattering import ScattererField, field_for_realization
-
-THREADS_ENV_VAR = "NFMIMO_THREADS"
 
 # Seeds feed numpy SeedSequence entry lists; the stream tag separates phase
 # redraws from the field-generation stream keyed on (seed, index).
@@ -56,41 +53,19 @@ RO_NLOS_PER_ANGLE_SET = 10 + 4 + 4 + 2 + 64 + 4
 RO_PER_ANGLE_SET = RO_LOS_PER_ANGLE_SET + RO_NLOS_PER_ANGLE_SET
 
 
-def worker_count(n_tasks: int | None = None) -> int:
-    """Thread count for realization-level parallelism, from the environment.
-
-    The requested count is capped at the CPU count and, when given, at the
-    number of tasks: more threads than either only adds contention.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = _digits(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer of digits 0-9, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
-    n = min(n, os.cpu_count() or 1)
-    return n if n_tasks is None else max(1, min(n, n_tasks))
+def worker_count() -> int:
+    """Threads a realization mean runs on: always 1, as realizations are summed serially in index order."""
+    return 1
 
 
 def _realization_mean(fn, n: int):
-    """Mean of fn(0..n-1), summed in index order as the results arrive, regardless of scheduling.
+    """Mean of fn(0..n-1), summed in index order; no result is kept once it is added.
 
-    Each realization derives its own RNG stream from (seed, index), and the
-    sum walks results in index order, so any thread count produces
-    identical output. No result is kept once it is added.
+    Each realization derives its own RNG stream from (seed, index).
     """
     if n < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n}")
-    workers = worker_count(n)
-    if workers <= 1:
-        return sum(map(fn, range(n))) / n
-    from concurrent.futures import ThreadPoolExecutor  # only here: one worker never loads it or its logging
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return sum(ex.map(fn, range(n))) / n
+    return sum(map(fn, range(n))) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,7 +436,7 @@ def mean_capacity(
     phase-average of every element's power is exactly one for any field,
     so the phase noise dominating a single draw is integrated out. Draws
     come from a dedicated stream keyed on (seed, field index), keeping
-    results deterministic and independent of thread count.
+    results deterministic.
     """
     scalar = np.ndim(rho_snr) == 0
     if not scalar and np.ndim(rho_snr) != 1:

@@ -1032,7 +1032,7 @@ def test_cis_writes_into_a_row_block_of_a_table():
 
 
 def test_cis_chunk_buffers_are_per_thread():
-    # _cis reuses its chunk buffers; threads sharing them would mix each other's chunks.
+    # _cis reuses its chunk buffers; callers' threads sharing them would mix each other's chunks.
     thetas = [np.random.default_rng(i).uniform(-300.0, 300.0, 3 * _CIS_CHUNK + 5) for i in range(8)]
     expected = [_cis(x) for x in thetas]
     interval = sys.getswitchinterval()

@@ -22,7 +22,7 @@ from nfmimo.harness import (
     run_experiment,
     validate_config,
 )
-from nfmimo.stats import THREADS_ENV_VAR, CorrelationSeries
+from nfmimo.stats import CorrelationSeries
 
 SMALL_CFG_JSON = json.dumps(
     {"P_h": 4, "P_v": 4, "Q": 2, "L_clusters": 2, "N_rays": 3}
@@ -259,68 +259,6 @@ def test_runs_are_reproducible(tmp_path):
         assert m_a.outputs == m_b.outputs, kind
         for name in m_a.outputs:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    cfg = validate_config(SMALL_CFG_JSON)
-    sweep = {"dt_max": 0.01, "points": 4, "n_realizations": 6}
-
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    m1 = run_experiment(
-        Experiment(kind="temporal_acf", sweep=sweep, seed=2, output=tmp_path / "serial"),
-        cfg,
-    )
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    m4 = run_experiment(
-        Experiment(kind="temporal_acf", sweep=sweep, seed=2, output=tmp_path / "threaded"),
-        cfg,
-    )
-    assert m1.outputs == m4.outputs
-    name = next(iter(m1.outputs))
-    assert (tmp_path / "serial" / name).read_bytes() == (
-        tmp_path / "threaded" / name
-    ).read_bytes()
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    from nfmimo.stats import worker_count
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setenv(THREADS_ENV_VAR, "zero")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert worker_count() == 3
-
-
-@pytest.mark.parametrize("raw", ["1_6", "+2", " 2 3", "\u0663"])
-def test_thread_env_takes_digits_only(monkeypatch, raw):
-    # int() read "1_6" as 16 and "+2" as 2
-    from nfmimo.stats import worker_count
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setenv(THREADS_ENV_VAR, raw)
-    with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-        worker_count()
-
-
-def test_thread_count_capped(monkeypatch):
-    # Inspects the computed count only; no thread is started.
-    from nfmimo.stats import worker_count
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setenv(THREADS_ENV_VAR, "100000")
-    assert worker_count() == 8
-    assert worker_count(5) == 5
-    assert worker_count(0) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert worker_count() == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "2.5")
-    with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-        worker_count(5)
 
 
 # ---------------------------------------------------------------------------
