@@ -208,7 +208,10 @@ def tau_los(t: float, cfg: ScenarioConfig) -> float:
     except OverflowError:
         xi = math.inf
     if not math.isfinite(xi):
-        raise ValueError(f"t = {float(t)!r} s moves the receiver too far for a finite path length")
+        raise ValueError(
+            f"the direct path at t = {float(t)!r} s has no finite length: D_0 = {cfg.D_0!r} m, H_0 = {cfg.H_0!r} m, "
+            f"delta_T = {cfg.delta_T!r} m and v_R*t = {cfg.v_R * float(t)!r} m put the array midpoints too far apart"
+        )
     if xi == 0.0:
         raise GeometryError("receive midpoint coincides with transmit midpoint")
     return xi / cfg.c
@@ -247,7 +250,7 @@ _CIS_LO = (TWO_PI / 1024 - _CIS_HI) + 2.4492935982947064e-16 / 1024
 _CIS_KMAX = 2.0**25
 # Elements per chunk: the kernel's temporaries stay bounded and in cache.
 _CIS_CHUNK = 16384
-_CIS_BUFFERS = threading.local()  # _cis chunk buffers, made once per thread: callers may run nfmimo from their own threads
+_CIS_BUFFERS = threading.local()  # _cis chunk buffers, one set per thread: callers may run nfmimo in threads
 
 
 def _cis_libm(theta):
@@ -354,9 +357,25 @@ def _tiles(p_h, p_v, cfg: ScenarioConfig, partition: SubarrayPartition):
 
 
 def _receivers(qts, cfg: ScenarioConfig) -> np.ndarray:
-    """(5, M) rows x, y, z, k_index, t of the receive elements at the (q, t) pairs."""
+    """(5, M) rows x, y, z, k_index, t of the receive elements at the (q, t) pairs.
+
+    _receive squares displacements of about an element's coordinates and multiplies them by its
+    steering and Doppler weights k*delta_R*k_index and k*v_R*t. An element for which either
+    overflows is refused here with a ValueError, since its receive phases would be NaN.
+    """
     rows = [(*mr_element_position(q, t, cfg).as_tuple(), k_index(q, cfg.Q), t) for q, t in qts]
-    return np.array(rows, dtype=float).reshape(-1, 5).T
+    rx = np.array(rows, dtype=float).reshape(-1, 5).T
+    reach = np.abs(rx[:3]).max(axis=0, initial=0.0)
+    with np.errstate(over="ignore"):
+        weight = TWO_PI / cfg.wavelength * (cfg.delta_R * np.abs(rx[3]) + cfg.v_R * rx[4])
+        fits = np.isfinite(4.0 * reach * (reach + weight))  # 4: three summed terms, with room for rounding
+    if not fits.all():
+        (q, t), *_ = (qt for qt, ok in zip(qts, fits.tolist()) if not ok)
+        raise ValueError(
+            f"delta_R = {cfg.delta_R!r} m and v_R*t = {cfg.v_R * t!r} m put receive element {q} at t = {t!r} s "
+            "too far out for a finite receive phase"
+        )
+    return rx
 
 
 def _receive(dx, dy, dz, kq, t, cfg: ScenarioConfig):
@@ -423,8 +442,8 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
     i_el, i_rx = np.array(rows, dtype=np.intp).reshape(-1, 2).T
     p_h, p_v = np.array(list(elements), dtype=np.intp).reshape(-1, 2).T
     sh, sv, kh, kv = _tiles(p_h, p_v, cfg, partition := model.partition_for(cfg))
-    rx = _receivers(receivers, cfg)
     bulk = _bulk(freq, np.array([tau_los(t, cfg) for _, t in receivers]))
+    rx = _receivers(receivers, cfg)
     mids = _midpoints([t for _, t in receivers], cfg)
     a1, a2, mr = _direct(sh[i_el], sv[i_el], rx[:, i_rx], cfg, partition)
     direct = kh[i_el] * a1 + kv[i_el] * a2 + mr + bulk[i_rx]
@@ -572,8 +591,8 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     partition = model.partition_for(cfg)
     p = np.arange(cfg.P_h * cfg.P_v)
     sh, sv, kh, kv = _tiles(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)
-    rx = _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg)
     t_los = tau_los(t, cfg)
+    rx = _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg)
     delays = nlos_delays(t, cfg, field)
     # The direct path on the (counts_h, counts_v) tile grid, gathered per element.
     grid = np.arange(partition.counts_h)[:, None], np.arange(partition.counts_v)

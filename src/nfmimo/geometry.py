@@ -198,11 +198,14 @@ def mr_element_position(q: int, t: float, cfg: ScenarioConfig) -> Vec3:
     kq = k_index(q, cfg.Q)
     mid = cfg.mr_midpoint(t)
     r = kq * cfg.delta_R
-    return Vec3(
+    x, y, z = (
         mid.x + r * math.cos(cfg.psi_R) * math.cos(cfg.theta_R),
         mid.y + r * math.sin(cfg.psi_R) * math.cos(cfg.theta_R),
         mid.z + r * math.sin(cfg.theta_R),
     )
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"delta_R = {cfg.delta_R!r} m puts receive element {q} at t = {t!r} s beyond the float range")
+    return Vec3(x, y, z)
 
 
 def rayleigh_distance_aperture(diagonal: float, wavelength: float) -> float:

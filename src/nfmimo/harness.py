@@ -348,7 +348,7 @@ def _run_lag_axis(
     _check_axis("points", points, cfg)
     # Read from this module at call time, where perfbench's tracer rebinds both.
     series_of = temporal_acf_series if key == "dt_max" else frequency_cf_series
-    series = series_of(list(np.linspace(0.0, lag_max, points)), t, cfg, model, n_realizations, seed=exp.seed)
+    series = series_of(np.linspace(0.0, lag_max, points).tolist(), t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
         exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )

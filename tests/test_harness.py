@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import warnings
 import tracemalloc
 from pathlib import Path
 
@@ -684,6 +685,64 @@ def test_cli_rejects_finite_sweep_numbers_that_overflow(tmp_path, capsys, args, 
     err = capsys.readouterr().err
     assert f"{name} " in err and "Traceback" not in err
     assert not list(out.glob("*.csv"))
+
+
+# Flags that keep each kind's run small on SMALL_CFG_JSON.
+SMALL_RUN_FLAGS = {
+    "temporal-acf": ["--points", "3", "--realizations", "2"],
+    "spatial-ccf": ["--max-offset", "2", "--realizations", "2"],
+    "capacity-sweep": ["--realizations", "1"],
+    "error-vs-subarray": ["--p-max-list", "1,2"],
+    "error-vs-array": ["--sides", "2,3"],
+}
+
+
+@pytest.mark.parametrize("kind", list(SMALL_RUN_FLAGS))
+def test_cli_names_delta_r_when_the_receive_phase_overflows(tmp_path, capsys, kind):
+    # Squares of ~1e160 m displacements overflowed in the receive steering, which used to write NaN
+    # correlation CSVs or fail as "H contains non-finite entries", naming no field.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**json.loads(SMALL_CFG_JSON), "delta_R": 1e160}))
+    out = tmp_path / "run"
+    rc = main([kind, *SMALL_RUN_FLAGS[kind], "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "delta_R = 1e+160 m" in err and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_names_the_receiver_travel_when_the_doppler_phase_overflows(tmp_path, capsys):
+    # t = 5e152 s keeps the path length finite, but its Doppler weight times the travel overflowed to NaN.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    out = tmp_path / "run"
+    rc = main(["temporal-acf", "--dt-max", "1e153", "--points", "3", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert "v_R*t = 2.5e+153 m" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key", ["D_0", "H_0", "delta_T"])
+def test_cli_names_the_geometry_when_the_direct_path_overflows(tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**json.loads(SMALL_CFG_JSON), key: 1e160}))
+    out = tmp_path / "run"
+    rc = main(["temporal-acf", "--points", "3", "--realizations", "1", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert f"{key} = 1e+160 m" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_lag_overflow_message_prints_python_floats_and_warns_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["temporal-acf", "--dt-max", "1e308", "--points", "3", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "t = 5e+307 s" in err and "np.float64" not in err
 
 
 @pytest.mark.parametrize("kind", ["temporal-acf", "capacity-sweep"])
