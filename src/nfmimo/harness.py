@@ -61,11 +61,16 @@ class Experiment:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Record of one run: inputs, code version, timing, output digests."""
+    """Record of one run: inputs, code version, timing, output digests.
+
+    sweep is the sweep as given; resolved_sweep holds every sweep key's value as the run read it,
+    defaults included, with wavefront models written as their labels.
+    """
 
     experiment: str
     config: dict
     sweep: dict
+    resolved_sweep: dict
     code_version: str
     seed: int
     wall_clock_s: float
@@ -390,7 +395,7 @@ def run_experiment(exp: Experiment, cfg: ScenarioConfig) -> RunManifest:
 
     Deterministic for fixed (seed, config, sweep): output CSV bytes are
     identical across runs; only the manifest's wall-clock field varies.
-    The manifest records the sweep as given, not its defaults.
+    The manifest records the sweep as given and the sweep that ran.
     """
     values = _read_sweep(exp.kind, exp.sweep, cfg)
     exp.output.mkdir(parents=True, exist_ok=True)
@@ -402,6 +407,7 @@ def run_experiment(exp: Experiment, cfg: ScenarioConfig) -> RunManifest:
         experiment=exp.kind,
         config=asdict(cfg),
         sweep={k: v for k, v in sorted(exp.sweep.items())},
+        resolved_sweep={k: v.label if isinstance(v, WavefrontModel) else v for k, v in values.items()},
         code_version=__version__,
         seed=exp.seed,
         wall_clock_s=elapsed,

@@ -244,6 +244,15 @@ def test_manifest_contents(tmp_path):
     assert len(digest) == 64 and all(c in "0123456789abcdef" for c in digest)
 
 
+def test_manifest_records_the_sweep_that_ran(tmp_path):
+    cfg = validate_config(SMALL_CFG_JSON)
+    acf = run_experiment(Experiment(kind="temporal_acf", sweep={"n_realizations": 2}, output=tmp_path / "acf"), cfg)
+    assert acf.sweep == {"n_realizations": 2}
+    assert acf.resolved_sweep == {"model": "spherical", "t": 0.0, "n_realizations": 2, "points": 101, "dt_max": 0.05}
+    ccf = run_experiment(Experiment(kind="spatial_ccf", sweep={"n_realizations": 1}, output=tmp_path / "ccf"), cfg)
+    assert ccf.resolved_sweep["max_offset"] == 3  # min(32, P_h - 1), from the config
+
+
 def test_runs_are_reproducible(tmp_path):
     kinds = {
         "spatial_ccf": {"max_offset": 2, "n_realizations": 3},
@@ -586,6 +595,13 @@ def test_cli_manifest_sweep_and_output_names(tmp_path, args, sweep, outputs):
     assert manifest["sweep"] == sweep
     assert sorted(manifest["outputs"]) == outputs
     assert sorted(os.listdir(out)) == sorted([*outputs, "manifest.json"])
+    # The resolved sweep holds every key, agrees with the given ones, and given as the sweep reruns the same curves.
+    kind, resolved = args[0].replace("-", "_"), manifest["resolved_sweep"]
+    assert sorted(resolved) == sorted(SWEEP_KEYS[kind]) and {key: resolved[key] for key in sweep} == sweep
+    again = tmp_path / "again"
+    rerun = run_experiment(Experiment(kind=kind, sweep=resolved, output=again), load_config(cfg_path))
+    assert rerun.outputs == manifest["outputs"]
+    assert json.loads((again / "manifest.json").read_text())["resolved_sweep"] == resolved
 
 
 @pytest.mark.parametrize(
@@ -785,7 +801,7 @@ def test_series_csv_write_is_atomic(tmp_path):
 
 def test_manifest_write_is_atomic(tmp_path):
     def manifest(config):
-        return RunManifest("complexity_sweep", config, {}, "0", 0, 0.0, {})
+        return RunManifest("complexity_sweep", config, {}, {}, "0", 0, 0.0, {})
 
     path = tmp_path / "manifest.json"
     manifest({"P_h": 4}).to_json(path)
