@@ -10,6 +10,9 @@ cannot leave a dead helper behind.
 Every phasor goes through channel._cis: no exp call outside
 channel._cis_libm (the kernel's table source and fallback) takes a complex
 argument.
+
+No module reads the process environment, so results depend only on a
+call's arguments and no hidden setting can come back.
 """
 
 import ast
@@ -181,3 +184,30 @@ def test_complex_exp_scan_flags_only_complex_arguments_outside_the_allowed_funct
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_complex_exponential_goes_through_cis(path):
     assert complex_exp_calls(path.read_text(encoding="utf-8")) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[int]:
+    """Lines that read the process environment: an attribute such as os.environ or os.getenv, or one imported from os."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines |= {node.lineno for alias in node.names if alias.name in ENVIRONMENT_NAMES}
+    return sorted(lines)
+
+
+def test_environment_scan_flags_every_form_of_an_environment_read():
+    source = (
+        "import os\nimport os as system\nfrom os import getenv\nfrom os import path\n"
+        "a = os.environ.get('X')\nb = system.getenv('X')\nc = os.environ['X']\nd = path.join('a', 'b')\n"
+    )
+    assert environment_reads(source) == [3, 5, 6, 7]
+
+
+@pytest.mark.parametrize("path", sorted(Path(nfmimo.__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
