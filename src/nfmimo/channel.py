@@ -370,7 +370,7 @@ def _receivers(qts, cfg: ScenarioConfig) -> np.ndarray:
         weight = TWO_PI / cfg.wavelength * (cfg.delta_R * np.abs(rx[3]) + cfg.v_R * rx[4])
         fits = np.isfinite(4.0 * reach * (reach + weight))  # 4: three summed terms, with room for rounding
     if not fits.all():
-        (q, t), *_ = (qt for qt, ok in zip(qts, fits.tolist()) if not ok)
+        q, t = next(qt for qt, ok in zip(qts, fits.tolist()) if not ok)
         raise ValueError(
             f"delta_R = {cfg.delta_R!r} m and v_R*t = {cfg.v_R * t!r} m put receive element {q} at t = {t!r} s "
             "too far out for a finite receive phase"
