@@ -678,7 +678,9 @@ def test_one_worker_never_loads_concurrent_futures(monkeypatch):
 
     monkeypatch.setenv("PYTHONPATH", str(Path(nfmimo.__file__).resolve().parents[1]))
     code = (
-        "import sys; import nfmimo.cli; from nfmimo import *; cfg = ScenarioConfig(P_h=4, P_v=4, Q=2, N_rays=3); "
+        "import sys; import nfmimo.cli; from nfmimo.stats import _realization_mean; "
+        "assert _realization_mean(lambda i: i * i, 3) == (0 + 1 + 4) / 3; "
+        "from nfmimo import *; cfg = ScenarioConfig(P_h=4, P_v=4, Q=2, N_rays=3); "
         "temporal_acf_series([0.0, 0.01], 0.0, cfg, WavefrontModel.planar(), 3); "
         "mean_capacity(cfg, WavefrontModel.spherical(), [1.0, 10.0], 3, phase_draws=2); "
         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
