@@ -714,16 +714,18 @@ SMALL_RUN_FLAGS = {
 
 
 @pytest.mark.parametrize("kind", list(SMALL_RUN_FLAGS))
-def test_cli_names_delta_r_when_the_receive_phase_overflows(tmp_path, capsys, kind):
+@pytest.mark.parametrize("receive", [{"delta_R": 1e160}, {"delta_R": 1e308, "Q": 8}], ids=["long", "beyond-float-range"])
+def test_cli_names_delta_r_when_the_receive_phase_overflows(tmp_path, capsys, kind, receive):
     # Squares of ~1e160 m displacements overflowed in the receive steering, which used to write NaN
-    # correlation CSVs or fail as "H contains non-finite entries", naming no field.
+    # correlation CSVs or fail as "H contains non-finite entries", naming no field; element positions
+    # beyond the float range failed as "Vec3.x must be finite".
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**json.loads(SMALL_CFG_JSON), "delta_R": 1e160}))
+    cfg_path.write_text(json.dumps({**json.loads(SMALL_CFG_JSON), **receive}))
     out = tmp_path / "run"
     rc = main([kind, *SMALL_RUN_FLAGS[kind], "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "delta_R = 1e+160 m" in err and "Traceback" not in err
+    assert f"delta_R = {receive['delta_R']!r} m" in err and "Traceback" not in err
     assert not list(out.glob("*.csv"))
 
 

@@ -45,7 +45,7 @@ CCF_ABS = 3e-12
 FREQUENCY_CF_ABS = 2e-15
 # Absolute bounds on matrix entries (magnitude about 1) and on capacity in bits/s/Hz at SNR 10. The worst
 # entry was 2.02e-12 off, the ulp-level error of its ~6,800-rad phases; relative to the entry that reaches
-# 7.3e-11 only on entries near zero, so the bound is absolute. The worst capacity was 2.2e-13 off.
+# 1.2e-11 on an entry of magnitude 0.09, so the bound is absolute. The worst capacity was 2.2e-13 off.
 MATRIX_ABS = 4e-12
 CAPACITY_ABS = 1e-12
 
