@@ -45,6 +45,8 @@ from .geometry import (
     ScenarioConfig,
     SubarrayPartition,
     _digits,
+    _finite_number,
+    _index,
     element_rowcol,
     k_index,
     make_partition,
@@ -82,9 +84,7 @@ class WavefrontModel:
             raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
         if self.variant == "subarray":
             for name in ("p_max_h", "p_max_v"):
-                v = getattr(self, name)
-                if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                    raise ValueError(f"{name} must be an integer >= 1 for subarray models, got {v!r}")
+                object.__setattr__(self, name, _index(name, getattr(self, name)))
         elif self.p_max_h is not None or self.p_max_v is not None:
             raise ValueError(f"{self.variant} models take no tile sizes")
 
@@ -180,24 +180,15 @@ class ChannelRealization:
 
 def _grid_index(p, cfg: ScenarioConfig) -> tuple[int, int]:
     """Accept a transmit element as a linear index or a (p_h, p_v) pair."""
-    if isinstance(p, tuple):
-        p_h, p_v = p
-        if not (isinstance(p_h, int) and isinstance(p_v, int)):
-            raise ValueError(f"element pair must hold integers, got {p!r}")
-        if not (1 <= p_h <= cfg.P_h and 1 <= p_v <= cfg.P_v):
-            raise ValueError(
-                f"element pair {p} out of range for a {cfg.P_h}x{cfg.P_v} array"
-            )
-        return p_h, p_v
-    if isinstance(p, (int, np.integer)):
-        return element_rowcol(int(p), cfg.P_h, cfg.P_v)
-    raise ValueError(f"element index must be an int or an (p_h, p_v) tuple, got {p!r}")
+    if isinstance(p, tuple) and len(p) == 2:
+        return _index("p_h", p[0], 1, cfg.P_h), _index("p_v", p[1], 1, cfg.P_v)
+    return element_rowcol(p, cfg.P_h, cfg.P_v)
 
 
 def rician_weights(K: float) -> tuple[float, float]:
     """Amplitude weights (direct, scattered) for Rice factor K."""
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    if not (_finite_number(K) and K >= 0):
+        raise ValueError(f"K must be a finite number >= 0, got {K!r}")
     return math.sqrt(K / (K + 1.0)), math.sqrt(1.0 / (K + 1.0))
 
 

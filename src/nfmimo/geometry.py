@@ -61,6 +61,20 @@ def _integral(v) -> bool:
     return not isinstance(v, bool) and (isinstance(v, int) or (isinstance(v, float) and v.is_integer()))
 
 
+def _index(name: str, v, lo: int = 1, hi: int | None = None) -> int:
+    """The one integer rule for indices, counts and seeds: a Python or numpy integer, never a bool, in [lo, hi].
+
+    Returns v as an int; anything else is a ValueError naming name.
+    """
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v and (hi is None or v <= hi):
+        return int(v)
+    raise ValueError(f"{name} must be an integer {f'>= {lo}' if hi is None else f'in [{lo}, {hi}]'}, got {v!r}")
+
+
+# The count fields of ScenarioConfig; a JSON config may also give them as integral floats such as 64.0.
+_COUNT_FIELDS = ("P_h", "P_v", "Q", "L_clusters", "N_rays")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Immutable scenario description shared by every module.
@@ -104,10 +118,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         if self.r_max is None:
             object.__setattr__(self, "r_max", self.D_0)
-        for name in ("P_h", "P_v", "Q", "L_clusters", "N_rays"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        for name in _COUNT_FIELDS:
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
         for name in ("psi_T", "psi_R", "theta_R", "eta_R", "mu_alpha", "mu_beta"):
             v = getattr(self, name)
             if not _finite_number(v):
@@ -148,24 +160,20 @@ def k_index(i: int, n: int) -> float:
 
     i runs 1..n; the offsets are symmetric about zero and step by one.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"element index must be in [1, {n}], got {i}")
-    return (n - 2 * i + 1) / 2.0
+    n = _index("n", n)
+    return (n - 2 * _index("i", i, 1, n) + 1) / 2.0
 
 
 def element_index(p_h: int, p_v: int, P_h: int, P_v: int) -> int:
     """Row-major linear index p in 1..P_h*P_v for a (p_h, p_v) grid position."""
-    if not 1 <= p_h <= P_h:
-        raise ValueError(f"p_h must be in [1, {P_h}], got {p_h}")
-    if not 1 <= p_v <= P_v:
-        raise ValueError(f"p_v must be in [1, {P_v}], got {p_v}")
-    return (p_v - 1) * P_h + p_h
+    P_h, P_v = _index("P_h", P_h), _index("P_v", P_v)
+    return (_index("p_v", p_v, 1, P_v) - 1) * P_h + _index("p_h", p_h, 1, P_h)
 
 
 def element_rowcol(p: int, P_h: int, P_v: int) -> tuple[int, int]:
     """Inverse of element_index: linear index p back to (p_h, p_v)."""
-    if not 1 <= p <= P_h * P_v:
-        raise ValueError(f"p must be in [1, {P_h * P_v}], got {p}")
+    P_h, P_v = _index("P_h", P_h), _index("P_v", P_v)
+    p = _index("p", p, 1, P_h * P_v)
     return ((p - 1) % P_h + 1, (p - 1) // P_h + 1)
 
 
@@ -177,10 +185,7 @@ def bs_element_position(p_h: int, p_v: int, cfg: ScenarioConfig) -> Vec3:
     1x1 tiling is the per-element model by construction. Index 1 sits at
     the negative horizontal offset and the bottom row.
     """
-    if not 1 <= p_h <= cfg.P_h:
-        raise ValueError(f"p_h must be in [1, {cfg.P_h}], got {p_h}")
-    if not 1 <= p_v <= cfg.P_v:
-        raise ValueError(f"p_v must be in [1, {cfg.P_v}], got {p_v}")
+    p_h, p_v = _index("p_h", p_h, 1, cfg.P_h), _index("p_v", p_v, 1, cfg.P_v)
     return Vec3(*map(float, _tile_midpoints(p_h, p_v, cfg, 1, 1)))
 
 
@@ -191,8 +196,7 @@ def mr_element_position(q: int, t: float, cfg: ScenarioConfig) -> Vec3:
     the horizontal plane it points along (cos psi_R, sin psi_R), and the
     whole line is raised by the tilt theta_R out of that plane.
     """
-    if not 1 <= q <= cfg.Q:
-        raise ValueError(f"q must be in [1, {cfg.Q}], got {q}")
+    q = _index("q", q, 1, cfg.Q)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     kq = k_index(q, cfg.Q)
@@ -241,30 +245,19 @@ def partition_counts(P: int, p_max: int) -> int:
 
     All subarrays take p_max elements except a possibly smaller trailing one.
     """
-    if not isinstance(P, int) or P < 1:
-        raise ValueError(f"P must be an integer >= 1, got {P!r}")
-    if not isinstance(p_max, int) or not 1 <= p_max <= P:
-        raise ValueError(f"p_max must be an integer in [1, {P}], got {p_max!r}")
-    return -(-P // p_max)
+    P = _index("P", P)
+    return -(-P // _index("p_max", p_max, 1, P))
 
 
 def subarray_size(index: int, P: int, p_max: int) -> int:
     """Element count of the index-th subarray (1-based) along a P-element axis."""
-    counts = partition_counts(P, p_max)
-    if not 1 <= index <= counts:
-        raise ValueError(f"subarray index must be in [1, {counts}], got {index}")
-    if index < counts:
-        return p_max
-    return P - (counts - 1) * p_max
+    counts = partition_counts(P, p_max)  # P and p_max are integers from here on
+    return int(min(p_max, P - (_index("index", index, 1, counts) - 1) * p_max))
 
 
 def element_to_subarray(p: int, p_max: int) -> int:
     """Subarray index (1-based) that element p of an axis falls into."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
-    if not isinstance(p_max, int) or p_max < 1:
-        raise ValueError(f"p_max must be an integer >= 1, got {p_max!r}")
-    return (p - 1) // p_max + 1
+    return (_index("p", p) - 1) // _index("p_max", p_max) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,10 +306,7 @@ def subarray_center(sh: int, sv: int, cfg: ScenarioConfig, partition: "SubarrayP
     ((sh-1) p_max_h + size_h/2 - P_h/2) delta_T along (cos psi_T, sin psi_T);
     the z coordinate is H_0 + ((sv-1) p_max_v + size_v/2) delta_T.
     """
-    if not 1 <= sh <= partition.counts_h:
-        raise ValueError(f"sh must be in [1, {partition.counts_h}], got {sh}")
-    if not 1 <= sv <= partition.counts_v:
-        raise ValueError(f"sv must be in [1, {partition.counts_v}], got {sv}")
+    sh, sv = _index("sh", sh, 1, partition.counts_h), _index("sv", sv, 1, partition.counts_v)
     return Vec3(float(partition.x[sh - 1]), float(partition.y[sh - 1]), float(partition.z[sv - 1]))
 
 
@@ -325,8 +315,8 @@ def make_partition(cfg: ScenarioConfig, p_max_h: int, p_max_v: int) -> SubarrayP
     """Build the full partition description for target tile size (p_max_h, p_max_v)."""
     counts_h = partition_counts(cfg.P_h, p_max_h)
     counts_v = partition_counts(cfg.P_v, p_max_v)
-    sizes_h = tuple(subarray_size(i, cfg.P_h, p_max_h) for i in range(1, counts_h + 1))
-    sizes_v = tuple(subarray_size(i, cfg.P_v, p_max_v) for i in range(1, counts_v + 1))
+    sizes_h = (p_max_h,) * (counts_h - 1) + (cfg.P_h - (counts_h - 1) * p_max_h,)  # a short tile trails
+    sizes_v = (p_max_v,) * (counts_v - 1) + (cfg.P_v - (counts_v - 1) * p_max_v,)
     x, y, z = _tile_midpoints(np.arange(1, counts_h + 1), np.arange(1, counts_v + 1), cfg, p_max_h, p_max_v)
     for axis in (x, y, z):
         axis.setflags(write=False)
@@ -369,7 +359,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
     cleaned = {}
     for key, value in data.items():
-        if key in {"P_h", "P_v", "Q", "L_clusters", "N_rays"}:
+        if key in _COUNT_FIELDS:
             if not _integral(value):
                 raise ValueError(f"config field {key} must be an integer, got {value!r}")
             value = int(value)

@@ -23,6 +23,7 @@ from .fileio import atomic_open
 from .geometry import (
     ScenarioConfig,
     _finite_number,
+    _index,
     _integral,
     config_from_dict,
     rayleigh_distance,
@@ -54,8 +55,7 @@ class Experiment:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; expected one of {', '.join(EXPERIMENT_KINDS)}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _index("seed", self.seed, 0))
         object.__setattr__(self, "output", Path(self.output))
 
 

@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, Vec3
+from .geometry import ScenarioConfig, Vec3, _finite_number, _index
 
 _MAX_PLACEMENT_ATTEMPTS = 100
 # Rays exactly on top of an array have undefined azimuth; quantities this
 # close to zero horizontal range are rejected alongside below-ground draws.
 _MIN_HORIZONTAL_CLEARANCE = 1e-9
+_TWO_PI = 2.0 * math.pi
 
 
 def von_mises_pdf(alpha, mu: float, kappa: float):
@@ -30,10 +31,8 @@ def von_mises_pdf(alpha, mu: float, kappa: float):
     alpha may be a scalar or array; kappa = 0 gives the uniform density
     1/(2 pi). Integrates to 1 over any interval of length 2 pi.
     """
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be a finite number, got {kappa!r}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not (_finite_number(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be a finite number >= 0, got {kappa!r}")
     alpha = np.asarray(alpha, dtype=float)
     out = np.exp(kappa * np.cos(alpha - mu)) / (2.0 * np.pi * np.i0(kappa))
     if out.ndim == 0:
@@ -48,15 +47,12 @@ def sample_von_mises(mu: float, kappa: float, rng: np.random.Generator, size=Non
     truncation bias); kappa = 0 degenerates to the uniform circle law.
     Deterministic for a seeded generator.
     """
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be a finite number, got {kappa!r}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not (_finite_number(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be a finite number >= 0, got {kappa!r}")
     raw = rng.vonmises(mu, kappa, size=size)
     # numpy wraps into [-pi, pi]; fold the closed upper endpoint back.
-    if size is None:
-        w = float(raw)
-        return w - 2.0 * math.pi if w >= math.pi else w
+    if size is None:  # one draw comes as a Python float
+        return raw - _TWO_PI if raw >= math.pi else raw
     raw = np.asarray(raw)
     return np.where(raw >= np.pi, raw - 2.0 * np.pi, raw)
 
@@ -204,8 +200,8 @@ def generate_scatterers(cfg: ScenarioConfig, rng: int | np.random.Generator) -> 
     and records the seed on the field.
     """
     seed: int | None = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
+    if not isinstance(rng, np.random.Generator):
+        seed = _index("rng", rng, 0)
         rng = np.random.default_rng(seed)
     origin = cfg.bs_midpoint()
     mr0 = cfg.mr_midpoint(0.0)
@@ -221,7 +217,7 @@ def generate_scatterers(cfg: ScenarioConfig, rng: int | np.random.Generator) -> 
         for _ in range(cfg.N_rays):
             coords.append(_place_ray(cfg, rng, mean_az, mean_el, origin, mr0))
             # rng.uniform(-pi, pi) computed the same way: half-open, so in [-pi, pi)
-            phases.append(-math.pi + 2.0 * math.pi * rng.random())
+            phases.append(-math.pi + _TWO_PI * rng.random())
     return ScattererField._from_arrays(coords, phases, (cfg.N_rays,) * cfg.L_clusters, seed)
 
 
@@ -233,10 +229,7 @@ def field_for_realization(cfg: ScenarioConfig, master_seed: int, index: int) -> 
     order or thread scheduling. Both must be non-negative integers; every
     such pair, however large, has its own stream.
     """
-    if master_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {master_seed}")
-    if index < 0:
-        raise ValueError(f"realization index must be >= 0, got {index}")
-    field = generate_scatterers(cfg, np.random.default_rng([int(master_seed), int(index)]))
-    field.seed = int(master_seed)
+    master_seed, index = _index("master_seed", master_seed, 0), _index("index", index, 0)
+    field = generate_scatterers(cfg, np.random.default_rng([master_seed, index]))
+    field.seed = master_seed
     return field

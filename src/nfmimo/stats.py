@@ -36,7 +36,7 @@ from .channel import (
     tau_los,
 )
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, _finite_number
+from .geometry import ScenarioConfig, _finite_number, _index
 from .scattering import ScattererField, field_for_realization
 
 # Seeds feed numpy SeedSequence entry lists; the stream tag separates phase
@@ -58,13 +58,12 @@ def worker_count() -> int:
     return 1
 
 
-def _realization_mean(fn, n: int):
-    """Mean of fn(0..n-1), summed in index order; no result is kept once it is added.
+def _realization_mean(fn, n_realizations: int):
+    """Mean of fn(0..n_realizations-1), summed in index order; no result is kept once it is added.
 
     Each realization derives its own RNG stream from (seed, index).
     """
-    if n < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n}")
+    n = _index("n_realizations", n_realizations)
     return sum(map(fn, range(n))) / n
 
 
@@ -131,19 +130,11 @@ def ro_complexity(model: WavefrontModel, cfg: ScenarioConfig) -> ComplexityRepor
 
 
 def _validate_pair(base_p, dp, base_q, dq, cfg: ScenarioConfig):
-    p1 = (int(base_p[0]), int(base_p[1]))
-    p2 = (base_p[0] + dp[0], base_p[1] + dp[1])
-    q2 = base_q + dq
-    for name, (ph, pv) in (("base antenna", p1), ("offset antenna", p2)):
-        if not (1 <= ph <= cfg.P_h and 1 <= pv <= cfg.P_v):
-            raise ValueError(
-                f"{name} ({ph},{pv}) out of range for a {cfg.P_h}x{cfg.P_v} array"
-            )
-    if not 1 <= base_q <= cfg.Q:
-        raise ValueError(f"base receive element {base_q} out of range [1, {cfg.Q}]")
-    if not 1 <= q2 <= cfg.Q:
-        raise ValueError(f"offset receive element {q2} out of range [1, {cfg.Q}]")
-    return p1, (int(p2[0]), int(p2[1])), int(q2)
+    """The base antenna base_p, the offset antenna base_p + dp and the offset receive element base_q + dq."""
+    p1 = tuple(_index("base_p", p, 1, n) for p, n in zip(base_p, (cfg.P_h, cfg.P_v), strict=True))
+    p2 = tuple(p + _index("dp", d, 1 - p, n - p) for p, d, n in zip(p1, dp, (cfg.P_h, cfg.P_v), strict=True))
+    base_q = _index("base_q", base_q, 1, cfg.Q)
+    return p1, p2, base_q + _index("dq", dq, 1 - base_q, cfg.Q - base_q)
 
 
 def _axis_runs(n_points: int, cfg: ScenarioConfig) -> list[slice]:
@@ -444,8 +435,7 @@ def mean_capacity(
     rho_snrs = [_check_snr(rho) for rho in ([rho_snr] if scalar else rho_snr)]
     if not rho_snrs:
         raise ValueError("rho_snr must hold at least one SNR")
-    if phase_draws < 1:
-        raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")
+    phase_draws = _index("phase_draws", phase_draws)
 
     def one(i: int) -> np.ndarray:
         fld = field_for_realization(cfg, seed, i)
