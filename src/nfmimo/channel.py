@@ -62,7 +62,7 @@ BANDWIDTH_HZ = 50e6
 _VARIANTS = ("spherical", "planar", "subarray")
 # Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: a complex (D * Q, P) stack of
 # phase draws, D * Q <= N, plus the (Q, P) direct matrix. Refused before anything P-sized exists. The
-# correlation runners hold each field's (axis points, N) complex phasors to the same budget.
+# correlation runners hold their axis, at harness._AXIS_POINT_BYTES per point, to the same budget.
 MATRIX_BUDGET_BYTES = 2**30
 
 
@@ -214,10 +214,17 @@ def _midpoints(times, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _path_delays(pos: np.ndarray, mids: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """(xi_T + xi_R) / c per receive midpoint (rows of mids) and ray position (rows of pos)."""
+    """(xi_T + xi_R) / c per receive midpoint (rows of mids) and ray position (rows of pos).
+
+    Every scattered phase starts from these path lengths, so a ray whose transmit leg overflows is
+    refused here with a ValueError naming r_max, before any of its phases is formed.
+    """
     bs = cfg.bs_midpoint()
     mx, my, mz = mids.T[:, :, None]
-    xi_t = np.sqrt((pos[:, 0] - bs.x) ** 2 + (pos[:, 1] - bs.y) ** 2 + (pos[:, 2] - bs.z) ** 2)
+    with np.errstate(over="ignore"):
+        xi_t = np.sqrt((pos[:, 0] - bs.x) ** 2 + (pos[:, 1] - bs.y) ** 2 + (pos[:, 2] - bs.z) ** 2)
+    if not np.isfinite(xi_t).all():
+        raise ValueError(f"r_max = {cfg.r_max!r} m puts a scatterer too far out for a finite path length")
     xi_r = np.sqrt((pos[:, 0] - mx) ** 2 + (pos[:, 1] - my) ** 2 + (pos[:, 2] - mz) ** 2)
     return (xi_t + xi_r) / cfg.c
 
