@@ -228,19 +228,24 @@ def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
             )
 
 
-def _check_axis(key: str, count: int, cfg: ScenarioConfig) -> None:
-    """Refuse a correlation axis of count points if a field's (count, L_clusters * N_rays) phasors exceed the budget.
+# The allowance per correlation axis point that _check_axis holds to MATRIX_BUDGET_BYTES (1,048,576 points).
+_AXIS_POINT_BYTES = 1024
+
+
+def _check_axis(key: str, count: int) -> None:
+    """Refuse a correlation axis of count points whose cost at _AXIS_POINT_BYTES per point exceeds the budget.
 
     The statistics form a field's phases in runs of axis points, so a
-    field's peak does not grow with the axis or the realization count; the
-    axis itself still costs about 110 (frequency) to 290 (temporal) bytes
-    per point. This bound counts one complex number per point and ray, 1,600
-    bytes per point at 100 rays (671,088 points), above that measured cost.
+    field's peak does not grow with the axis, the ray count or the
+    realization count. The axis itself costs about 110 (frequency-cf),
+    290 (temporal-acf) and 550 to 600 (spatial-ccf) bytes per point,
+    measured with tracemalloc at one realization; the allowance is 1.7
+    times the largest of them.
     """
-    if (need := count * cfg.L_clusters * cfg.N_rays * 16) > MATRIX_BUDGET_BYTES:
+    if (need := count * _AXIS_POINT_BYTES) > MATRIX_BUDGET_BYTES:
         raise ValueError(
-            f"sweep key {key!r} gives {count} axis points, whose phasors need {need / 2**30:.2f} GiB per field, "
-            f"over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
+            f"sweep key {key!r} gives {count} axis points, which need {need / 2**30:.2f} GiB at {_AXIS_POINT_BYTES} "
+            f"bytes per point, over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
         )
 
 
@@ -335,7 +340,7 @@ def _run_spatial_ccf(
 ) -> None:
     if not 0 <= max_offset <= cfg.P_h - 1:
         raise ValueError(f"max_offset must be within [0, {cfg.P_h - 1}], got {max_offset}")
-    _check_axis("max_offset", max_offset + 1, cfg)
+    _check_axis("max_offset", max_offset + 1)
     offsets = [(dh, 0) for dh in range(max_offset + 1)]
     series = spatial_ccf_series(offsets, dq, dt, t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
@@ -350,7 +355,7 @@ def _run_lag_axis(
     ((key, lag_max),) = lag.items()
     if lag_max < 0 or points < 1:
         raise ValueError(f"{key} must be >= 0 and points >= 1")
-    _check_axis("points", points, cfg)
+    _check_axis("points", points)
     # Read from this module at call time, where perfbench's tracer rebinds both.
     series_of = temporal_acf_series if key == "dt_max" else frequency_cf_series
     series = series_of(np.linspace(0.0, lag_max, points).tolist(), t, cfg, model, n_realizations, seed=exp.seed)
