@@ -899,8 +899,39 @@ def test_cli_refuses_a_correlation_axis_over_the_matrix_budget(tmp_path, capsys,
 
 
 def test_correlation_axis_budget_counts_each_fields_phasors():
-    # 5 clusters of 20 rays: 2**30 / (100 * 16) = 671088.64 axis points fit in the budget.
-    cfg = ScenarioConfig()
-    _check_axis("points", 671088, cfg)
-    with pytest.raises(ValueError, match="sweep key 'points' gives 671089 axis points"):
-        _check_axis("points", 671089, cfg)
+    # 1 KiB per axis point, whatever the ray count: 2**30 / 1024 = 1048576 axis points fit in the budget.
+    _check_axis("points", 700000)
+    _check_axis("points", 1048576)
+    with pytest.raises(ValueError, match="sweep key 'points' gives 1048577 axis points"):
+        _check_axis("points", 1048577)
+
+
+FIELD_RUN_FLAGS = {**SMALL_RUN_FLAGS, "frequency-cf": ["--points", "3", "--realizations", "2"]}
+
+
+@pytest.mark.parametrize("kind", list(FIELD_RUN_FLAGS))
+def test_cli_names_r_max_when_a_scatterer_is_too_far_out(tmp_path, capsys, kind):
+    # Squared ray distances of ~1e160 m overflowed, which used to fail as "H contains non-finite entries"
+    # or blame the carrier or the frequency offsets for a non-finite delay phase.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**json.loads(SMALL_CFG_JSON), "r_max": 1e160}))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([kind, *FIELD_RUN_FLAGS[kind], "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "r_max = 1e+160 m" in err and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", list(FIELD_RUN_FLAGS))
+def test_cli_runs_a_far_but_finite_scatterer_range(tmp_path, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**json.loads(SMALL_CFG_JSON), "r_max": 1e150}))
+    out = tmp_path / "run"
+    rc = main([kind, *FIELD_RUN_FLAGS[kind], "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0
+    for path in out.glob("*.csv"):  # a 1x1 tiling's error is -inf by design, so only NaN is refused
+        rows = path.read_text().splitlines()[1:]
+        assert rows and not any(math.isnan(float(cell)) for row in rows for cell in row.split(",")[:4])

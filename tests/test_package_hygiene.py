@@ -13,6 +13,10 @@ argument.
 
 No module reads the process environment, so results depend only on a
 call's arguments and no hidden setting can come back.
+
+No module checks for an integer by hand: isinstance(..., int), alone or in
+a tuple, appears only inside geometry's number predicates, so every index,
+count and seed goes through geometry._index.
 """
 
 import ast
@@ -211,3 +215,45 @@ def test_environment_scan_flags_every_form_of_an_environment_read():
 @pytest.mark.parametrize("path", sorted(Path(nfmimo.__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+# The functions of geometry.py that may test for int: its number predicates.
+INTEGER_PREDICATES = {"_finite_number", "_integral", "_index"}
+
+
+def integer_checks(source: str, allowed=frozenset()) -> list[str]:
+    """function:line of each isinstance call whose type argument is int or a tuple holding int, outside allowed.
+
+    The function is the innermost def around the call, or <module>.
+    """
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "isinstance":
+                types = child.args[1] if len(child.args) == 2 else None
+                names = types.elts if isinstance(types, ast.Tuple) else [types]
+                if function not in allowed and any(isinstance(n, ast.Name) and n.id == "int" for n in names):
+                    found.append(f"{function}:{child.lineno}")
+            visit(child, child.name if isinstance(child, FUNCTIONS) else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_integer_check_scan_flags_int_alone_or_in_a_tuple_outside_the_allowed_functions():
+    source = (
+        "def _index(v):\n    return isinstance(v, (int, float))\n"
+        "def count(v):\n    return isinstance(v, int)\n"
+        "def pair(v):\n    return isinstance(v, (float, int))\n"
+        "def other(v):\n    return isinstance(v, (bool, float)) or isinstance(v, str)\n"
+        "ok = isinstance(1, int)\n"
+        "class A:\n    def m(self, v):\n        def inner(w):\n            return isinstance(w, int)\n        return inner\n"
+    )
+    assert integer_checks(source, {"_index"}) == ["count:4", "pair:6", "<module>:9", "inner:13"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(nfmimo.__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_checks_for_an_integer_by_hand(path):
+    allowed = INTEGER_PREDICATES if path.name == "geometry.py" else frozenset()
+    assert integer_checks(path.read_text(encoding="utf-8"), allowed) == []
