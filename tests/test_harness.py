@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nfmimo.cli import _FLAGS, _parse_int, _parse_int_list, main
-from nfmimo.geometry import ScenarioConfig, make_partition
+from nfmimo.geometry import make_partition
 from nfmimo.harness import (
     EXPERIMENT_KINDS,
     SWEEP_KEYS,

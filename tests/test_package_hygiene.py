@@ -247,7 +247,7 @@ def test_integer_check_scan_flags_int_alone_or_in_a_tuple_outside_the_allowed_fu
         "def count(v):\n    return isinstance(v, int)\n"
         "def pair(v):\n    return isinstance(v, (float, int))\n"
         "def other(v):\n    return isinstance(v, (bool, float)) or isinstance(v, str)\n"
-        "ok = isinstance(1, int)\n"
+        "flagged = isinstance(1, int)\n"
         "class A:\n    def m(self, v):\n        def inner(w):\n            return isinstance(w, int)\n        return inner\n"
     )
     assert integer_checks(source, {"_index"}) == ["count:4", "pair:6", "<module>:9", "inner:13"]
