@@ -32,6 +32,7 @@ complex exp at about a third of its cost.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -535,6 +536,17 @@ def transfer_function(
 _FACTORED_AREA = 64  # tile area from which factors beat expanded phasors (measured, CHANGES.md)
 # Per-element phasors (1x1 and expanded tiles) formed at once; factored tiles time faster at _CIS_CHUNK.
 _BLOCK_PHASORS = 2 * _CIS_CHUNK
+# Direct-path phasors formed at once; a group of element rows holds about this many matrix entries.
+_GROUP_PHASORS = _CIS_CHUNK
+
+
+def _runs(partition: SubarrayPartition, n: int) -> tuple[bool, int, int]:
+    """(factored, run, step) of _departure_blocks for n rays: factors or not, tile rows per run and per block."""
+    n_h, ph, pv = partition.counts_h, partition.p_max_h, partition.p_max_v
+    factored = ph * pv >= _FACTORED_AREA
+    per_row = n_h * (ph + pv if factored else ph * pv) * n  # phasors held per tile row
+    run = max(1, _CIS_CHUNK // per_row)
+    return factored, run, run if factored else run * max(1, _BLOCK_PHASORS // (run * per_row))
 
 
 def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, dz, dz2):
@@ -549,10 +561,7 @@ def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, 
     """
     n_h, n_v, ph, pv, n = partition.counts_h, partition.counts_v, partition.p_max_h, partition.p_max_v, u.shape[-1]
     _, _, kh, kv = _tiles(np.arange(1, n_h * ph + 1), np.arange(1, n_v * pv + 1), cfg, partition)
-    factored = ph * pv >= _FACTORED_AREA
-    per_row = n_h * (ph + pv if factored else ph * pv) * n  # phasors held per tile row
-    run = max(1, _CIS_CHUNK // per_row)  # tile rows per yielded run
-    step = run if factored else run * max(1, _BLOCK_PHASORS // (run * per_row))  # tile rows formed at once
+    factored, run, step = _runs(partition, n)
     buf = None if factored else np.empty((step * pv, n_h * ph, n), dtype=complex)
     gains = np.empty((2, step, n_h, n))  # g1, g2 of a block, formed in place
     for s0 in range(0, n_v, step):
@@ -568,6 +577,7 @@ def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, 
                 continue
             block = buf[:len(a) * pv]
             np.multiply(a[:, None], b[..., None, :], out=block.reshape(len(a), pv, n_h, ph, n))
+            del a, b  # the factors are not needed while the block's runs are used
         for v in range(0, len(block), run * pv):
             yield s0 * pv + v, block[v:v + run * pv], None
 
@@ -575,56 +585,134 @@ def _departure_blocks(cfg: ScenarioConfig, partition: SubarrayPartition, u, hh, 
 def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField):
     """Matrix ingredients shared by every draw of the ray phases.
 
-    Returns (H_los, dep, arr_phases, tau_los, tau_nlos): the (Q, P) unit-modulus direct-path
-    matrix, the departure side of the scattered paths as (cfg, partition, u, hh, dz, dz2), the
-    _tile_pieces from which _departure_blocks forms its phasors, and the (Q, N) arrival + Doppler
-    + delay phase per ray.
+    Returns (direct, dep, arr_phases, tau_los, tau_nlos): the direct path as (cfg, partition, rx, bulk),
+    the receive points (rows x, y, z, kq, t) and delay phase from which _direct_phasors forms its
+    phasors group by group, the departure side of the scattered paths as (cfg, partition, u, hh, dz,
+    dz2), the _tile_pieces from which _departure_blocks forms its phasors, and the (Q, N) arrival +
+    Doppler + delay phase per ray.
     Arrays over MATRIX_BUDGET_BYTES are refused with a ValueError naming P_h and P_v.
     """
     if (need := cfg.P_h * cfg.P_v * (cfg.L_clusters * cfg.N_rays + cfg.Q) * 16) > MATRIX_BUDGET_BYTES:
         raise ValueError(
             f"a P_h x P_v = {cfg.P_h}x{cfg.P_v} array needs {need / 2**30:.2f} GiB for its phase-draw stack "
-            f"and direct matrix, over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
+            f"and matrix, over the {MATRIX_BUDGET_BYTES / 2**30:g} GiB budget (channel.MATRIX_BUDGET_BYTES)"
         )
     partition = model.partition_for(cfg)
-    p = np.arange(cfg.P_h * cfg.P_v)
-    sh, sv, kh, kv = _tiles(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)
     t_los = tau_los(t, cfg)
     rx = _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg)
     delays = nlos_delays(t, cfg, field)
-    # The direct path on the (counts_h, counts_v) tile grid, gathered per element.
-    grid = np.arange(partition.counts_h)[:, None], np.arange(partition.counts_v)
-    a1, a2, mr = _direct(*grid, rx[:, :, None, None], cfg, partition)
-    H_los = _cis(kh * a1[:, sh, sv] + kv * a2[:, sh, sv] + mr[:, sh, sv] - TWO_PI * cfg.f_c * t_los)
     pos = field.positions()
+    direct = (cfg, partition, rx, -TWO_PI * cfg.f_c * t_los)
     dep = (cfg, partition, *_tile_pieces(pos, cfg, partition))
-    return H_los, dep, _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg), t_los, delays
+    return direct, dep, _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg), t_los, delays
+
+
+def _direct_phasors(cfg: ScenarioConfig, partition: SubarrayPartition, rx, bulk, v0: int, v1: int) -> np.ndarray:
+    """Direct-path phasors (M, v1 - v0, P_h) of element rows v0:v1 (0-based) toward the M receive points rx.
+
+    rx has rows x, y, z, kq, t, and bulk is their delay phase, as in matrix_parts' direct slot. The
+    gains are evaluated on the tile grid of those rows, then gathered per element into two buffers
+    that sum kh*a1 + kv*a2 + mr + bulk in place.
+    """
+    n_h, ph, pv = partition.counts_h, partition.p_max_h, partition.p_max_v
+    s0 = v0 // pv  # first tile row; the grid is (M, tile rows, tile columns)
+    a1, a2, mr = _direct(np.arange(n_h), np.arange(s0, (v1 - 1) // pv + 1)[:, None], rx[:, :, None, None], cfg, partition)
+    _, _, kh, kv = _tiles(np.arange(1, cfg.P_h + 1), np.arange(v0 + 1, v1 + 1), cfg, partition)
+    if ph == pv == 1:  # the tile grid is the element grid
+        phase, term = a1, a2
+    else:
+        tile = (np.arange(v0, v1) // pv - s0)[:, None] * n_h + np.arange(cfg.P_h) // ph
+        phase, term = (np.take(g.reshape(len(g), -1), tile, axis=1, mode="clip") for g in (a1, a2))
+    phase *= kh
+    term *= kv[:, None]
+    phase += term
+    phase += mr if ph == pv == 1 else np.take(mr.reshape(len(mr), -1), tile, axis=1, out=term, mode="clip")
+    phase += bulk
+    return _cis(phase)
+
+
+def _matrix_groups(parts, rand_phases: np.ndarray, K: float, out=None):
+    """Finish the matrices of parts for the draws rand_phases, one group of element rows at a time.
+
+    Yields (rows, v0, region): region, (m, h, P_h), is the finished block of element rows v0:v0 + h
+    (0-based) of the m receive rows `rows`, a slice of the D * Q rows of the draw stack. It is a
+    view of out, (D * Q, P_v, P_h), when out is given, else of one buffer that the next group
+    reuses. A group holds whole runs of _departure_blocks and about _GROUP_PHASORS entries per draw.
+    Each run stores its scattered sums in the group: the ray phasors of all draws and receive
+    elements form one (D * Q, N) matrix c, which meets a per-element run in one product, while
+    factored tiles give (A * c_i) @ B^T per row c_i of c, and a run of them too tall for one group
+    is finished one receive element at a time. The group is then divided by sqrt(N), weighted by
+    w_nlos and given w_los times its direct phasors, formed _GROUP_PHASORS at a time and shared by
+    the draws; the last group forms them once the departure buffers are gone.
+    """
+    (cfg, partition, rx, bulk), (_, _, *pieces), arr_phases = parts[:3]
+    w_los, w_nlos = rician_weights(K)
+    n_rays, n_q, n_h, pv = rand_phases.shape[-1], cfg.Q, cfg.P_h, partition.p_max_v
+    c = _cis(rand_phases[..., None, :] + arr_phases).reshape(-1, n_rays)
+    factored, run, _ = _runs(partition, n_rays)
+    rows = run * pv  # element rows per run
+    height = rows * max(1, _GROUP_PHASORS // (n_q * n_h * rows))  # element rows per group
+    one_by_one = factored and n_q * n_h * rows > _GROUP_PHASORS
+    receive = [slice(q, None, n_q) for q in range(n_q)] if one_by_one else [slice(None)]
+    scratch = ab = prod = None
+    if out is None:
+        scratch = np.empty((len(c) // len(receive), min(height, cfg.P_v), n_h), dtype=complex)
+
+    def fill(region, group, cs, v0):
+        """Store in region, from element row v0, the scattered sums of the runs of group for the rows cs of c."""
+        nonlocal ab, prod
+        for v, a, b in group:
+            if b is None:
+                r = np.matmul(cs, a.reshape(-1, n_rays).T).reshape(len(cs), -1, partition.counts_h * partition.p_max_h)
+                region[:, v - v0:v - v0 + r.shape[1]] = r[:, :cfg.P_v - v, :n_h]  # both slices stop at the array edge
+                continue
+            if ab is None:  # the first run is the tallest
+                ab, prod = np.empty(a.shape, dtype=complex), np.empty((*a.shape[:3], pv), dtype=complex)
+            k, bt = len(a), b.transpose(0, 2, 3, 1)
+            for ci, dst in zip(cs, region[:, v - v0:]):  # the (k, counts_h, p_max_h, p_max_v) tile products of ci
+                p = np.matmul(np.multiply(a, ci, out=ab[:k]), bt, out=prod[:k])
+                tiles = p.transpose(0, 3, 1, 2).reshape(k, pv, -1)  # per tile row, its element rows in element order
+                for j in range(0, min(k * pv, len(dst)), pv):
+                    dst[j:j + pv] = tiles[j // pv, :len(dst) - j, :n_h]
+
+    def finish(region, qs, v0):
+        """Divide region by sqrt(N), weight it by w_nlos and add w_los times the direct phasors of its rows."""
+        region /= math.sqrt(n_rays)
+        region *= w_nlos
+        rxs, h = rx[:, qs], region.shape[1]
+        view = region.reshape(-1, rxs.shape[1], h, n_h)  # (D, M, h, P_h) for the M receive points of rxs
+        step = max(1, _GROUP_PHASORS // (rxs.shape[1] * n_h))
+        for lo in range(0, h, step):
+            phasors = _direct_phasors(cfg, partition, rxs, bulk, v0 + lo, v0 + min(h, lo + step))
+            view[:, :, lo:lo + step] += np.multiply(w_los, phasors, out=phasors)
+
+    runs = _departure_blocks(cfg, partition, *pieces)
+    for g0 in range(0, cfg.P_v, height):
+        h = min(height, cfg.P_v - g0)
+        group = itertools.islice(runs, -(-h // rows))
+        if one_by_one:  # one run, used once per receive element
+            group = list(group)
+        for qs in receive:
+            region = out[qs, g0:g0 + h] if scratch is None else scratch[:, :h]
+            fill(region, group, c[qs], g0)
+            if g0 + h == cfg.P_v and qs is receive[-1]:  # the departure buffers go before the last direct phasors
+                runs.close()
+                group = ab = prod = c = None
+            finish(region, qs, g0)
+            yield qs, g0, region
 
 
 def combine_parts(parts, rand_phases: np.ndarray, K: float) -> np.ndarray:
     """Full (Q, P) matrix for one draw of the per-ray random phases; a (D, N) stack of draws gives (D, Q, P).
 
-    The ray phasors of all draws and receive elements form one (D * Q, N) matrix c, which meets each
-    per-element block of _departure_blocks in one product; factored tiles give (A * c) @ B^T per tile.
+    The matrix is finished in place by _matrix_groups, one group of element rows at a time.
     """
-    H_los, (cfg, partition, *pieces), arr_phases, _, _ = parts
-    w_los, w_nlos = rician_weights(K)
-    n_rays = rand_phases.shape[-1]
-    rays = _cis(rand_phases[..., None, :] + arr_phases)
-    c = rays.reshape(-1, n_rays)
-    H = np.empty((len(c), cfg.P_v, cfg.P_h), dtype=complex)
-    for v0, a, b in _departure_blocks(cfg, partition, *pieces):
-        if b is None:
-            r = np.matmul(c, a.reshape(-1, n_rays).T)
-        else:  # per row of c the (k, counts_h, p_max_h, p_max_v) tile products, then put in element order
-            r = np.stack([np.matmul(a * ci, b.transpose(0, 2, 3, 1)) for ci in c]).transpose(0, 1, 4, 2, 3)
-        r = r.reshape(len(c), -1, partition.counts_h * partition.p_max_h)
-        H[:, v0:v0 + r.shape[1]] = r[:, :cfg.P_v - v0, :cfg.P_h]  # both slices stop at the array edge
-    H = H.reshape(*rays.shape[:-1], -1)
-    H /= math.sqrt(n_rays)
-    H *= w_nlos
-    H += w_los * H_los
-    return H
+    cfg = parts[0][0]
+    draws = rand_phases.shape[:-1]
+    H = np.empty((math.prod(draws) * cfg.Q, cfg.P_v, cfg.P_h), dtype=complex)
+    for _ in _matrix_groups(parts, rand_phases, K, H):
+        pass
+    return H.reshape(*draws, cfg.Q, -1)
 
 
 def channel_matrix(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: ScattererField) -> ChannelRealization:

@@ -281,9 +281,10 @@ class SubarrayPartition:
     z: np.ndarray
 
     def subarray_of_element(self, p_h: int, p_v: int) -> tuple[int, int]:
+        """Tile (sh, sv), 1-based, of element (p_h, p_v), which must lie on the partitioned grid."""
         return (
-            element_to_subarray(p_h, self.p_max_h),
-            element_to_subarray(p_v, self.p_max_v),
+            element_to_subarray(_index("p_h", p_h, 1, sum(self.sizes_h)), self.p_max_h),
+            element_to_subarray(_index("p_v", p_v, 1, sum(self.sizes_v)), self.p_max_v),
         )
 
 
@@ -310,7 +311,7 @@ def subarray_center(sh: int, sv: int, cfg: ScenarioConfig, partition: "SubarrayP
     return Vec3(float(partition.x[sh - 1]), float(partition.y[sh - 1]), float(partition.z[sv - 1]))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)  # typed: True and 1.0 miss the entry of 1 and are refused
 def make_partition(cfg: ScenarioConfig, p_max_h: int, p_max_v: int) -> SubarrayPartition:
     """Build the full partition description for target tile size (p_max_h, p_max_v)."""
     counts_h = partition_counts(cfg.P_h, p_max_h)

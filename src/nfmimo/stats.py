@@ -25,6 +25,7 @@ from .channel import (
     WavefrontModel,
     _CIS_CHUNK,
     _cis,
+    _matrix_groups,
     channel_matrix,
     combine_parts,
     los_phase,  # noqa: F401 - one-point views of point_phases; perfbench's tracer wraps them here
@@ -453,28 +454,94 @@ def mean_capacity(
     return float(means[0]) if scalar else [float(v) for v in means]
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum of the entries of x: the exactly rounded sum, which depends on the values alone, not on the loop path.
+# frexp's exponent of the least subnormal, 2**-1074: the running sum counts units of 2**(_FREXP_MIN - 53).
+_FREXP_MIN = -1073
 
-    Finite entries are summed exactly per binary exponent: x = m * 2**e with m the 53-bit integer
+
+class _ExactSum:
+    """A running math.fsum: terms come in chunks, and any split of them gives the total fsum gives.
+
+    Finite terms are summed exactly per binary exponent: x = m * 2**e with m the 53-bit integer
     mantissa, split into 26-bit halves whose per-exponent sums (np.bincount) stay integers below
-    2**53 for fewer than 2**26 entries; one Python integer then holds the total, and its division
-    by a power of two rounds once. Non-finite entries go through math.fsum itself.
+    2**53 for fewer than 2**26 terms at a time; one Python integer holds the running total in units
+    of 2**(_FREXP_MIN - 53), and total() divides it by a power of two, which rounds once.
+    Non-finite terms follow fsum: infinities of both signs give a ValueError, else a NaN gives NaN,
+    else the infinity. A running sum of finite terms that reaches the float range's end raises
+    OverflowError, and the sum restarts after each non-finite term, as fsum's does: for terms of
+    one sign, such as model-error terms, the error comes exactly when fsum raises it.
     """
-    x = x.ravel()
-    if x.size >= 2**26 or not np.isfinite(x).all():
-        return math.fsum(x.tolist())
-    m, e = np.frexp(x, out=(np.empty(x.shape), np.empty(x.shape, np.intp)))
-    m *= 2.0**27  # x = m * 2**(e - 27) = (hi * 2**26 + lo) * 2**(e - 53) with integers hi, lo
-    hi = np.floor(m)
-    lo = np.multiply(np.subtract(m, hi, out=m), 2.0**26, out=m)
-    e_min = int(e.min()) if x.size else 0
-    e -= e_min
-    total = 0
-    for k, (h, l) in enumerate(zip(np.bincount(e, hi).tolist(), np.bincount(e, lo).tolist())):
-        total += ((int(h) << 26) + int(l)) << k
-    shift = e_min - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+    def __init__(self) -> None:
+        self._units = 0
+        self._nan = self._pos = self._neg = False
+
+    def add(self, x) -> None:
+        x = np.asarray(x, dtype=float).ravel()
+        finite = np.isfinite(x)
+        if finite.all():
+            self._add_finite(x)
+            return
+        lo = 0
+        for i in np.flatnonzero(~finite).tolist():
+            self._add_finite(x[lo:i])
+            v = float(x[i])
+            self._nan, self._pos, self._neg = self._nan or v != v, self._pos or v > 0, self._neg or v < 0
+            self._units, lo = 0, i + 1
+        self._add_finite(x[lo:])
+
+    def _add_finite(self, x: np.ndarray) -> None:
+        for lo in range(0, x.size, 2**26 - 1):
+            chunk = x[lo:lo + 2**26 - 1]
+            m, e = np.frexp(chunk, out=(np.empty(chunk.shape), np.empty(chunk.shape, np.intp)))
+            m *= 2.0**27  # x = m * 2**(e - 27) = (hi * 2**26 + low) * 2**(e - 53) with integers hi, low
+            hi = np.floor(m)
+            low = np.multiply(np.subtract(m, hi, out=m), 2.0**26, out=m)
+            e_min = int(e.min())
+            e -= e_min
+            total = 0
+            for k, (h, l) in enumerate(zip(np.bincount(e, hi).tolist(), np.bincount(e, low).tolist())):
+                total += ((int(h) << 26) + int(l)) << k
+            self._units += total << (e_min - _FREXP_MIN)
+        if self._units.bit_length() > 1023 - (_FREXP_MIN - 53):  # 2**1023 or more in magnitude
+            self._float()
+
+    def _float(self) -> float:
+        try:
+            return self._units / (1 << (53 - _FREXP_MIN))
+        except OverflowError:
+            raise OverflowError("intermediate overflow in fsum") from None
+
+    def total(self) -> float:
+        if self._pos and self._neg:
+            raise ValueError("-inf + inf in fsum")
+        if self._nan or self._pos or self._neg:
+            return math.nan if self._nan else math.inf if self._pos else -math.inf
+        return self._float()
+
+
+def _exact_sum(x) -> float:
+    """math.fsum of the entries of x, an array or an iterable of arrays taken in turn.
+
+    The exactly rounded sum depends on the values alone, not on the loop path or on how the terms are split.
+    """
+    acc = _ExactSum()
+    for chunk in (x,) if isinstance(x, np.ndarray) else x:
+        acc.add(chunk)
+    return acc.total()
+
+
+def _error_terms(groups, ref: np.ndarray):
+    """|h - h_ref| / |h_ref| of each (rows, v0, region) of _matrix_groups against ref, (Q, P_v, P_h), by runs of _CIS_CHUNK entries."""
+    for rows, v0, region in groups:
+        h_refs = ref[rows, v0:v0 + region.shape[1]]
+        step = max(1, _CIS_CHUNK // (len(region) * region.shape[2]))
+        for lo in range(0, region.shape[1], step):
+            h_model, h_ref = region[:, lo:lo + step], h_refs[:, lo:lo + step]
+            if not np.isfinite(h_model).all():
+                raise ValueError("H contains non-finite entries")
+            terms = np.abs(h_model - h_ref)
+            terms /= np.abs(h_ref)
+            yield terms
 
 
 def model_error_delta(
@@ -491,8 +558,10 @@ def model_error_delta(
     -inf, returned as a sentinel rather than raised.
 
     model may also be a sequence of models, giving one error per model. The
-    reference matrix is then built once for all of them, and a model whose
-    tiling is the 1x1 partition reuses it instead of rebuilding it.
+    reference matrix is built once, first; a model whose tiling is the 1x1
+    partition reuses it, and any other is reduced against it group by group
+    as channel._matrix_groups finishes its rows, so no model matrix exists
+    whole; the terms go to one running exact sum _CIS_CHUNK at a time.
     """
     single = isinstance(model, WavefrontModel)
     models = [model] if single else list(model)
@@ -500,21 +569,14 @@ def model_error_delta(
         raise ValueError("at least one model is required")
     if any(m.variant == "spherical" for m in models):
         raise ValueError("the per-element (spherical) model is the error reference itself")
-    h_ref = abs_ref = None
+    ref = channel_matrix(t, cfg, WavefrontModel.spherical(), field).H.reshape(cfg.Q, cfg.P_v, cfg.P_h)
     errors = []
     for m in models:
         partition = m.partition_for(cfg)
-        unit = partition.p_max_h == partition.p_max_v == 1
-        h_model = None if unit else channel_matrix(t, cfg, m, field).H
-        if h_ref is None:
-            # Built after the first model's matrix, as for a lone model,
-            # which keeps the peak memory of the call unchanged.
-            h_ref = channel_matrix(t, cfg, WavefrontModel.spherical(), field).H
-            abs_ref = np.abs(h_ref)
-        if unit:
-            h_model = h_ref
-        terms = np.abs(h_model - h_ref)
-        terms /= abs_ref
-        total = _exact_sum(terms)
+        if partition.p_max_h == partition.p_max_v == 1:
+            groups = [(slice(None), 0, ref)]
+        else:
+            groups = _matrix_groups(matrix_parts(t, cfg, m, field), field.phases(), cfg.K)
+        total = _exact_sum(_error_terms(groups, ref))
         errors.append(float("-inf") if total == 0.0 else 10.0 * math.log10(total))
     return errors[0] if single else errors

@@ -28,6 +28,7 @@ from nfmimo.channel import (
     _CIS_CHUNK,
     _cis,
     _departure_blocks,
+    _direct_phasors,
     _gains,
     _pieces,
     _receive,
@@ -446,6 +447,13 @@ def test_channel_matrix_matches_scalar_path():
                 assert abs(scalar - real.H[q - 1, p - 1]) < 1e-12
 
 
+def _direct_matrix(parts, rows=3):
+    """The (Q, P) direct phasors of matrix_parts' direct slot, through _direct_phasors rows element rows at a time."""
+    cfg = parts[0][0]
+    groups = [_direct_phasors(*parts[0], v0, min(v0 + rows, cfg.P_v)) for v0 in range(0, cfg.P_v, rows)]
+    return np.concatenate(groups, axis=1).reshape(cfg.Q, -1)
+
+
 # An uneven grid, so the trailing 2x2 tiles are cut to 1 element on both axes.
 TILED_CFG = ScenarioConfig(P_h=5, P_v=3, Q=2, L_clusters=2, N_rays=3, eta_R=0.8, theta_R=0.4, v_R=12.0)
 TILINGS = [(WavefrontModel.subarray(2, 2), (2, 2)), (PLANAR, (5, 3))]
@@ -455,7 +463,7 @@ TILINGS = [(WavefrontModel.subarray(2, 2), (2, 2)), (PLANAR, (5, 3))]
 def test_channel_matrix_matches_brute_force_oracle_for_tilings(model, tile):
     cfg, t = TILED_CFG, 0.4
     field = field_for_realization(cfg, 9, 0)
-    H_los = matrix_parts(t, cfg, model, field)[0]
+    H_los = _direct_matrix(matrix_parts(t, cfg, model, field))
     H = channel_matrix(t, cfg, model, field).H
     w_los, w_nlos = rician_weights(cfg.K)
     for p in range(1, 16):
@@ -532,7 +540,7 @@ def test_channel_matrix_matches_brute_force_oracle_for_uneven_tiling():
     field = field_for_realization(cfg, 5, 2)
     model = WavefrontModel.subarray(3, 2)
     H_los, H = _oracle_matrices(cfg, t, field, (3, 2))
-    assert np.max(np.abs(matrix_parts(t, cfg, model, field)[0] - H_los)) < 1e-12
+    assert np.max(np.abs(_direct_matrix(matrix_parts(t, cfg, model, field)) - H_los)) < 1e-12
     assert np.max(np.abs(channel_matrix(t, cfg, model, field).H - H)) < 5e-12
 
 
@@ -690,7 +698,7 @@ def test_direct_path_is_bit_identical_to_the_per_tile_evaluation(model):
     elements = _per_element_tiles(p % cfg.P_h + 1, p // cfg.P_h + 1, cfg, partition)
     bulk = np.full(cfg.Q, -2 * math.pi * cfg.f_c * tau_los(t, cfg))
     expected = _per_element_direct_phases(elements, _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg), bulk, cfg)
-    assert np.array_equal(matrix_parts(t, cfg, model, field_for_realization(cfg, 3, 1))[0], _cis(expected))
+    assert np.array_equal(_direct_matrix(matrix_parts(t, cfg, model, field_for_realization(cfg, 3, 1))), _cis(expected))
 
     # Tile columns and rows repeat across points (and within subarray:3x2 tiles); times mix.
     points = [
@@ -721,13 +729,14 @@ def test_tile_factors_match_a_per_element_table(phase_draws):
     kh, kv = (cfg.P_h - 2 * p_h + 1) / 2, (cfg.P_v - 2 * p_v + 1) / 2
     table = np.exp(1j * (kh[:, None] * g1 + kv[:, None] * g2))
     w_los, w_nlos = rician_weights(cfg.K)
+    H_los = _direct_matrix(parts, rows=cfg.P_v)
     rng = np.random.default_rng(8)
     draws = [field.phases()] + [rng.uniform(-math.pi, math.pi, field.n_rays) for _ in range(phase_draws - 1)]
     for phases in draws:
         H = combine_parts(parts, phases, cfg.K)
         for q in range(cfg.Q):
             c = np.exp(1j * (phases + parts[2][q]))
-            expected = w_los * parts[0][q] + w_nlos * (table @ c) / math.sqrt(field.n_rays)
+            expected = w_los * H_los[q] + w_nlos * (table @ c) / math.sqrt(field.n_rays)
             assert np.max(np.abs(H[q] - expected)) < 1e-12
 
 
@@ -755,6 +764,73 @@ def test_channel_matrix_holds_no_departure_table():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n_table
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def transient_bound(cfg, model) -> int:
+    """Bytes a matrix of model may hold beyond its result: three tile rows of phasors and ten _cis chunks of complex.
+
+    A tile row's phasors are its per-element departure phasors, or for factored tiles its factors and the
+    tile products of one receive row. The chunks cover the departure block and its gains, a group's direct
+    phasors and phases, and a run of error terms with their exact sum. No term involves P_v.
+    """
+    part = model.partition_for(cfg)
+    n, width, rows = cfg.L_clusters * cfg.N_rays, part.counts_h * part.p_max_h, part.p_max_v
+    if part.p_max_h * part.p_max_v >= channel_module._FACTORED_AREA:
+        tile_row = part.counts_h * (part.p_max_h + rows) * n + width * rows
+    else:
+        tile_row = width * rows * n
+    return 16 * (3 * tile_row + 10 * _CIS_CHUNK)
+
+
+# Few rays, so that at both sides the matrix outgrows the chunk-sized buffers; 3x5 tiles are cut at both edges.
+MEMORY_MODELS = [SPHERICAL, WavefrontModel.subarray(2, 2), WavefrontModel.subarray(3, 5), WavefrontModel.subarray(16, 16), PLANAR]
+
+
+def memory_scenario(side):
+    """A side x side array with 8 rays, its field and the bytes of its (Q, P) matrix, with lazy state already built."""
+    cfg = ScenarioConfig(P_h=side, P_v=side, L_clusters=2, N_rays=4)
+    field = field_for_realization(cfg, 1, 0)
+    field.positions(), field.phases(), _cis(np.zeros(1))  # the field's arrays and this thread's _cis buffers
+    for model in MEMORY_MODELS:
+        model.partition_for(cfg)  # cached partitions
+    return cfg, field, 16 * cfg.Q * cfg.P_h * cfg.P_v
+
+
+@pytest.mark.parametrize("side", [96, 192])
+@pytest.mark.parametrize("model", MEMORY_MODELS, ids=lambda m: m.label)
+def test_channel_matrix_holds_a_few_tile_rows_beyond_its_output(model, side):
+    # At 192x192 a matrix built whole, with its (Q, P) direct matrix, went 1.5 to 2.7 times over this bound.
+    cfg, field, out = memory_scenario(side)
+    assert traced_peak(lambda: channel_matrix(0.0, cfg, model, field)) - out <= transient_bound(cfg, model)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [SPHERICAL, WavefrontModel.subarray(2, 2), WavefrontModel.subarray(3, 2), WavefrontModel.subarray(16, 16), PLANAR],
+    ids=lambda m: m.label,
+)
+def test_matrix_does_not_depend_on_the_group_bound(monkeypatch, model):
+    # 43x37 with 100 rays: 16x16 tiles overhang both edges; 1x1, 2x2 and 3x2 groups span several runs.
+    cfg = dataclasses.replace(ScenarioConfig(P_h=43, P_v=37, Q=2), psi_T=0.7)
+    field = field_for_realization(cfg, 3, 1)
+    parts = matrix_parts(0.2, cfg, model, field)
+    draws = np.random.default_rng(4).uniform(0, 2 * math.pi, (3, 100))
+    H, stack = combine_parts(parts, field.phases(), cfg.K), combine_parts(parts, draws, cfg.K)
+    for bound in (1, 777, 100 * cfg.P_h * cfg.P_v):  # one element row per group, some rows, the whole array
+        with monkeypatch.context() as m:
+            m.setattr(channel_module, "_GROUP_PHASORS", bound)
+            assert np.array_equal(combine_parts(parts, field.phases(), cfg.K), H)
+            assert np.array_equal(combine_parts(parts, draws, cfg.K), stack)
 
 
 def test_channel_matrix_subarray_identities():

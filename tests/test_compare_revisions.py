@@ -136,7 +136,7 @@ def test_array_script_saves_matrix_parts_and_combine_parts(tmp_path):
     assert {status for _, status, _ in report} == {"equal"}
     names = {name for name, _, _ in report}
     for stem in ("3_spherical.npz", "3_subarray_2x2.npz"):
-        assert {f"{stem}:combine_parts.1", f"{stem}:combine_parts.3", f"{stem}:matrix_parts.0"} <= names
+        assert {f"{stem}:combine_parts.1", f"{stem}:combine_parts.3", f"{stem}:matrix_parts.0.2"} <= names
         assert {f"{stem}:point_phases.direct", f"{stem}:point_phases.scattered"} <= names
         with np.load(tmp_path / "a" / stem) as data:
             # one phase per point, and one per point and ray of the seed-0 field (100 rays)

@@ -364,6 +364,22 @@ def test_partition_subarray_of_element_matches_scalar_map():
             assert sv == element_to_subarray(p_v, 3)
 
 
+def test_partition_subarray_of_element_refuses_an_element_beyond_its_axis():
+    part = make_partition(ScenarioConfig(P_h=4, P_v=4), 2, 2)
+    assert part.subarray_of_element(4, 4) == (2, 2)
+    for p_h, p_v, name in ((100, 1, "p_h"), (5, 1, "p_h"), (0, 1, "p_h"), (1, 5, "p_v"), (2, True, "p_v")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in \\[1, 4\\]"):
+            part.subarray_of_element(p_h, p_v)
+
+
+def test_make_partition_refuses_a_bool_or_float_tile_size_on_a_cache_hit():
+    cfg = ScenarioConfig(P_h=4, P_v=4)
+    assert make_partition(cfg, 1, 1) is make_partition(cfg, 1, 1)  # the integer sizes are cached
+    for size in (True, 1.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match="^p_max must be an integer"):
+            make_partition(cfg, size, size)
+
+
 # ---------------------------------------------------------------------------
 # Optimal subarray size
 

@@ -7,6 +7,7 @@ examples.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
@@ -124,3 +125,28 @@ def test_exact_sum_of_one_element_is_that_element(term):
 def test_exact_sum_of_signed_terms_in_any_shape_is_fsum(terms, rows):
     x = np.array(terms * rows).reshape(rows, -1)
     assert _exact_sum(x).hex() == math.fsum(x.ravel().tolist()).hex()
+
+
+# Terms of a running sum: non-negative ones up to the float range's end, so that running sums overflow, or
+# signed ones far from it; either kind mixed with infinities and NaN.
+specials = st.sampled_from([math.inf, -math.inf, math.nan])
+non_negative_terms = st.lists(
+    st.one_of(error_terms, specials, st.floats(1e307, sys.float_info.max), st.just(sys.float_info.max)), max_size=40
+)
+signed_terms = st.lists(st.one_of(st.floats(-1e300, 1e300), specials), max_size=40)
+
+
+def _fsum_outcome(sum_of, terms):
+    """The hex of sum_of(terms), or the type and message of the error it raises."""
+    try:
+        return sum_of(terms).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(terms=st.one_of(non_negative_terms, signed_terms), data=st.data())
+def test_running_exact_sum_of_any_split_is_fsum(terms, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=6)))
+    chunks = [np.array(terms[lo:hi], dtype=float) for lo, hi in zip([0, *cuts], [*cuts, len(terms)])]
+    assert _fsum_outcome(_exact_sum, chunks) == _fsum_outcome(math.fsum, terms)

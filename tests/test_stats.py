@@ -19,6 +19,7 @@ from nfmimo.channel import (
 )
 from nfmimo.geometry import ScenarioConfig
 from nfmimo.scattering import field_for_realization
+from test_channel import MEMORY_MODELS, memory_scenario, traced_peak, transient_bound
 from nfmimo.stats import (
     _PHASE_STREAM,
     RO_LOS_PER_ANGLE_SET,
@@ -623,13 +624,36 @@ def test_model_error_list_equals_single_calls(monkeypatch):
     models = [WavefrontModel.subarray(p, p) for p in (2, 1, 3, 8)] + [PLANAR, WavefrontModel.subarray(1, 1)]
     singles = [model_error_delta(m, 0.02, SWEEP_CFG, field) for m in models]
     built = []
-    original = stats.channel_matrix
-    monkeypatch.setattr(stats, "channel_matrix", lambda t, c, m, f: built.append(m.label) or original(t, c, m, f))
+    for name in ("channel_matrix", "matrix_parts"):
+        original = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda t, c, m, f, _f=original: built.append(m.label) or _f(t, c, m, f))
     errors = model_error_delta(models, 0.02, SWEEP_CFG, field)
     assert errors == singles
     assert errors[1] == errors[5] == float("-inf")
-    # The first model comes before the one shared reference; 1x1 tilings reuse it.
-    assert built == ["subarray:2x2", "spherical", "subarray:3x3", "subarray:8x8", "planar"]
+    # The one shared reference comes first, as a matrix; 1x1 tilings reuse it, the others stream their groups.
+    assert built == ["spherical", "subarray:2x2", "subarray:3x3", "subarray:8x8", "planar"]
+
+
+@pytest.mark.parametrize("side", [96, 192])
+@pytest.mark.parametrize("model", MEMORY_MODELS[1:], ids=lambda m: m.label)
+def test_model_error_holds_a_few_tile_rows_beyond_its_reference(model, side):
+    # Neither the model's matrix nor its terms exist whole: past the reference, the call holds what building
+    # the reference or a model matrix holds. At 192x192 whole matrices and terms took 2.1 to 3.5 times the bound.
+    cfg, field, ref = memory_scenario(side)
+    bound = max(transient_bound(cfg, SPHERICAL), transient_bound(cfg, model))
+    assert traced_peak(lambda: model_error_delta(model, 0.0, cfg, field)) - ref <= bound
+
+
+@pytest.mark.parametrize("model", [WavefrontModel.subarray(2, 2), WavefrontModel.subarray(16, 16), PLANAR], ids=lambda m: m.label)
+def test_model_error_does_not_depend_on_the_group_bound(monkeypatch, model):
+    import nfmimo.channel as channel
+
+    cfg = ScenarioConfig(P_h=43, P_v=37, Q=2, psi_T=0.7)
+    field = field_for_realization(cfg, 3, 1)
+    error = model_error_delta(model, 0.2, cfg, field)
+    for bound in (1, 777, 100 * cfg.P_h * cfg.P_v):
+        monkeypatch.setattr(channel, "_GROUP_PHASORS", bound)
+        assert model_error_delta(model, 0.2, cfg, field) == error
 
 
 def test_model_error_total_is_the_exactly_rounded_sum():
