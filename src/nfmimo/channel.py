@@ -13,16 +13,19 @@ _gains at the transmit end and _receive at the receive end, both under
 _direct and _arrival_phases. _tiles is the one element-to-tile mapping: tile
 column, tile row and steering offsets kh, kv. point_phases evaluates a batch
 of (p, q, t) points, of which los_phase, nlos_ray_phases, cir_* and
-transfer_function are one-point views. matrix_parts covers the whole array:
-the direct path on the tile grid, gathered per element, and the scattered
-departure side as real pieces per tile column and row. combine_parts forms
-the departure phasors in blocks of whole tile rows, _BLOCK_PHASORS
-per-element phasors at a time, and meets each one-chunk run of a block with
-the ray phasors of all receive elements and draws in one product: no (P, N)
-table is held, and every product keeps its shape whatever the block size, so
-the matrix does not depend on it. A tile's phasors are products of per-tile
-horizontal and vertical factors, as its steering phase is linear; large
-tiles multiply the factors per tile without expanding them.
+transfer_function are one-point views. matrix_parts holds what every draw
+of the whole array shares: the receive points of the direct path and the
+scattered departure side as real pieces per tile column and row.
+combine_parts finishes the matrix in place, one group of element rows at a
+time. It forms the departure phasors in blocks of whole tile rows,
+_BLOCK_PHASORS per-element phasors at a time, and meets each one-chunk run
+of a block with the ray phasors of all receive elements and draws in one
+product; then it adds the group's direct phasors, evaluated on the tile grid
+of its rows and gathered per element. No (P, N) table and no (Q, P) direct
+matrix is held, and every product keeps its shape whatever the block or
+group size, so the matrix does not depend on either. A tile's phasors are
+products of per-tile horizontal and vertical factors, as its steering phase
+is linear; large tiles multiply the factors per tile without expanding them.
 
 Every phasor exp(j*theta) goes through one kernel, _cis: a table-driven
 exponential with Cody-Waite range reduction, within 4.5e-16 of numpy's
@@ -62,8 +65,10 @@ BANDWIDTH_HZ = 50e6
 
 _VARIANTS = ("spherical", "planar", "subarray")
 # Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: a complex (D * Q, P) stack of
-# phase draws, D * Q <= N, plus the (Q, P) direct matrix. Refused before anything P-sized exists. The
-# correlation runners hold their axis, at harness._AXIS_POINT_BYTES per point, to the same budget.
+# phase draws, D * Q <= N, plus a (Q, P) matrix, the direct matrix of earlier versions, which combine_parts
+# no longer forms; the formula stays so that the arrays accepted do not change. Refused before anything
+# P-sized exists. The correlation runners hold their axis, at harness._AXIS_POINT_BYTES per point, to the
+# same budget.
 MATRIX_BUDGET_BYTES = 2**30
 
 

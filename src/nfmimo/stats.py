@@ -454,80 +454,68 @@ def mean_capacity(
     return float(means[0]) if scalar else [float(v) for v in means]
 
 
-# frexp's exponent of the least subnormal, 2**-1074: the running sum counts units of 2**(_FREXP_MIN - 53).
+# frexp's exponent of the least subnormal, 2**-1074: exact sums count units of 2**(_FREXP_MIN - 53).
 _FREXP_MIN = -1073
 
 
-class _ExactSum:
-    """A running math.fsum: terms come in chunks, and any split of them gives the total fsum gives.
+def _units(x: np.ndarray) -> int:
+    """The exact sum of the finite entries of x, in units of 2**(_FREXP_MIN - 53), as one Python integer.
 
-    Finite terms are summed exactly per binary exponent: x = m * 2**e with m the 53-bit integer
-    mantissa, split into 26-bit halves whose per-exponent sums (np.bincount) stay integers below
-    2**53 for fewer than 2**26 terms at a time; one Python integer holds the running total in units
-    of 2**(_FREXP_MIN - 53), and total() divides it by a power of two, which rounds once.
-    Non-finite terms follow fsum: infinities of both signs give a ValueError, else a NaN gives NaN,
-    else the infinity. A running sum of finite terms that reaches the float range's end raises
-    OverflowError, and the sum restarts after each non-finite term, as fsum's does: for terms of
-    one sign, such as model-error terms, the error comes exactly when fsum raises it.
+    Each x = m * 2**e with m the 53-bit integer mantissa, split into 26-bit halves whose sums per
+    binary exponent (np.bincount) stay integers below 2**53 for fewer than 2**26 entries at a time.
     """
+    units = 0
+    for lo in range(0, x.size, 2**26 - 1):
+        part = x[lo:lo + 2**26 - 1]
+        m, e = np.frexp(part, out=(np.empty(part.shape), np.empty(part.shape, np.intp)))
+        m *= 2.0**27  # x = m * 2**(e - 27) = (hi * 2**26 + low) * 2**(e - 53) with integers hi, low
+        hi = np.floor(m)
+        low = np.multiply(np.subtract(m, hi, out=m), 2.0**26, out=m)
+        e_min = int(e.min())
+        e -= e_min
+        total = 0
+        for k, (h, l) in enumerate(zip(np.bincount(e, hi).tolist(), np.bincount(e, low).tolist())):
+            total += ((int(h) << 26) + int(l)) << k
+        units += total << (e_min - _FREXP_MIN)
+    return units
 
-    def __init__(self) -> None:
-        self._units = 0
-        self._nan = self._pos = self._neg = False
 
-    def add(self, x) -> None:
-        x = np.asarray(x, dtype=float).ravel()
-        finite = np.isfinite(x)
-        if finite.all():
-            self._add_finite(x)
-            return
-        lo = 0
-        for i in np.flatnonzero(~finite).tolist():
-            self._add_finite(x[lo:i])
-            v = float(x[i])
-            self._nan, self._pos, self._neg = self._nan or v != v, self._pos or v > 0, self._neg or v < 0
-            self._units, lo = 0, i + 1
-        self._add_finite(x[lo:])
-
-    def _add_finite(self, x: np.ndarray) -> None:
-        for lo in range(0, x.size, 2**26 - 1):
-            chunk = x[lo:lo + 2**26 - 1]
-            m, e = np.frexp(chunk, out=(np.empty(chunk.shape), np.empty(chunk.shape, np.intp)))
-            m *= 2.0**27  # x = m * 2**(e - 27) = (hi * 2**26 + low) * 2**(e - 53) with integers hi, low
-            hi = np.floor(m)
-            low = np.multiply(np.subtract(m, hi, out=m), 2.0**26, out=m)
-            e_min = int(e.min())
-            e -= e_min
-            total = 0
-            for k, (h, l) in enumerate(zip(np.bincount(e, hi).tolist(), np.bincount(e, low).tolist())):
-                total += ((int(h) << 26) + int(l)) << k
-            self._units += total << (e_min - _FREXP_MIN)
-        if self._units.bit_length() > 1023 - (_FREXP_MIN - 53):  # 2**1023 or more in magnitude
-            self._float()
-
-    def _float(self) -> float:
-        try:
-            return self._units / (1 << (53 - _FREXP_MIN))
-        except OverflowError:
-            raise OverflowError("intermediate overflow in fsum") from None
-
-    def total(self) -> float:
-        if self._pos and self._neg:
-            raise ValueError("-inf + inf in fsum")
-        if self._nan or self._pos or self._neg:
-            return math.nan if self._nan else math.inf if self._pos else -math.inf
-        return self._float()
+def _rounded(units: int) -> float:
+    """units of 2**(_FREXP_MIN - 53) rounded once to a float; beyond the float range the OverflowError fsum raises."""
+    try:
+        return units / (1 << (53 - _FREXP_MIN))
+    except OverflowError:
+        raise OverflowError("intermediate overflow in fsum") from None
 
 
 def _exact_sum(x) -> float:
-    """math.fsum of the entries of x, an array or an iterable of arrays taken in turn.
+    """math.fsum of the entries of x, an array or an iterable of arrays summed in turn, as a running sum.
 
-    The exactly rounded sum depends on the values alone, not on the loop path or on how the terms are split.
+    The exactly rounded sum depends on the values alone, not on the loop path or on how the terms are
+    split: finite terms go to one integer (_units), rounded once at the end. Non-finite terms follow
+    fsum: infinities of both signs give a ValueError, else a NaN gives NaN, else the infinity. A
+    running sum of finite terms that reaches the float range's end raises OverflowError, and the sum
+    restarts after each non-finite term, as fsum's does: for terms of one sign, such as model-error
+    terms, the error comes exactly when fsum raises it.
     """
-    acc = _ExactSum()
+    units, nan, pos, neg = 0, False, False, False
     for chunk in (x,) if isinstance(x, np.ndarray) else x:
-        acc.add(chunk)
-    return acc.total()
+        chunk = np.asarray(chunk, dtype=float).ravel()
+        finite = np.isfinite(chunk)
+        lo = 0
+        for i in [*([] if finite.all() else np.flatnonzero(~finite).tolist()), chunk.size]:
+            units += _units(chunk[lo:i])
+            if units.bit_length() > 1023 + 53 - _FREXP_MIN:  # 2**1023 or more in magnitude
+                _rounded(units)
+            if i < chunk.size:
+                v = float(chunk[i])
+                nan, pos, neg, units = nan or v != v, pos or v > 0, neg or v < 0, 0
+            lo = i + 1
+    if pos and neg:
+        raise ValueError("-inf + inf in fsum")
+    if nan or pos or neg:
+        return math.nan if nan else math.inf if pos else -math.inf
+    return _rounded(units)
 
 
 def _error_terms(groups, ref: np.ndarray):
