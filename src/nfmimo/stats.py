@@ -519,7 +519,7 @@ def _exact_sum(x) -> float:
 
 
 def _error_terms(groups, ref: np.ndarray):
-    """|h - h_ref| / |h_ref| of each (rows, v0, region) of _matrix_groups against ref, (Q, P_v, P_h), by runs of _CIS_CHUNK entries."""
+    """|h - h_ref| / |h_ref| of each (rows, v0, region) of _matrix_groups against ref (Q, P_v, P_h), _CIS_CHUNK at a time."""
     for rows, v0, region in groups:
         h_refs = ref[rows, v0:v0 + region.shape[1]]
         step = max(1, _CIS_CHUNK // (len(region) * region.shape[2]))

@@ -793,7 +793,9 @@ def transient_bound(cfg, model) -> int:
 
 
 # Few rays, so that at both sides the matrix outgrows the chunk-sized buffers; 3x5 tiles are cut at both edges.
-MEMORY_MODELS = [SPHERICAL, WavefrontModel.subarray(2, 2), WavefrontModel.subarray(3, 5), WavefrontModel.subarray(16, 16), PLANAR]
+MEMORY_MODELS = [
+    SPHERICAL, WavefrontModel.subarray(2, 2), WavefrontModel.subarray(3, 5), WavefrontModel.subarray(16, 16), PLANAR
+]
 
 
 def memory_scenario(side):

@@ -19,7 +19,6 @@ from nfmimo.channel import (
 )
 from nfmimo.geometry import ScenarioConfig
 from nfmimo.scattering import field_for_realization
-from test_channel import MEMORY_MODELS, memory_scenario, traced_peak, transient_bound
 from nfmimo.stats import (
     _PHASE_STREAM,
     RO_LOS_PER_ANGLE_SET,
@@ -40,6 +39,7 @@ from nfmimo.stats import (
     temporal_acf,
     temporal_acf_series,
 )
+from test_channel import MEMORY_MODELS, memory_scenario, traced_peak, transient_bound
 
 SPHERICAL = WavefrontModel.spherical()
 PLANAR = WavefrontModel.planar()
@@ -644,7 +644,9 @@ def test_model_error_holds_a_few_tile_rows_beyond_its_reference(model, side):
     assert traced_peak(lambda: model_error_delta(model, 0.0, cfg, field)) - ref <= bound
 
 
-@pytest.mark.parametrize("model", [WavefrontModel.subarray(2, 2), WavefrontModel.subarray(16, 16), PLANAR], ids=lambda m: m.label)
+@pytest.mark.parametrize(
+    "model", [WavefrontModel.subarray(2, 2), WavefrontModel.subarray(16, 16), PLANAR], ids=lambda m: m.label
+)
 def test_model_error_does_not_depend_on_the_group_bound(monkeypatch, model):
     import nfmimo.channel as channel
 
