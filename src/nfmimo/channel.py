@@ -65,10 +65,9 @@ BANDWIDTH_HZ = 50e6
 
 _VARIANTS = ("spherical", "planar", "subarray")
 # Largest P * (L_clusters * N_rays + Q) * 16 bytes matrix_parts accepts: a complex (D * Q, P) stack of
-# phase draws, D * Q <= N, plus a (Q, P) matrix, the direct matrix of earlier versions, which combine_parts
-# no longer forms; the formula stays so that the arrays accepted do not change. Refused before anything
-# P-sized exists. The correlation runners hold their axis, at harness._AXIS_POINT_BYTES per point, to the
-# same budget.
+# phase draws, D * Q <= N, plus one (Q, P) matrix more, a margin over the group buffers of combine_parts that
+# keeps the arrays accepted fixed. Refused before anything P-sized exists. The correlation runners hold their
+# axis, at harness._AXIS_POINT_BYTES per point, to the same budget.
 MATRIX_BUDGET_BYTES = 2**30
 
 
