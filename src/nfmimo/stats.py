@@ -152,6 +152,15 @@ def _ray_mean(field_rows, cfg: ScenarioConfig, n_realizations: int, seed: int) -
     )
 
 
+def _lag_axis(name: str, lags) -> np.ndarray:
+    """The lags as a float array: at least one, each finite and >= 0."""
+    if not lags:
+        raise ValueError(f"{name} must hold at least one lag")
+    if bad := [v for v in lags if not 0 <= v < math.inf]:
+        raise ValueError(f"{name} must be finite and >= 0, got {bad[0]!r}")
+    return np.asarray(lags, dtype=float)
+
+
 def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_realizations: int, seed: int):
     """Unweighted direct and scattered correlation of point base with each of others.
 
@@ -303,14 +312,11 @@ def temporal_acf_series(
     seed: int = 0,
 ) -> CorrelationSeries:
     """temporal_acf over a list of time lags, sharing fields across lags."""
-    if not dts:
-        raise ValueError("at least one time lag is required")
-    if min(dts) < 0:
-        raise ValueError(f"time lags must be >= 0, got {min(dts)}")
+    axis = _lag_axis("dts", dts)
     base = (1, 1)
     others = [(base, 1, t + dt) for dt in dts]
     parts = _ccf_parts((base, 1, t), others, cfg, model, n_realizations, seed)
-    return _mixed_series("dt_s", np.asarray(dts, dtype=float), parts, t, cfg, model, n_realizations, seed)
+    return _mixed_series("dt_s", axis, parts, t, cfg, model, n_realizations, seed)
 
 
 def frequency_cf_series(
@@ -329,11 +335,7 @@ def frequency_cf_series(
     phasors exp(j 2 pi df tau); the direct part uses the midpoint delay and
     the scattered part the per-field normalized per-ray sum.
     """
-    if not dfs:
-        raise ValueError("at least one frequency offset is required")
-    if min(dfs) < 0:
-        raise ValueError(f"frequency offsets df must be >= 0, got {min(dfs)}")
-    dfs_arr = np.asarray(dfs, dtype=float)
+    dfs_arr = _lag_axis("dfs", dfs)
 
     def delay_phases(delays: np.ndarray, runs=_axis_runs(len(dfs), cfg)):
         # Delays are positive, so the largest offset and delay bound every phase argument.
@@ -462,11 +464,12 @@ def _units(x: np.ndarray) -> int:
     """The exact sum of the finite entries of x, in units of 2**(_FREXP_MIN - 53), as one Python integer.
 
     Each x = m * 2**e with m the 53-bit integer mantissa, split into 26-bit halves whose sums per
-    binary exponent (np.bincount) stay integers below 2**53 for fewer than 2**26 entries at a time.
+    binary exponent (np.bincount) stay integers below 2**53 for fewer than 2**26 entries at a time;
+    x goes _CIS_CHUNK entries at a time, so no frexp buffer holds a large x whole.
     """
     units = 0
-    for lo in range(0, x.size, 2**26 - 1):
-        part = x[lo:lo + 2**26 - 1]
+    for lo in range(0, x.size, _CIS_CHUNK):
+        part = x[lo:lo + _CIS_CHUNK]
         m, e = np.frexp(part, out=(np.empty(part.shape), np.empty(part.shape, np.intp)))
         m *= 2.0**27  # x = m * 2**(e - 27) = (hi * 2**26 + low) * 2**(e - 53) with integers hi, low
         hi = np.floor(m)
@@ -480,56 +483,33 @@ def _units(x: np.ndarray) -> int:
     return units
 
 
-def _rounded(units: int) -> float:
-    """units of 2**(_FREXP_MIN - 53) rounded once to a float; beyond the float range the OverflowError fsum raises."""
+def _exact_sum(chunks) -> float:
+    """The exactly rounded sum of the entries of an iterable of arrays of finite terms, as math.fsum gives it.
+
+    The terms go to one integer (_units), rounded once at the end, so the sum depends on the values alone,
+    not on how they are split; a sum beyond the float range is a ValueError. No array is kept once summed.
+    """
+    units = sum(map(_units, map(np.ravel, chunks)))
     try:
         return units / (1 << (53 - _FREXP_MIN))
     except OverflowError:
-        raise OverflowError("intermediate overflow in fsum") from None
+        raise ValueError("the sum of the model-error terms lies beyond the float range") from None
 
 
-def _exact_sum(x) -> float:
-    """math.fsum of the entries of x, an array or an iterable of arrays summed in turn, as a running sum.
+def _error_terms(region: np.ndarray, h_ref: np.ndarray, label: str) -> np.ndarray:
+    """|h - h_ref| / |h_ref| of a group region of _matrix_groups, which it overwrites, against h_ref.
 
-    The exactly rounded sum depends on the values alone, not on the loop path or on how the terms are
-    split: finite terms go to one integer (_units), rounded once at the end. Non-finite terms follow
-    fsum: infinities of both signs give a ValueError, else a NaN gives NaN, else the infinity. A
-    running sum of finite terms that reaches the float range's end raises OverflowError, and the sum
-    restarts after each non-finite term, as fsum's does: for terms of one sign, such as model-error
-    terms, the error comes exactly when fsum raises it.
+    A non-finite term, such as one against a zero or tiny reference entry, is a ValueError naming label.
     """
-    units, nan, pos, neg = 0, False, False, False
-    for chunk in (x,) if isinstance(x, np.ndarray) else x:
-        chunk = np.asarray(chunk, dtype=float).ravel()
-        finite = np.isfinite(chunk)
-        lo = 0
-        for i in [*([] if finite.all() else np.flatnonzero(~finite).tolist()), chunk.size]:
-            units += _units(chunk[lo:i])
-            if units.bit_length() > 1023 + 53 - _FREXP_MIN:  # 2**1023 or more in magnitude
-                _rounded(units)
-            if i < chunk.size:
-                v = float(chunk[i])
-                nan, pos, neg, units = nan or v != v, pos or v > 0, neg or v < 0, 0
-            lo = i + 1
-    if pos and neg:
-        raise ValueError("-inf + inf in fsum")
-    if nan or pos or neg:
-        return math.nan if nan else math.inf if pos else -math.inf
-    return _rounded(units)
-
-
-def _error_terms(groups, ref: np.ndarray):
-    """|h - h_ref| / |h_ref| of each (rows, v0, region) of _matrix_groups against ref (Q, P_v, P_h), _CIS_CHUNK at a time."""
-    for rows, v0, region in groups:
-        h_refs = ref[rows, v0:v0 + region.shape[1]]
-        step = max(1, _CIS_CHUNK // (len(region) * region.shape[2]))
-        for lo in range(0, region.shape[1], step):
-            h_model, h_ref = region[:, lo:lo + step], h_refs[:, lo:lo + step]
-            if not np.isfinite(h_model).all():
-                raise ValueError("H contains non-finite entries")
-            terms = np.abs(h_model - h_ref)
-            terms /= np.abs(h_ref)
-            yield terms
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.abs(np.subtract(region, h_ref, out=region))  # the next group refills region
+        terms /= np.abs(h_ref)
+    if not np.isfinite(terms).all():
+        raise ValueError(
+            f"the model error of {label} is not finite: a term |h - h_ref| / |h_ref| divides by a zero or"
+            " tiny reference entry, or an entry is not finite"
+        )
+    return terms
 
 
 def model_error_delta(
@@ -542,14 +522,16 @@ def model_error_delta(
 
     Sums |h - h_ref| / |h_ref| over all antenna pairs with the identical
     scatterer field and phases for both models, then takes 10*log10. A
-    model that matches the reference exactly (e.g. a 1x1 tiling) yields
-    -inf, returned as a sentinel rather than raised.
+    model that matches the reference exactly yields -inf, returned as a
+    sentinel rather than raised; a 1x1 tiling, whose matrix is the
+    reference bit for bit, gets it without a sum.
 
     model may also be a sequence of models, giving one error per model. The
-    reference matrix is built once, first; a model whose tiling is the 1x1
-    partition reuses it, and any other is reduced against it group by group
-    as channel._matrix_groups finishes its rows, so no model matrix exists
-    whole; the terms go to one running exact sum _CIS_CHUNK at a time.
+    reference matrix is built once, first; any model but a 1x1 tiling is
+    reduced against it group by group as channel._matrix_groups finishes
+    its rows, so no model matrix exists whole, and each group's terms go to
+    one exactly rounded sum. A non-finite term (a zero or tiny reference
+    entry) or a sum beyond the float range is a ValueError.
     """
     single = isinstance(model, WavefrontModel)
     models = [model] if single else list(model)
@@ -561,10 +543,10 @@ def model_error_delta(
     errors = []
     for m in models:
         partition = m.partition_for(cfg)
-        if partition.p_max_h == partition.p_max_v == 1:
-            groups = [(slice(None), 0, ref)]
-        else:
-            groups = _matrix_groups(matrix_parts(t, cfg, m, field), field.phases(), cfg.K)
-        total = _exact_sum(_error_terms(groups, ref))
+        if partition.p_max_h == partition.p_max_v == 1:  # its matrix is the reference, bit for bit
+            errors.append(float("-inf"))
+            continue
+        groups = _matrix_groups(matrix_parts(t, cfg, m, field), field.phases(), cfg.K)
+        total = _exact_sum(_error_terms(h, ref[rows, v0:v0 + h.shape[1]], m.label) for rows, v0, h in groups)
         errors.append(float("-inf") if total == 0.0 else 10.0 * math.log10(total))
     return errors[0] if single else errors

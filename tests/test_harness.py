@@ -1,6 +1,7 @@
 """Experiment harness and CLI: config loading, runners, manifests, determinism."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -935,3 +936,26 @@ def test_cli_runs_a_far_but_finite_scatterer_range(tmp_path, kind):
     for path in out.glob("*.csv"):  # a 1x1 tiling's error is -inf by design, so only NaN is refused
         rows = path.read_text().splitlines()[1:]
         assert rows and not any(math.isnan(float(cell)) for row in rows for cell in row.split(",")[:4])
+
+
+@pytest.mark.parametrize("entry", [0.0, 1e-308])
+def test_cli_refuses_a_model_error_against_a_zero_or_tiny_reference(tmp_path, capsys, monkeypatch, entry):
+    # A zero reference entry used to write nan and inf rows and exit 0; entries of 1e-308 ended in a traceback.
+    import nfmimo.stats as stats
+
+    real = stats.channel_matrix
+
+    def reference(*args, **kwargs):
+        realization = real(*args, **kwargs)
+        return dataclasses.replace(realization, H=np.full_like(realization.H, entry))
+
+    monkeypatch.setattr(stats, "channel_matrix", reference)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["error-vs-subarray", "--p-max-list", "1,2,4", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "the model error of subarray:2x2 is not finite" in err and "Traceback" not in err
+    assert not list(out.glob("*.csv"))

@@ -1,7 +1,6 @@
 """Correlation statistics, capacity, model error, and operation counts."""
 
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +268,7 @@ def test_correlation_memory_does_not_grow_with_the_axis_or_the_realizations(tmp_
     from nfmimo.cli import main
 
     cfg, dfs = ScenarioConfig(), list(np.linspace(0.0, 2e7, 2000))
+    frequency_cf_series(dfs[:2], 0.0, cfg, SPHERICAL, 1, seed=2)  # one-time allocations stay out of the peaks
     peaks = {}
     tracemalloc.start()
     try:
@@ -299,6 +299,16 @@ def test_series_validation():
         temporal_acf_series([-0.1], 0.0, cfg, SPHERICAL, 1)
     with pytest.raises(ValueError):
         frequency_cf_series([-1e5], 0.0, cfg, SPHERICAL, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_name_a_non_finite_lag(bad):
+    # A NaN lag used to be refused as a receiver moved beyond the float range, or as an overflowing delay phase.
+    cfg = ScenarioConfig(P_h=2, P_v=2, Q=1)
+    with pytest.raises(ValueError, match=r"^dts must be finite and >= 0, got"):
+        temporal_acf_series([0.0, bad], 0.0, cfg, SPHERICAL, 1)
+    with pytest.raises(ValueError, match=r"^dfs must be finite and >= 0, got"):
+        frequency_cf_series([0.0, bad], 0.0, cfg, SPHERICAL, 1)
 
 
 def test_series_csv_format(tmp_path):
@@ -668,32 +678,18 @@ def test_model_error_total_is_the_exactly_rounded_sum():
 
 
 def test_model_error_of_all_zero_terms_is_the_minus_inf_sentinel():
-    assert _exact_sum(np.zeros((2, 64))).hex() == "0x0.0p+0"
+    assert _exact_sum([np.zeros((2, 64))]).hex() == "0x0.0p+0"
     cfg = ScenarioConfig(P_h=8, P_v=8, Q=2, L_clusters=2, N_rays=5)
     field = field_for_realization(cfg, 6, 0)
-    # A 1x1 tiling is the reference itself: every term is zero.
+    # A 1x1 tiling's matrix is the reference itself, bit for bit.
     assert model_error_delta(WavefrontModel.subarray(1, 1), 0.0, cfg, field) == float("-inf")
-
-
-@pytest.mark.parametrize(
-    "terms", [[math.inf, 1.0], [1.0, math.nan, 2.0], [math.inf, math.inf], [math.nan], [-math.inf, 3.0]], ids=str
-)
-def test_exact_sum_of_non_finite_terms_is_fsum(terms):
-    assert _exact_sum(np.array(terms)).hex() == math.fsum(terms).hex()
-
-
-def test_exact_sum_refuses_inf_minus_inf_like_fsum():
-    with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
-        math.fsum([math.inf, -math.inf])
-    with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
-        _exact_sum(np.array([math.inf, -math.inf]))
 
 
 def test_exact_sum_overflows_like_fsum():
     with pytest.raises(OverflowError):
         math.fsum([1e308, 1e308])
-    with pytest.raises(OverflowError):
-        _exact_sum(np.array([1e308, 1e308]))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        _exact_sum([np.array([1e308]), np.array([1e308])])
 
 
 def test_one_worker_never_loads_concurrent_futures(monkeypatch):
