@@ -675,9 +675,8 @@ def _matrix_groups(parts, rand_phases: np.ndarray, K: float, out=None):
             k, bt = len(a), b.transpose(0, 2, 3, 1)
             for ci, dst in zip(cs, region[:, v - v0:]):  # the (k, counts_h, p_max_h, p_max_v) tile products of ci
                 p = np.matmul(np.multiply(a, ci, out=ab[:k]), bt, out=prod[:k])
-                tiles = p.transpose(0, 3, 1, 2).reshape(k, pv, -1)  # per tile row, its element rows in element order
-                for j in range(0, min(k * pv, len(dst)), pv):
-                    dst[j:j + pv] = tiles[j // pv, :len(dst) - j, :n_h]
+                # the element rows of the k tile rows in element order, up to the array edge
+                dst[:k * pv] = p.transpose(0, 3, 1, 2).reshape(k * pv, -1)[:len(dst), :n_h]
 
     def finish(region, qs, v0):
         """Divide region by sqrt(N), weight it by w_nlos and add w_los times the direct phasors of its rows."""

@@ -19,9 +19,6 @@ from .fileio import atomic_open
 from .geometry import ScenarioConfig, Vec3, _finite_number, _index
 
 _MAX_PLACEMENT_ATTEMPTS = 100
-# Rays exactly on top of an array have undefined azimuth; quantities this
-# close to zero horizontal range are rejected alongside below-ground draws.
-_MIN_HORIZONTAL_CLEARANCE = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 
@@ -158,13 +155,11 @@ def _place_ray(
     mean_az: float,
     mean_el: float,
     origin: Vec3,
-    mr0: Vec3,
 ) -> tuple[float, float, float]:
-    """Draw one scatterer position; resample below-ground or degenerate draws.
+    """Draw one scatterer position; resample below-ground draws.
 
     Draw order per attempt: azimuth, elevation, radius. The position must
-    sit at or above ground with nonzero horizontal range to both array
-    midpoints so every angle it induces is well defined.
+    sit at or above ground.
     """
     for _ in range(_MAX_PLACEMENT_ATTEMPTS):
         az = sample_von_mises(mean_az, cfg.kappa, rng)
@@ -174,13 +169,8 @@ def _place_ray(
         x = origin.x + r * math.cos(el) * math.cos(az)
         y = origin.y + r * math.cos(el) * math.sin(az)
         z = origin.z + r * math.sin(el)
-        if z < 0.0:
-            continue
-        if math.hypot(x - origin.x, y - origin.y) <= _MIN_HORIZONTAL_CLEARANCE:
-            continue
-        if math.hypot(x - mr0.x, y - mr0.y) <= _MIN_HORIZONTAL_CLEARANCE:
-            continue
-        return x, y, z
+        if z >= 0.0:
+            return x, y, z
     raise ValueError(
         "could not place a scatterer above ground after "
         f"{_MAX_PLACEMENT_ATTEMPTS} attempts; the angle configuration "
@@ -204,7 +194,6 @@ def generate_scatterers(cfg: ScenarioConfig, rng: int | np.random.Generator) -> 
         seed = _index("rng", rng, 0)
         rng = np.random.default_rng(seed)
     origin = cfg.bs_midpoint()
-    mr0 = cfg.mr_midpoint(0.0)
     coords: list[tuple[float, float, float]] = []
     phases: list[float] = []
     for _ in range(cfg.L_clusters):
@@ -215,7 +204,7 @@ def generate_scatterers(cfg: ScenarioConfig, rng: int | np.random.Generator) -> 
             mean_az = cfg.mu_alpha
             mean_el = cfg.mu_beta
         for _ in range(cfg.N_rays):
-            coords.append(_place_ray(cfg, rng, mean_az, mean_el, origin, mr0))
+            coords.append(_place_ray(cfg, rng, mean_az, mean_el, origin))
             # rng.uniform(-pi, pi) computed the same way: half-open, so in [-pi, pi)
             phases.append(-math.pi + _TWO_PI * rng.random())
     return ScattererField._from_arrays(coords, phases, (cfg.N_rays,) * cfg.L_clusters, seed)

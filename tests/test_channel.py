@@ -556,14 +556,21 @@ def test_departure_gains_of_a_zero_displacement_follow_the_arctan2_convention():
     # tiling) gives finite matrices that match the oracles' atan2(0, 0). So
     # does one exactly at receive element 2 at t = 0.2: its k_index is 0, so
     # the oracle's own element position is bit-equal, and the arrival
-    # direction still sets the Doppler phase.
+    # direction still sets the Doppler phase. So do rays straight above the
+    # transmit midpoint (the planar tile's) and above the receive midpoint
+    # at t = 0 (element 2's at the last point), which have no horizontal range.
     mid = subarray_center(2, 1, cfg, make_partition(cfg, 3, 2)).as_tuple()
     element = subarray_center(4, 3, cfg, make_partition(cfg, 1, 1)).as_tuple()
     receiver = mr_element_position(2, 0.2, cfg).as_tuple()
-    rays = (Ray(Vec3(*mid), 0.5), Ray(Vec3(*element), -1.0)), (Ray(Vec3(30.0, 4.0, 2.0), 2.0), Ray(Vec3(*receiver), 0.3))
+    bs, mr0 = cfg.bs_midpoint(), cfg.mr_midpoint(0.0)
+    above = Ray(Vec3(bs.x, bs.y, bs.z + 3.0), 1.2), Ray(Vec3(mr0.x, mr0.y, 4.0), -2.5)
+    rays = (
+        (Ray(Vec3(*mid), 0.5), Ray(Vec3(*element), -1.0), above[0]),
+        (Ray(Vec3(30.0, 4.0, 2.0), 2.0), Ray(Vec3(*receiver), 0.3), above[1]),
+    )
     field = ScattererField(rays)
     points = [((4, 3), 2, 0.2), ((1, 1), 2, 0.2), ((7, 5), 1, 0.2), ((2, 1), 2, 0.0)]
-    for model, tile in ((WavefrontModel.subarray(3, 2), (3, 2)), (SPHERICAL, (1, 1))):
+    for model, tile in ((WavefrontModel.subarray(3, 2), (3, 2)), (SPHERICAL, (1, 1)), (PLANAR, (cfg.P_h, cfg.P_v))):
         H = channel_matrix(0.2, cfg, model, field).H
         assert np.all(np.isfinite(H))
         assert np.max(np.abs(H - _oracle_matrices(cfg, 0.2, field, tile)[1])) < 5e-12
