@@ -25,6 +25,7 @@ from nfmimo.stats import (
     RO_PER_ANGLE_SET,
     CorrelationSeries,
     _capacities,
+    _error_terms,
     _exact_sum,
     capacity,
     frequency_cf,
@@ -690,6 +691,25 @@ def test_exact_sum_overflows_like_fsum():
         math.fsum([1e308, 1e308])
     with pytest.raises(ValueError, match="beyond the float range"):
         _exact_sum([np.array([1e308]), np.array([1e308])])
+
+
+@pytest.mark.parametrize(
+    "h, h_ref",
+    [(1.0, 0.0), (1.0, 5e-324), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+    ids=["zero reference", "tiny reference", "nan entry", "inf entry", "nan reference", "inf reference"],
+)
+def test_error_terms_refuse_a_non_finite_term_by_label(h, h_ref):
+    # One bad entry among finite ones is enough; the error names the model, and numpy warns of nothing.
+    region, ref = np.full((2, 3, 4), 0.5 - 0.25j), np.full((2, 3, 4), 0.5 + 0.25j)
+    region[1, 2, 3], ref[1, 2, 3] = h, h_ref
+    with pytest.raises(ValueError, match=r"^the model error of planar is not finite"):
+        _error_terms(region, ref, "planar")
+
+
+def test_error_terms_are_the_relative_errors_of_finite_entries():
+    region, ref = np.array([[[3 + 4j, 1.0]]]), np.array([[[0.0 + 2.5j, 2.0]]])
+    expected = np.abs(region - ref) / np.abs(ref)
+    assert np.array_equal(_error_terms(region, ref, "planar"), expected)
 
 
 def test_one_worker_never_loads_concurrent_futures(monkeypatch):
