@@ -419,8 +419,9 @@ def _arrival_phases(pos: np.ndarray, rx: np.ndarray, bulk: np.ndarray, cfg: Scen
 
 def _bulk(freq, delays) -> np.ndarray:
     """The delay phases -2*pi*f*tau; a ValueError when f is not finite or overflows one of them."""
-    if not np.isfinite(bulk := -TWO_PI * freq * delays).all():
-        raise ValueError(f"f = {freq!r} Hz gives a non-finite delay phase -2*pi*f*tau")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(bulk := -TWO_PI * freq * delays).all():
+            raise ValueError(f"f = {freq!r} Hz gives a non-finite delay phase -2*pi*f*tau")
     return bulk
 
 
@@ -606,9 +607,9 @@ def matrix_parts(t: float, cfg: ScenarioConfig, model: WavefrontModel, field: Sc
     rx = _receivers([(q, t) for q in range(1, cfg.Q + 1)], cfg)
     delays = nlos_delays(t, cfg, field)
     pos = field.positions()
-    direct = (cfg, partition, rx, -TWO_PI * cfg.f_c * t_los)
+    direct = (cfg, partition, rx, _bulk(cfg.f_c, t_los))
     dep = (cfg, partition, *_tile_pieces(pos, cfg, partition))
-    return direct, dep, _arrival_phases(pos, rx, -TWO_PI * cfg.f_c * delays, cfg), t_los, delays
+    return direct, dep, _arrival_phases(pos, rx, _bulk(cfg.f_c, delays), cfg), t_los, delays
 
 
 def _direct_phasors(cfg: ScenarioConfig, partition: SubarrayPartition, rx, bulk, v0: int, v1: int) -> np.ndarray:

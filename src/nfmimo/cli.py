@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .geometry import _digits
-from .harness import EXPERIMENT_KINDS, SWEEP_KEYS, Experiment, load_config, run_experiment
+from .harness import KINDS, SWEEP_KEYS, Experiment, load_config, run_experiment
 
 
 def _parse_number_list(text: str) -> list[float]:
@@ -56,17 +56,6 @@ _FLAGS = {
     "phase_draws": ("--phase-draws", _parse_int, "ray-phase redraws averaged per field (variance reduction)"),
 }
 
-_COMMAND_HELP = {
-    "error_vs_array": "model error vs array side length",
-    "error_vs_subarray": "model error vs square tile size",
-    "complexity_sweep": "operation counts vs square tile size",
-    "spatial_ccf": "spatial cross-correlation vs antenna offset",
-    "temporal_acf": "temporal autocorrelation vs time lag",
-    "frequency_cf": "frequency correlation vs frequency offset",
-    "capacity_sweep": "ensemble capacity vs SNR",
-    "rayleigh_table": "near/far boundary for standard apertures",
-}
-
 
 def _add_flag(sub: argparse.ArgumentParser, key: str, default) -> None:
     flag, parse, text = _FLAGS[key]
@@ -93,10 +82,10 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "operation counts, correlation statistics, and capacity sweeps."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(k.replace("_", "-") for k in EXPERIMENT_KINDS))
-    for kind, keys in SWEEP_KEYS.items():
+    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(k.replace("_", "-") for k in KINDS))
+    for kind, (_, text, keys) in KINDS.items():
         name = kind.replace("_", "-")
-        p = sub.add_parser(name, help=_COMMAND_HELP[kind], add_help=name == command)
+        p = sub.add_parser(name, help=text, add_help=name == command)
         if name != command:  # never parses: no flags, not even -h
             continue
         p.add_argument("--config", type=Path, default=None, help="JSON scenario file (default: built-in profile)")

@@ -32,6 +32,7 @@ from .geometry import (
 from .scattering import field_for_realization
 from .stats import (
     CorrelationSeries,
+    _check_lag,
     frequency_cf_series,
     mean_capacity,
     model_error_delta,
@@ -171,38 +172,6 @@ def _apertures(key: str, value) -> list[tuple[float, float]]:
             f"got {value!r}"
         )
     return [(float(w), float(h)) for w, h in value]
-
-
-_TIME = {"t": (_finite, 0.0)}
-_MONTE_CARLO = {"model": (_model, "spherical"), **_TIME, "n_realizations": (_int, 500)}
-_LAG_AXIS = {**_MONTE_CARLO, "points": (_int, 101)}
-
-# The one schema of every kind's sweep: key -> (reader, default), where a callable default is computed
-# from the config. run_experiment refuses any other key and passes the runner each key's read value.
-SWEEP_KEYS = {
-    "error_vs_array": {"sides": (_int_list, (8, 16, 32, 64)), "model": (_model, "planar"), **_TIME},
-    "error_vs_subarray": {"p_max_list": (_int_list, (1, 2, 4, 8, 16, 30, 32, 64)), **_TIME},
-    "complexity_sweep": {"p_max_list": (_int_list, (1, 2, 4, 8, 16, 30))},
-    "spatial_ccf": {
-        **_MONTE_CARLO,
-        "max_offset": (_int, lambda cfg: min(32, cfg.P_h - 1)),
-        "dq": (_int, 0),
-        "dt": (_finite, 0.0),
-    },
-    "temporal_acf": {**_LAG_AXIS, "dt_max": (_finite, 0.05)},
-    "frequency_cf": {**_LAG_AXIS, "df_max": (_finite, 1e7)},
-    "capacity_sweep": {
-        **_MONTE_CARLO,
-        "snr_db_list": (_float_list, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
-        "normalize_each": (_bool, False),
-        "phase_draws": (_int, 1),
-    },
-    "rayleigh_table": {
-        "frequencies_hz": (_float_list, (2.4e9, 5e9)),
-        "apertures_m": (_apertures, ((1.0, 0.1), (1.0, 2.0), (2.0, 2.0))),
-    },
-}
-EXPERIMENT_KINDS = tuple(SWEEP_KEYS)
 
 
 def _read_sweep(kind: str, sweep: dict, cfg: ScenarioConfig) -> dict:
@@ -356,6 +325,8 @@ def _run_lag_axis(
     if lag_max < 0 or points < 1:
         raise ValueError(f"{key} must be >= 0 and points >= 1")
     _check_axis("points", points)
+    if key == "dt_max":
+        _check_lag(key, lag_max, t, cfg)
     # Read from this module at call time, where perfbench's tracer rebinds both.
     series_of = temporal_acf_series if key == "dt_max" else frequency_cf_series
     series = series_of(np.linspace(0.0, lag_max, points).tolist(), t, cfg, model, n_realizations, seed=exp.seed)
@@ -370,29 +341,51 @@ def _run_capacity_sweep(
 ) -> None:
     rho_snrs = []
     for db in snr_db_list:
-        try:
-            rho = 10.0 ** (db / 10.0)
+        try:  # a finite float power is finite or raises
+            rho_snrs.append(10.0 ** (db / 10.0))
         except OverflowError:
-            rho = math.inf
-        if not math.isfinite(rho):
-            raise ValueError(f"sweep key 'snr_db_list' holds {db!r} dB, whose linear SNR is not finite")
-        rho_snrs.append(rho)
+            raise ValueError(f"sweep key 'snr_db_list' holds {db!r} dB, whose linear SNR is not finite") from None
     values = mean_capacity(
         cfg, model, rho_snrs, n_realizations, seed=exp.seed, t=t, normalize_each=normalize_each, phase_draws=phase_draws
     )
     _write_series(exp, outputs, "snr_db", snr_db_list, values, n_realizations=n_realizations, t=t, model=model)
 
 
-_RUNNERS = {
-    "rayleigh_table": _run_rayleigh_table,
-    "error_vs_array": _run_error_vs_array,
-    "error_vs_subarray": _run_error_vs_subarray,
-    "complexity_sweep": _run_complexity_sweep,
-    "spatial_ccf": _run_spatial_ccf,
-    "temporal_acf": _run_lag_axis,
-    "frequency_cf": _run_lag_axis,
-    "capacity_sweep": _run_capacity_sweep,
+_TIME = {"t": (_finite, 0.0)}
+_MONTE_CARLO = {"model": (_model, "spherical"), **_TIME, "n_realizations": (_int, 500)}
+_LAG_AXIS = {**_MONTE_CARLO, "points": (_int, 101)}
+
+# Every experiment kind, in the CLI's order: kind -> (runner, one-line help, sweep schema of key -> (reader,
+# default)), where a callable default is computed from the config. run_experiment refuses any sweep key
+# outside the kind's schema and passes the runner each key's read value; the CLI makes one subcommand per kind.
+KINDS = {
+    "error_vs_array": (_run_error_vs_array, "model error vs array side length", {
+        "sides": (_int_list, (8, 16, 32, 64)), "model": (_model, "planar"), **_TIME,
+    }),
+    "error_vs_subarray": (_run_error_vs_subarray, "model error vs square tile size", {
+        "p_max_list": (_int_list, (1, 2, 4, 8, 16, 30, 32, 64)), **_TIME,
+    }),
+    "complexity_sweep": (_run_complexity_sweep, "operation counts vs square tile size", {
+        "p_max_list": (_int_list, (1, 2, 4, 8, 16, 30)),
+    }),
+    "spatial_ccf": (_run_spatial_ccf, "spatial cross-correlation vs antenna offset", {
+        **_MONTE_CARLO, "max_offset": (_int, lambda cfg: min(32, cfg.P_h - 1)), "dq": (_int, 0), "dt": (_finite, 0.0),
+    }),
+    "temporal_acf": (_run_lag_axis, "temporal autocorrelation vs time lag", {**_LAG_AXIS, "dt_max": (_finite, 0.05)}),
+    "frequency_cf": (_run_lag_axis, "frequency correlation vs frequency offset", {**_LAG_AXIS, "df_max": (_finite, 1e7)}),
+    "capacity_sweep": (_run_capacity_sweep, "ensemble capacity vs SNR", {
+        **_MONTE_CARLO,
+        "snr_db_list": (_float_list, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+        "normalize_each": (_bool, False),
+        "phase_draws": (_int, 1),
+    }),
+    "rayleigh_table": (_run_rayleigh_table, "near/far boundary for standard apertures", {
+        "frequencies_hz": (_float_list, (2.4e9, 5e9)),
+        "apertures_m": (_apertures, ((1.0, 0.1), (1.0, 2.0), (2.0, 2.0))),
+    }),
 }
+SWEEP_KEYS = {kind: keys for kind, (_, _, keys) in KINDS.items()}
+EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def run_experiment(exp: Experiment, cfg: ScenarioConfig) -> RunManifest:
@@ -406,7 +399,7 @@ def run_experiment(exp: Experiment, cfg: ScenarioConfig) -> RunManifest:
     exp.output.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     start = time.perf_counter()
-    _RUNNERS[exp.kind](exp, cfg, outputs, **values)
+    KINDS[exp.kind][0](exp, cfg, outputs, **values)
     elapsed = time.perf_counter() - start
     manifest = RunManifest(
         experiment=exp.kind,

@@ -161,6 +161,18 @@ def _lag_axis(name: str, lags) -> np.ndarray:
     return np.asarray(lags, dtype=float)
 
 
+def _check_lag(name: str, lag: float, t: float, cfg: ScenarioConfig) -> None:
+    """Refuse, naming name, a time lag that takes the receiver from t to where the direct path has no finite length.
+
+    The path's length is convex in time, so of lags from 0 to lag none reaches farther than lag does.
+    """
+    try:
+        tau_los(t + lag, cfg)
+    except ValueError:
+        tau_los(t, cfg)  # a time t out of range is refused naming t
+        raise ValueError(f"{name} = {lag!r} s takes the receiver from t = {t!r} s beyond a finite direct path") from None
+
+
 def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_realizations: int, seed: int):
     """Unweighted direct and scattered correlation of point base with each of others.
 
@@ -218,6 +230,7 @@ def st_ccf_parts(
     third value is always 0, kept for this function's 3-tuple signature.
     """
     p1, p2, q2 = _validate_pair(base_p, dp, base_q, dq, cfg)
+    _check_lag("dt", dt, t, cfg)
     rho_los, rho_nlos = _ccf_parts((p1, base_q, t), [(p2, q2, t + dt)], cfg, model, n_realizations, seed)
     return complex(rho_los[0]), complex(rho_nlos[0]), 0
 
@@ -294,6 +307,7 @@ def spatial_ccf_series(
     if not offsets:
         raise ValueError("at least one antenna offset is required")
     pairs = [_validate_pair(base_p, dp, base_q, dq, cfg) for dp in offsets]
+    _check_lag("dt", dt, t, cfg)
     others = [(p2, q2, t + dt) for _, p2, q2 in pairs]
     parts = _ccf_parts((pairs[0][0], base_q, t), others, cfg, model, n_realizations, seed)
     axis = np.array(
@@ -313,6 +327,7 @@ def temporal_acf_series(
 ) -> CorrelationSeries:
     """temporal_acf over a list of time lags, sharing fields across lags."""
     axis = _lag_axis("dts", dts)
+    _check_lag("max(dts)", float(axis.max()), t, cfg)
     base = (1, 1)
     others = [(base, 1, t + dt) for dt in dts]
     parts = _ccf_parts((base, 1, t), others, cfg, model, n_realizations, seed)
@@ -527,10 +542,10 @@ def model_error_delta(
     reference bit for bit, gets it without a sum.
 
     model may also be a sequence of models, giving one error per model. The
-    reference matrix is built once, first; any model but a 1x1 tiling is
-    reduced against it group by group as channel._matrix_groups finishes
-    its rows, so no model matrix exists whole, and each group's terms go to
-    one exactly rounded sum. A non-finite term (a zero or tiny reference
+    reference matrix is built once, when the first model that is not a 1x1
+    tiling needs it; each such model is reduced against it group by group
+    as channel._matrix_groups finishes its rows, so no model matrix exists
+    whole, and each group's terms go to one exactly rounded sum. A non-finite term (a zero or tiny reference
     entry) or a sum beyond the float range is a ValueError.
     """
     single = isinstance(model, WavefrontModel)
@@ -539,13 +554,14 @@ def model_error_delta(
         raise ValueError("at least one model is required")
     if any(m.variant == "spherical" for m in models):
         raise ValueError("the per-element (spherical) model is the error reference itself")
-    ref = channel_matrix(t, cfg, WavefrontModel.spherical(), field).H.reshape(cfg.Q, cfg.P_v, cfg.P_h)
-    errors = []
+    ref, errors = None, []
     for m in models:
         partition = m.partition_for(cfg)
         if partition.p_max_h == partition.p_max_v == 1:  # its matrix is the reference, bit for bit
             errors.append(float("-inf"))
             continue
+        if ref is None:
+            ref = channel_matrix(t, cfg, WavefrontModel.spherical(), field).H.reshape(cfg.Q, cfg.P_v, cfg.P_h)
         groups = _matrix_groups(matrix_parts(t, cfg, m, field), field.phases(), cfg.K)
         total = _exact_sum(_error_terms(h, ref[rows, v0:v0 + h.shape[1]], m.label) for rows, v0, h in groups)
         errors.append(float("-inf") if total == 0.0 else 10.0 * math.log10(total))

@@ -144,3 +144,19 @@ def test_array_script_saves_matrix_parts_and_combine_parts(tmp_path):
             assert np.isfinite(data["point_phases.scattered"]).all()
     failures = compare_revisions.run_arrays(root, tmp_path / "c", sides=(3,), models=("subarray:9x9",))
     assert len(failures) == 1 and "exceeds" in failures[0]
+
+
+def test_every_kind_is_declared_and_compared(capsys, monkeypatch):
+    from nfmimo.cli import main
+    from nfmimo.harness import KINDS
+
+    assert all(callable(runner) and text.strip() for runner, text, _ in KINDS.values())
+    monkeypatch.setenv("COLUMNS", "400")  # one line per subcommand
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for kind, (_, text, _) in KINDS.items():
+        assert [kind.replace("_", "-"), *text.split()] in lines
+    names = {kind.replace("_", "-") for kind in KINDS}
+    assert {args[0] for args in compare_revisions.INVOCATIONS} == names
+    assert {args[0] for _, args in compare_revisions.off_axis_invocations()} == names

@@ -761,7 +761,7 @@ def test_cli_lag_overflow_message_prints_python_floats_and_warns_nothing(tmp_pat
         rc = main(["temporal-acf", "--dt-max", "1e308", "--points", "3", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "t = 5e+307 s" in err and "np.float64" not in err
+    assert "dt_max = 1e+308 s takes the receiver from t = 0.0 s" in err and "np.float64" not in err
 
 
 @pytest.mark.parametrize("kind", ["temporal-acf", "capacity-sweep"])
@@ -959,3 +959,54 @@ def test_cli_refuses_a_model_error_against_a_zero_or_tiny_reference(tmp_path, ca
     err = capsys.readouterr().err
     assert "the model error of subarray:2x2 is not finite" in err and "Traceback" not in err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", list(SMALL_RUN_FLAGS))
+def test_cli_names_f_when_a_delay_phase_overflows(tmp_path, capsys, kind):
+    # capacity-sweep and the error kinds formed -2*pi*f_c*tau inline, which used to fail as
+    # "H contains non-finite entries" after numpy overflow warnings.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({**json.loads(SMALL_CFG_JSON), "f_c": 1e170, "D_0": 1e150}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([kind, *SMALL_RUN_FLAGS[kind], "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "f = 1e+170 Hz gives a non-finite delay phase" in err and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["temporal-acf", "--dt-max", "1e300", "--points", "3"], "dt_max = 1e+300 s"),
+        (["spatial-ccf", "--dt", "1e300", "--max-offset", "2"], "dt = 1e+300 s"),
+    ],
+    ids=["temporal-acf", "spatial-ccf"],
+)
+def test_cli_names_the_lag_that_takes_the_receiver_out_of_range(tmp_path, capsys, args, named):
+    # Used to name the time t + dt of the first lag out of range ("t = 5e+299 s" for temporal-acf).
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*args, "--realizations", "1", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert f"{named} takes the receiver from t = 0.0 s beyond a finite direct path" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("p_max_list, builds", [("1", 0), ("1,1", 0), ("1,2", 1), ("2,1,4", 1)])
+def test_model_error_builds_the_reference_only_for_a_tiling_that_reads_it(tmp_path, monkeypatch, p_max_list, builds):
+    # A 1x1 tiling's error is -inf without a sum, so a sweep of 1x1 tilings alone needs no reference.
+    import nfmimo.stats as stats
+
+    calls = []
+    real = stats.channel_matrix
+    monkeypatch.setattr(stats, "channel_matrix", lambda *args, **kwargs: calls.append(args[2]) or real(*args, **kwargs))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    assert main(["error-vs-subarray", "--p-max-list", p_max_list, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [model.label for model in calls] == ["spherical"] * builds
+    rows = (out / "error_vs_subarray.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) == -math.inf for row in rows] == [p == "1" for p in p_max_list.split(",")]

@@ -312,6 +312,20 @@ def test_series_name_a_non_finite_lag(bad):
         frequency_cf_series([0.0, bad], 0.0, cfg, SPHERICAL, 1)
 
 
+
+def test_series_name_the_lag_that_takes_the_receiver_out_of_range():
+    # Used to be refused as "the direct path at t = 1e+300 s has no finite length", naming t + dt.
+    cfg = ScenarioConfig(P_h=2, P_v=2, Q=1)
+    beyond = r" = 1e\+300 s takes the receiver from t = 0.0 s beyond a finite direct path"
+    with pytest.raises(ValueError, match=r"^max\(dts\)" + beyond):
+        temporal_acf_series([0.0, 1e300], 0.0, cfg, SPHERICAL, 1)
+    with pytest.raises(ValueError, match=r"^dt" + beyond):
+        spatial_ccf_series([(1, 0)], 0, 1e300, 0.0, cfg, SPHERICAL, 1)
+    with pytest.raises(ValueError, match=r"^dt" + beyond):
+        temporal_acf(1e300, 0.0, cfg, SPHERICAL, 1)
+    with pytest.raises(ValueError, match=r"^the direct path at t = 1e\+300 s has no finite length"):
+        temporal_acf_series([0.0, 1.0], 1e300, cfg, SPHERICAL, 1)
+
 def test_series_csv_format(tmp_path):
     series = CorrelationSeries(
         axis_name="x",
