@@ -49,8 +49,8 @@ from .geometry import (
     ScenarioConfig,
     SubarrayPartition,
     _digits,
-    _finite_number,
     _index,
+    _real,
     element_rowcol,
     k_index,
     make_partition,
@@ -192,15 +192,14 @@ def _grid_index(p, cfg: ScenarioConfig) -> tuple[int, int]:
 
 def rician_weights(K: float) -> tuple[float, float]:
     """Amplitude weights (direct, scattered) for Rice factor K."""
-    if not (_finite_number(K) and K >= 0):
-        raise ValueError(f"K must be a finite number >= 0, got {K!r}")
+    K = _real("K", K, 0)
     return math.sqrt(K / (K + 1.0)), math.sqrt(1.0 / (K + 1.0))
 
 
 def tau_los(t: float, cfg: ScenarioConfig) -> float:
     """Delay of the direct path between the array midpoints at time t."""
-    try:  # with a float t an overflowing square raises instead of warning
-        xi = cfg.bs_midpoint().distance_to(cfg.mr_midpoint(float(t)))
+    try:  # mr_midpoint gives Python floats, whose overflowing square raises instead of warning
+        xi = cfg.bs_midpoint().distance_to(cfg.mr_midpoint(t))
     except OverflowError:
         xi = math.inf
     if not math.isfinite(xi):

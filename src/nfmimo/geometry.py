@@ -9,6 +9,7 @@ midpoint of the transmit array, x points toward the receiver, z points up.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -30,10 +31,9 @@ class Vec3:
     z: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
+        _real("Vec3.x", self.x)
+        _real("Vec3.y", self.y)
+        _real("Vec3.z", self.z)
 
     def distance_to(self, other: "Vec3") -> float:
         return math.sqrt(
@@ -45,8 +45,21 @@ class Vec3:
 
 
 def _finite_number(v) -> bool:
-    """A finite int or float; bool is rejected although it subclasses int."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite int or float; bool is rejected although it subclasses int, and so is an int beyond the float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -sys.float_info.max <= v <= sys.float_info.max
+
+
+def _real(name: str, v, lo: float = -math.inf, above: bool = False):
+    """The one real rule: a finite int or float, never a bool, at least lo, or above lo when above is set.
+
+    Returns v, a float subclass such as np.float64 as a Python float; anything else is a ValueError naming name.
+    """
+    if type(v) is float and v - v == 0.0 and (v > lo if above else v >= lo):  # v - v is 0.0 for finite v alone
+        return v
+    if _finite_number(v) and (v > lo if above else v >= lo):
+        return float(v) if isinstance(v, float) else v
+    bound = "be a finite number" if lo == -math.inf else f"be finite and {'>' if above else '>='} {lo!r}"
+    raise ValueError(f"{name} must {bound}, got {v!r}")
 
 
 def _digits(text: str) -> int:
@@ -113,27 +126,17 @@ class ScenarioConfig:
         for name in ("f_c", "c", "H_0", "D_0", "delta_T", "delta_R"):
             if name.startswith("delta_") and getattr(self, name) is None:
                 object.__setattr__(self, name, self.wavelength / 2)
-            v = getattr(self, name)
-            if not (_finite_number(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0, above=True))
         if self.r_max is None:
             object.__setattr__(self, "r_max", self.D_0)
         for name in _COUNT_FIELDS:
             object.__setattr__(self, name, _index(name, getattr(self, name)))
         for name in ("psi_T", "psi_R", "theta_R", "eta_R", "mu_alpha", "mu_beta"):
-            v = getattr(self, name)
-            if not _finite_number(v):
-                raise ValueError(f"{name} must be a finite angle in radians, got {v!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         for name in ("v_R", "K", "kappa"):
-            v = getattr(self, name)
-            if not (_finite_number(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if not (_finite_number(self.r_min) and self.r_min > 0):
-            raise ValueError(f"r_min must be positive and finite, got {self.r_min!r}")
-        if not (_finite_number(self.r_max) and self.r_max >= self.r_min):
-            raise ValueError(
-                f"r_max must be finite and >= r_min ({self.r_min}), got {self.r_max!r}"
-            )
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0))
+        object.__setattr__(self, "r_min", _real("r_min", self.r_min, 0, above=True))
+        object.__setattr__(self, "r_max", _real("r_max", self.r_max, self.r_min))
         if not isinstance(self.cluster_level_angles, bool):
             raise ValueError(
                 f"cluster_level_angles must be a bool, got {self.cluster_level_angles!r}"
@@ -148,7 +151,8 @@ class ScenarioConfig:
         return Vec3(0.0, 0.0, self.H_0 + 0.5 * self.P_v * self.delta_T)
 
     def mr_midpoint(self, t: float = 0.0) -> Vec3:
-        """Midpoint of the receive array after travelling for t seconds."""
+        """Midpoint of the receive array after travelling for t >= 0 seconds; the one check of every time t."""
+        t = _real("t", t, 0)
         x, y = self.D_0 + self.v_R * t * math.cos(self.eta_R), self.v_R * t * math.sin(self.eta_R)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"t = {t!r} s moves the receiver (v_R*t = {self.v_R * t!r} m) beyond the float range")
@@ -197,8 +201,6 @@ def mr_element_position(q: int, t: float, cfg: ScenarioConfig) -> Vec3:
     whole line is raised by the tilt theta_R out of that plane.
     """
     q = _index("q", q, 1, cfg.Q)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     kq = k_index(q, cfg.Q)
     mid = cfg.mr_midpoint(t)
     r = kq * cfg.delta_R
@@ -214,8 +216,7 @@ def mr_element_position(q: int, t: float, cfg: ScenarioConfig) -> Vec3:
 
 def rayleigh_distance_aperture(diagonal: float, wavelength: float) -> float:
     """Near/far boundary 2 d^2 / lambda for an aperture with the given diagonal."""
-    if diagonal <= 0 or wavelength <= 0:
-        raise ValueError("diagonal and wavelength must be positive")
+    diagonal, wavelength = _real("diagonal", diagonal, 0, above=True), _real("wavelength", wavelength, 0, above=True)
     return 2.0 * diagonal * diagonal / wavelength
 
 

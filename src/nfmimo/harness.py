@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from .channel import MATRIX_BUDGET_BYTES, WavefrontModel
 from .fileio import atomic_open
 from .geometry import (
     ScenarioConfig,
-    _finite_number,
     _index,
     _integral,
+    _real,
     config_from_dict,
     rayleigh_distance,
     rayleigh_distance_aperture,
@@ -118,7 +119,8 @@ def _sha256(path: Path) -> str:
 
 
 # Sweep readers: each turns the value given for key into the value its runner uses, or raises a
-# ValueError naming key. Numbers are ints or floats (never bools or numeric strings); lists are lists.
+# ValueError naming key. Numbers follow geometry._real's rule: finite ints or floats, never bools or
+# numeric strings, at least the reader's lo; lists are lists.
 
 
 def _model(key: str, value) -> WavefrontModel:
@@ -133,18 +135,17 @@ def _int_list(key: str, values) -> list[int]:
     return [int(v) for v in values]
 
 
-def _float_list(key: str, values) -> list[float]:
-    if not (isinstance(values, (list, tuple)) and all(map(_finite_number, values))):
-        raise ValueError(f"sweep key {key!r} must be a list of finite numbers, got {values!r}")
-    if not values:
-        raise ValueError(f"sweep key {key!r} must be a nonempty list")
-    return [float(v) for v in values]
+def _finite(key: str, value, lo: float = -math.inf, above: bool = False) -> float:
+    return float(_real(f"sweep key {key!r}", value, lo, above))
 
 
-def _finite(key: str, value) -> float:
-    if not _finite_number(value):
-        raise ValueError(f"sweep key {key!r} must be a finite number, got {value!r}")
-    return float(value)
+_NONNEG = partial(_finite, lo=0)
+
+
+def _float_list(key: str, values, lo: float = -math.inf, above: bool = False) -> list[float]:
+    if not (isinstance(values, (list, tuple)) and values):
+        raise ValueError(f"sweep key {key!r} must be a nonempty list of finite numbers, got {values!r}")
+    return [_finite(key, v, lo, above) for v in values]
 
 
 def _int(key: str, value) -> int:
@@ -165,13 +166,12 @@ def _apertures(key: str, value) -> list[tuple[float, float]]:
         isinstance(value, (list, tuple))
         and value
         and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value)
-        and all(_finite_number(v) and v > 0 for pair in value for v in pair)
     ):
         raise ValueError(
             f"sweep key {key!r} must be a nonempty list of [width, height] pairs of positive finite numbers, "
             f"got {value!r}"
         )
-    return [(float(w), float(h)) for w, h in value]
+    return [(_finite(key, w, 0, above=True), _finite(key, h, 0, above=True)) for w, h in value]
 
 
 def _read_sweep(kind: str, sweep: dict, cfg: ScenarioConfig) -> dict:
@@ -202,7 +202,7 @@ _AXIS_POINT_BYTES = 1024
 
 
 def _check_axis(key: str, count: int) -> None:
-    """Refuse a correlation axis of count points whose cost at _AXIS_POINT_BYTES per point exceeds the budget.
+    """Refuse an empty axis, or one of count points whose cost at _AXIS_POINT_BYTES per point exceeds the budget.
 
     The statistics form a field's phases in runs of axis points, so a
     field's peak does not grow with the axis, the ray count or the
@@ -211,6 +211,8 @@ def _check_axis(key: str, count: int) -> None:
     measured with tracemalloc at one realization; the allowance is 1.7
     times the largest of them.
     """
+    if count < 1:
+        raise ValueError(f"sweep key {key!r} gives {count} axis points, not at least one")
     if (need := count * _AXIS_POINT_BYTES) > MATRIX_BUDGET_BYTES:
         raise ValueError(
             f"sweep key {key!r} gives {count} axis points, which need {need / 2**30:.2f} GiB at {_AXIS_POINT_BYTES} "
@@ -247,17 +249,16 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, 
     Also appends the configured scenario's own array as a final row so the
     table always reports the active geometry.
     """
-    if min(frequencies_hz) <= 0:
-        raise ValueError(f"sweep key 'frequencies_hz' must hold frequencies > 0, got {frequencies_hz!r}")
     rows = []
     for f_c in frequencies_hz:
         for w, h in apertures_m:
-            boundary = rayleigh_distance_aperture(math.hypot(w, h), cfg.c / f_c)
-            if not (math.isfinite(boundary) and boundary > 0):
+            try:  # the diagonal, the wavelength and the boundary may each leave the float range
+                boundary = rayleigh_distance_aperture(math.hypot(w, h), cfg.c / f_c)
+                boundary = _real("the near-field boundary", boundary, 0, above=True)
+            except ValueError as exc:
                 raise ValueError(
-                    f"sweep keys 'frequencies_hz' and 'apertures_m': a {w!r} m x {h!r} m aperture at {f_c!r} Hz "
-                    f"has a near-field boundary of {boundary!r} m, not a finite distance above 0"
-                )
+                    f"sweep keys 'frequencies_hz' and 'apertures_m': a {w!r} m x {h!r} m aperture at {f_c!r} Hz: {exc}"
+                ) from None
             rows.append(f"{f_c!r},{w!r},{h!r},{boundary!r}\n")
     rows.append(f"{cfg.f_c!r},configured,configured,{rayleigh_distance(cfg)!r}\n")
     path = exp.output / "rayleigh_table.csv"
@@ -322,14 +323,13 @@ def _run_lag_axis(
 ) -> None:
     """The temporal ACF (lag key dt_max) or frequency CF (df_max) at points lags from 0 to the lag key's value."""
     ((key, lag_max),) = lag.items()
-    if lag_max < 0 or points < 1:
-        raise ValueError(f"{key} must be >= 0 and points >= 1")
     _check_axis("points", points)
+    lags = np.linspace(0.0, lag_max, points).tolist()
     if key == "dt_max":
-        _check_lag(key, lag_max, t, cfg)
+        _check_lag(key, lags, t, cfg)
     # Read from this module at call time, where perfbench's tracer rebinds both.
     series_of = temporal_acf_series if key == "dt_max" else frequency_cf_series
-    series = series_of(np.linspace(0.0, lag_max, points).tolist(), t, cfg, model, n_realizations, seed=exp.seed)
+    series = series_of(lags, t, cfg, model, n_realizations, seed=exp.seed)
     _write_series(
         exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
     )
@@ -351,7 +351,7 @@ def _run_capacity_sweep(
     _write_series(exp, outputs, "snr_db", snr_db_list, values, n_realizations=n_realizations, t=t, model=model)
 
 
-_TIME = {"t": (_finite, 0.0)}
+_TIME = {"t": (_NONNEG, 0.0)}
 _MONTE_CARLO = {"model": (_model, "spherical"), **_TIME, "n_realizations": (_int, 500)}
 _LAG_AXIS = {**_MONTE_CARLO, "points": (_int, 101)}
 
@@ -371,8 +371,8 @@ KINDS = {
     "spatial_ccf": (_run_spatial_ccf, "spatial cross-correlation vs antenna offset", {
         **_MONTE_CARLO, "max_offset": (_int, lambda cfg: min(32, cfg.P_h - 1)), "dq": (_int, 0), "dt": (_finite, 0.0),
     }),
-    "temporal_acf": (_run_lag_axis, "temporal autocorrelation vs time lag", {**_LAG_AXIS, "dt_max": (_finite, 0.05)}),
-    "frequency_cf": (_run_lag_axis, "frequency correlation vs frequency offset", {**_LAG_AXIS, "df_max": (_finite, 1e7)}),
+    "temporal_acf": (_run_lag_axis, "temporal autocorrelation vs time lag", {**_LAG_AXIS, "dt_max": (_NONNEG, 0.05)}),
+    "frequency_cf": (_run_lag_axis, "frequency correlation vs frequency offset", {**_LAG_AXIS, "df_max": (_NONNEG, 1e7)}),
     "capacity_sweep": (_run_capacity_sweep, "ensemble capacity vs SNR", {
         **_MONTE_CARLO,
         "snr_db_list": (_float_list, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
@@ -380,7 +380,7 @@ KINDS = {
         "phase_draws": (_int, 1),
     }),
     "rayleigh_table": (_run_rayleigh_table, "near/far boundary for standard apertures", {
-        "frequencies_hz": (_float_list, (2.4e9, 5e9)),
+        "frequencies_hz": (partial(_float_list, lo=0, above=True), (2.4e9, 5e9)),
         "apertures_m": (_apertures, ((1.0, 0.1), (1.0, 2.0), (2.0, 2.0))),
     }),
 }

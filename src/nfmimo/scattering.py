@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, Vec3, _finite_number, _index
+from .geometry import ScenarioConfig, Vec3, _index, _real
 
 _MAX_PLACEMENT_ATTEMPTS = 100
 _TWO_PI = 2.0 * math.pi
@@ -28,8 +28,7 @@ def von_mises_pdf(alpha, mu: float, kappa: float):
     alpha may be a scalar or array; kappa = 0 gives the uniform density
     1/(2 pi). Integrates to 1 over any interval of length 2 pi.
     """
-    if not (_finite_number(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be a finite number >= 0, got {kappa!r}")
+    mu, kappa = _real("mu", mu), _real("kappa", kappa, 0)
     alpha = np.asarray(alpha, dtype=float)
     out = np.exp(kappa * np.cos(alpha - mu)) / (2.0 * np.pi * np.i0(kappa))
     if out.ndim == 0:
@@ -44,9 +43,7 @@ def sample_von_mises(mu: float, kappa: float, rng: np.random.Generator, size=Non
     truncation bias); kappa = 0 degenerates to the uniform circle law.
     Deterministic for a seeded generator.
     """
-    if not (_finite_number(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be a finite number >= 0, got {kappa!r}")
-    raw = rng.vonmises(mu, kappa, size=size)
+    raw = rng.vonmises(_real("mu", mu), _real("kappa", kappa, 0), size=size)
     # numpy wraps into [-pi, pi]; fold the closed upper endpoint back.
     if size is None:  # one draw comes as a Python float
         return raw - _TWO_PI if raw >= math.pi else raw

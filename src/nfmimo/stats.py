@@ -24,8 +24,10 @@ from .channel import (
     ChannelRealization,
     WavefrontModel,
     _CIS_CHUNK,
+    _bulk,
     _cis,
     _matrix_groups,
+    _receivers,
     channel_matrix,
     combine_parts,
     los_phase,  # noqa: F401 - one-point views of point_phases; perfbench's tracer wraps them here
@@ -37,7 +39,7 @@ from .channel import (
     tau_los,
 )
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, _finite_number, _index
+from .geometry import ScenarioConfig, _index, _real
 from .scattering import ScattererField, field_for_realization
 
 # Seeds feed numpy SeedSequence entry lists; the stream tag separates phase
@@ -156,21 +158,26 @@ def _lag_axis(name: str, lags) -> np.ndarray:
     """The lags as a float array: at least one, each finite and >= 0."""
     if not lags:
         raise ValueError(f"{name} must hold at least one lag")
-    if bad := [v for v in lags if not 0 <= v < math.inf]:
-        raise ValueError(f"{name} must be finite and >= 0, got {bad[0]!r}")
-    return np.asarray(lags, dtype=float)
+    return np.array([_real(name, v, 0) for v in lags], dtype=float)
 
 
-def _check_lag(name: str, lag: float, t: float, cfg: ScenarioConfig) -> None:
-    """Refuse, naming name, a time lag that takes the receiver from t to where the direct path has no finite length.
+def _check_lag(name: str, lags, t: float, cfg: ScenarioConfig, q: int = 1) -> None:
+    """Refuse, naming name, lags that take receive element q from t to before 0 or out of range.
 
-    The path's length is convex in time, so of lags from 0 to lag none reaches farther than lag does.
+    t, then f_c by its delay phase at t, are refused by name first, as the statistic refuses them. name
+    stands for the largest lag, which alone is checked against the direct path, as the path's length is
+    convex in time; the receive rows of q are formed at every lag, as the statistic forms them.
     """
+    _bulk(cfg.f_c, tau_los(t, cfg))
+    lag = max(_real(name, v, 0.0 - float(t)) for v in lags)  # a float bound, 0.0 and not -0.0 at t = 0
     try:
         tau_los(t + lag, cfg)
-    except ValueError:
-        tau_los(t, cfg)  # a time t out of range is refused naming t
-        raise ValueError(f"{name} = {lag!r} s takes the receiver from t = {t!r} s beyond a finite direct path") from None
+        _receivers([(q, t + v) for v in lags], cfg)
+    except ValueError as exc:
+        raise ValueError(
+            f"{name} = {lag!r} s takes the receiver from t = {t!r} s beyond a finite direct path or receive phase: "
+            f"{exc}"
+        ) from None
 
 
 def _ccf_parts(base, others, cfg: ScenarioConfig, model: WavefrontModel, n_realizations: int, seed: int):
@@ -230,7 +237,7 @@ def st_ccf_parts(
     third value is always 0, kept for this function's 3-tuple signature.
     """
     p1, p2, q2 = _validate_pair(base_p, dp, base_q, dq, cfg)
-    _check_lag("dt", dt, t, cfg)
+    _check_lag("dt", [dt], t, cfg, q2)
     rho_los, rho_nlos = _ccf_parts((p1, base_q, t), [(p2, q2, t + dt)], cfg, model, n_realizations, seed)
     return complex(rho_los[0]), complex(rho_nlos[0]), 0
 
@@ -307,7 +314,7 @@ def spatial_ccf_series(
     if not offsets:
         raise ValueError("at least one antenna offset is required")
     pairs = [_validate_pair(base_p, dp, base_q, dq, cfg) for dp in offsets]
-    _check_lag("dt", dt, t, cfg)
+    _check_lag("dt", [dt], t, cfg, pairs[0][2])
     others = [(p2, q2, t + dt) for _, p2, q2 in pairs]
     parts = _ccf_parts((pairs[0][0], base_q, t), others, cfg, model, n_realizations, seed)
     axis = np.array(
@@ -327,7 +334,7 @@ def temporal_acf_series(
 ) -> CorrelationSeries:
     """temporal_acf over a list of time lags, sharing fields across lags."""
     axis = _lag_axis("dts", dts)
-    _check_lag("max(dts)", float(axis.max()), t, cfg)
+    _check_lag("max(dts)", dts, t, cfg)
     base = (1, 1)
     others = [(base, 1, t + dt) for dt in dts]
     parts = _ccf_parts((base, 1, t), others, cfg, model, n_realizations, seed)
@@ -365,8 +372,7 @@ def frequency_cf_series(
 
 def _check_snr(rho_snr) -> float:
     # A numpy scalar is judged by its Python value: an integer SNR array passes, a bool one does not.
-    if not (_finite_number(rho_snr.item() if isinstance(rho_snr, np.generic) else rho_snr) and rho_snr >= 0):
-        raise ValueError(f"rho_snr must be finite and >= 0, got {rho_snr!r}")
+    _real("rho_snr", rho_snr.item() if isinstance(rho_snr, np.generic) else rho_snr, 0)
     return rho_snr
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nfmimo.cli import _FLAGS, _parse_int, _parse_int_list, main
-from nfmimo.geometry import make_partition
+from nfmimo.geometry import ScenarioConfig, make_partition
 from nfmimo.harness import (
     EXPERIMENT_KINDS,
     SWEEP_KEYS,
@@ -1010,3 +1010,52 @@ def test_model_error_builds_the_reference_only_for_a_tiling_that_reads_it(tmp_pa
     assert [model.label for model in calls] == ["spherical"] * builds
     rows = (out / "error_vs_subarray.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[1]) == -math.inf for row in rows] == [p == "1" for p in p_max_list.split(",")]
+
+
+@pytest.mark.parametrize(
+    "args, named, cause",
+    [
+        (
+            ["temporal-acf", "--dt-max", "1e153", "--points", "3"],
+            "dt_max = 1e+153 s takes the receiver from t = 0.0 s beyond a finite direct path or receive phase: ",
+            "v_R*t = 2.5e+153 m put receive element 1 at t = 5e+152 s",
+        ),
+        (
+            ["spatial-ccf", "--dt", "1e153", "--max-offset", "2"],
+            "dt = 1e+153 s takes the receiver from t = 0.0 s beyond a finite direct path or receive phase: ",
+            "v_R*t = 5e+153 m put receive element 1 at t = 1e+153 s",
+        ),
+        (["spatial-ccf", "--t", "0.005", "--dt", "-0.01", "--max-offset", "2"], "dt must be finite and >= -0.005", ""),
+    ],
+    ids=["temporal-acf", "spatial-ccf", "spatial-ccf-negative"],
+)
+def test_cli_names_the_lag_that_overflows_the_receive_phase_or_precedes_t_0(tmp_path, capsys, args, named, cause):
+    # Used to name only the time reached, "receive element 1 at t = 5e+152 s", or "t must be >= 0, got -0.005".
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*args, "--realizations", "1", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nfmimo: error: {named}") and cause in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", [kind.replace("_", "-") for kind, keys in SWEEP_KEYS.items() if "t" in keys])
+def test_cli_refuses_a_negative_t_for_every_kind(tmp_path, capsys, kind):
+    # frequency-cf used to run at t = -1 s and exit 0.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    assert main([kind, "--t", "-1", "--realizations", "1", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "sweep key 't' must be finite and >= 0, got -1.0" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_rayleigh_table_writes_numpy_config_floats_as_python_floats(tmp_path):
+    # The configured row used to read np.float64(5000000000.0),configured,configured,np.float64(237.97525316039997).
+    for name, number in (("python", float), ("numpy", np.float64)):
+        cfg = ScenarioConfig(f_c=number(5e9), D_0=number(50.0))
+        run_experiment(Experiment(kind="rayleigh_table", output=tmp_path / name), cfg)
+    python, numpy_ = ((tmp_path / name / "rayleigh_table.csv").read_bytes() for name in ("python", "numpy"))
+    assert numpy_ == python and b"np." not in python

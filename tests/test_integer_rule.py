@@ -4,35 +4,56 @@ For each integer argument, hypothesis draws bools, numpy bools, integral and
 fractional floats, NaN, inf, strings, None, numpy integers and integers out
 of range. A call either returns exactly what the call with the equal Python
 int returns, or raises a ValueError whose message begins with the argument's
-name; no call raises a TypeError. The real-valued kappa and K follow the
-same rule for finite numbers. The runs are derandomized and keep no example
-database, so every run draws the same examples.
+name; no call raises a TypeError. The runs are derandomized and keep no
+example database, so every run draws the same examples.
+
+Real numbers follow one rule too, geometry._real's: a finite int or float,
+never a bool, at least its bound. Every real argument, config field and
+sweep number refuses bools, numpy bools, strings, None, NaN, infinities and
+the value just past its bound with a ValueError that begins with its name
+(or its sweep key), accepts its bound, and gives for a numpy float the
+result of the equal Python float.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfmimo.channel import WavefrontModel, los_phase, rician_weights
+from nfmimo.channel import WavefrontModel, channel_matrix, los_phase, rician_weights, tau_los
 from nfmimo.geometry import (
     ScenarioConfig,
+    Vec3,
     bs_element_position,
+    config_from_dict,
     element_index,
     element_rowcol,
     element_to_subarray,
     k_index,
     make_partition,
     mr_element_position,
+    optimal_subarray_size,
     partition_counts,
+    rayleigh_distance_aperture,
     subarray_center,
     subarray_size,
 )
 from nfmimo.harness import Experiment, run_experiment
 from nfmimo.scattering import ScattererField, field_for_realization, generate_scatterers, sample_von_mises, von_mises_pdf
-from nfmimo.stats import _realization_mean, _validate_pair, mean_capacity, st_ccf
+from nfmimo.stats import (
+    _realization_mean,
+    _validate_pair,
+    capacity,
+    frequency_cf_series,
+    mean_capacity,
+    spatial_ccf_series,
+    st_ccf,
+    temporal_acf_series,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -189,3 +210,94 @@ def test_kappa_and_k_are_finite_numbers_at_least_zero(site, v):
         assert number and _same(got, call(float(v))), (v, got)
     else:
         assert got.startswith(f"{name} ") and not number, (v, got)
+
+
+def _sweep(kind: str, key: str, wrap=lambda v: v, **rest):
+    """A call of v that runs kind on CFG with sweep key set to wrap(v) and rest; it gives the bytes of the CSVs."""
+
+    def call(v) -> dict:
+        with tempfile.TemporaryDirectory() as out:
+            run_experiment(Experiment(kind=kind, sweep={key: wrap(v), **rest}, output=Path(out)), CFG)
+            return {path.name: path.read_bytes() for path in sorted(Path(out).glob("*.csv"))}
+
+    return call
+
+
+DEFAULTS = ScenarioConfig()
+FIELD = field_for_realization(CFG, 0, 0)
+AT_LEAST_0 = (0, False, 1.0)
+ANY = (-math.inf, False, 0.3)
+# The real fields of ScenarioConfig: field -> bound, as (lo, above, ok) below.
+CONFIG_BOUNDS = {
+    **{name: (0, True, getattr(DEFAULTS, name)) for name in ("f_c", "c", "H_0", "D_0", "delta_T", "delta_R", "r_min")},
+    **{name: ANY for name in ("psi_T", "psi_R", "theta_R", "eta_R", "mu_alpha", "mu_beta")},
+    **{name: AT_LEAST_0 for name in ("v_R", "K", "kappa")},
+    "r_max": (DEFAULTS.r_min, False, DEFAULTS.r_max),
+}
+# Every other real site: site id -> (name, call, (lo, above, ok)). The value must be at least lo, or above lo when
+# above is set, and ok is one it accepts. A config call returns the config's repr, so a numpy float kept in a field
+# shows; a sweep call, the bytes of the CSVs written. These join REAL_SITES only here, after the test above
+# took its three sites (finite and >= 0) as parameters.
+MORE_REAL_SITES = {
+    **{f"ScenarioConfig.{name}": (name, lambda v, name=name: repr(ScenarioConfig(**{name: v})), bound)
+       for name, bound in CONFIG_BOUNDS.items()},
+    **{f"config_from_dict.{name}": (name, lambda v, name=name: repr(config_from_dict({name: v})), bound)
+       for name, bound in CONFIG_BOUNDS.items()},
+    "mr_midpoint.t": ("t", lambda v: repr(CFG.mr_midpoint(v)), AT_LEAST_0),
+    "mr_element_position.t": ("t", lambda v: repr(mr_element_position(2, v, CFG)), AT_LEAST_0),
+    "tau_los.t": ("t", lambda v: tau_los(v, CFG), AT_LEAST_0),
+    "optimal_subarray_size.t": ("t", lambda v: optimal_subarray_size(CFG, v), AT_LEAST_0),
+    "channel_matrix.t": ("t", lambda v: channel_matrix(v, CFG, PLANAR, FIELD).H, AT_LEAST_0),
+    "temporal_acf_series.t": ("t", lambda v: temporal_acf_series([0.0, 0.01], v, CFG, PLANAR, 1).values, AT_LEAST_0),
+    "frequency_cf_series.t": ("t", lambda v: frequency_cf_series([0.0, 1e6], v, CFG, PLANAR, 1).values, AT_LEAST_0),
+    "mean_capacity.t": ("t", lambda v: mean_capacity(CFG, PLANAR, 10.0, 1, t=v), AT_LEAST_0),
+    "temporal_acf_series.dts": ("dts", lambda v: temporal_acf_series([0.0, v], 0.0, CFG, PLANAR, 1).values, AT_LEAST_0),
+    "frequency_cf_series.dfs": ("dfs", lambda v: frequency_cf_series([0.0, v], 0.0, CFG, PLANAR, 1).values, AT_LEAST_0),
+    "st_ccf.dt": ("dt", lambda v: st_ccf((1, 0), 0, v, 0.0, CFG, PLANAR, 1), AT_LEAST_0),
+    # From t = 0.5 s a lag may reach back to t = 0.
+    "spatial_ccf_series.dt": (
+        "dt", lambda v: spatial_ccf_series([(1, 0)], 1, v, 0.5, CFG, PLANAR, 1).values, (-0.5, False, -0.25)
+    ),
+    "von_mises_pdf.mu": ("mu", lambda v: von_mises_pdf(0.3, v, 1.0), ANY),
+    "sample_von_mises.mu": ("mu", lambda v: sample_von_mises(v, 1.0, np.random.default_rng(0)), ANY),
+    "capacity.rho_snr": ("rho_snr", lambda v: capacity(np.eye(2), v), AT_LEAST_0),
+    "mean_capacity.rho_snr": ("rho_snr", lambda v: mean_capacity(CFG, PLANAR, v, 1), AT_LEAST_0),
+    "rayleigh_distance_aperture.diagonal": ("diagonal", lambda v: rayleigh_distance_aperture(v, 0.06), (0, True, 1.0)),
+    "rayleigh_distance_aperture.wavelength": (
+        "wavelength", lambda v: rayleigh_distance_aperture(1.0, v), (0, True, 0.06)
+    ),
+    "Vec3.x": ("Vec3.x", lambda v: Vec3(v, 0.0, 0.0), ANY),
+    "Vec3.y": ("Vec3.y", lambda v: Vec3(0.0, v, 0.0), ANY),
+    "Vec3.z": ("Vec3.z", lambda v: Vec3(0.0, 0.0, v), ANY),
+    "sweep.t": ("t", _sweep("capacity_sweep", "t", n_realizations=1, snr_db_list=[10.0]), AT_LEAST_0),
+    "sweep.dt": ("dt", _sweep("spatial_ccf", "dt", n_realizations=1, max_offset=1), AT_LEAST_0),
+    "sweep.dt_max": ("dt_max", _sweep("temporal_acf", "dt_max", points=2, n_realizations=1), AT_LEAST_0),
+    "sweep.df_max": ("df_max", _sweep("frequency_cf", "df_max", points=2, n_realizations=1), AT_LEAST_0),
+    "sweep.snr_db_list": ("snr_db_list", _sweep("capacity_sweep", "snr_db_list", lambda v: [v], n_realizations=1), ANY),
+    "sweep.frequencies_hz": (
+        "frequencies_hz", _sweep("rayleigh_table", "frequencies_hz", lambda v: [v]), (0, True, 5e9)
+    ),
+    "sweep.apertures_m": ("apertures_m", _sweep("rayleigh_table", "apertures_m", lambda v: [[v, 1.0]]), (0, True, 1.5)),
+}
+REAL_SITES.update({site: (name, call) for site, (name, call, _) in MORE_REAL_SITES.items()})
+REAL_BOUNDS = {site: MORE_REAL_SITES[site][2] if site in MORE_REAL_SITES else AT_LEAST_0 for site in REAL_SITES}
+# Fields for which None picks the default.
+TAKE_NONE = {
+    f"{how}.{name}" for how in ("ScenarioConfig", "config_from_dict") for name in ("delta_T", "delta_R", "r_max")
+}
+
+
+@pytest.mark.parametrize("site", list(REAL_SITES))
+def test_every_real_argument_follows_the_real_rule(site):
+    name, call = REAL_SITES[site]
+    lo, above, ok = REAL_BOUNDS[site]
+    # A sweep number may be refused by its reader, naming the sweep key, or further in, naming the argument.
+    prefixes = (f"{name} ", f"sweep key {name!r} ") if site.startswith("sweep.") else (f"{name} ",)
+    past = [] if lo == -math.inf else [lo if above else math.nextafter(lo, -math.inf)]
+    for v in (True, np.True_, "1", *([] if site in TAKE_NONE else [None]), math.nan, math.inf, -math.inf, *past):
+        kind, got = _outcome(call, v)
+        assert kind == "ValueError" and got.startswith(prefixes), (v, kind, got)
+    for x in map(float, ([] if above or lo == -math.inf else [lo]) + [ok]):
+        kind, got = _outcome(call, x)
+        assert kind == "value", (x, got)
+        assert _same(call(np.float64(x)), got), x

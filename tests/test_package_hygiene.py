@@ -16,7 +16,9 @@ call's arguments and no hidden setting can come back.
 
 No module checks for an integer by hand: isinstance(..., int), alone or in
 a tuple, appears only inside geometry's number predicates, so every index,
-count and seed goes through geometry._index.
+count and seed goes through geometry._index. Likewise no module reads the
+predicate geometry._finite_number outside geometry._real, so every real
+number goes through that one rule.
 """
 
 import ast
@@ -257,3 +259,40 @@ def test_integer_check_scan_flags_int_alone_or_in_a_tuple_outside_the_allowed_fu
 def test_no_module_checks_for_an_integer_by_hand(path):
     allowed = INTEGER_PREDICATES if path.name == "geometry.py" else frozenset()
     assert integer_checks(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def name_reads(source: str, name: str, allowed=frozenset()) -> list[str]:
+    """function:line of each read of name, bare or as an attribute (module.name), outside the functions in allowed.
+
+    The function is the innermost def around the read, or <module>.
+    """
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load) and function not in allowed:
+                if (child.id if isinstance(child, ast.Name) else child.attr) == name:
+                    found.append(f"{function}:{child.lineno}")
+            visit(child, child.name if isinstance(child, FUNCTIONS) else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_name_read_scan_flags_calls_and_references_outside_the_allowed_functions():
+    source = (
+        "import geometry\n"
+        "def _real(v):\n    return _finite_number(v)\n"
+        "def weights(k):\n    return _finite_number(k)\n"
+        "def many(vs):\n    return all(map(_finite_number, vs))\n"
+        "def other(v):\n    return geometry._finite_number(v)\n"
+        "_finite_number = None\n"
+        "flagged = _finite_number\n"
+    )
+    assert name_reads(source, "_finite_number", {"_real"}) == ["weights:5", "many:7", "other:9", "<module>:11"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(nfmimo.__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_real_number_goes_through_real(path):
+    allowed = {"_real"} if path.name == "geometry.py" else frozenset()
+    assert name_reads(path.read_text(encoding="utf-8"), "_finite_number", allowed) == []
