@@ -11,46 +11,57 @@ import argparse
 import sys
 from pathlib import Path
 
-from .geometry import _digits
+from .geometry import _digits, _index
 from .harness import KINDS, SWEEP_KEYS, Experiment, load_config, run_experiment
 
 
-def _parse_number_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated number list, got {text!r}") from None
+def _flag_type(parse, expected: str):
+    """An argparse type that reads a flag's text with parse; a ValueError reports "expected <expected>, got <text>"."""
+
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return read
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [_digits(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
+def _number(text: str) -> float:
+    """float(text) without the digit-group underscores float() takes ("1_0"); nan and inf go on to the sweep readers."""
+    if "_" in text:
+        raise ValueError(text)
+    return float(text)
 
 
-def _parse_int(text: str) -> int:
-    """ASCII digits after at most one '-': negative values (a --dq offset, a bad --seed) reach the range checks."""
-    try:
-        return -_digits(text[1:]) if text.startswith("-") else _digits(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer of digits 0-9, got {text!r}") from None
+def _items(parse):
+    """parse over the comma-separated items of a text; blank items are skipped."""
+    return lambda text: [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
+_parse_real = _flag_type(_number, "a number")
+_parse_number_list = _flag_type(_items(_number), "a comma-separated number list")
+_parse_int_list = _flag_type(_items(_digits), "a comma-separated integer list")
+# ASCII digits after at most one '-': negative values (a --dq offset, a bad --seed) reach the range checks.
+_parse_int = _flag_type(
+    lambda text: -_digits(text[1:]) if text.startswith("-") else _digits(text), "an integer of digits 0-9"
+)
 
 
 # How each sweep key of harness.SWEEP_KEYS reads from the command line: (flag, text parser, help).
 # A parser of None makes a switch. Keys without an entry (rayleigh_table's grid) are library-only.
 _FLAGS = {
     "model": ("--model", str, "wavefront model: spherical | planar | subarray:HxV"),
-    "t": ("--t", float, "evaluation time, s"),
+    "t": ("--t", _parse_real, "evaluation time, s"),
     "n_realizations": ("--realizations", _parse_int, "Monte Carlo field count"),
     "sides": ("--sides", _parse_int_list, "comma-separated side lengths"),
     "p_max_list": ("--p-max-list", _parse_int_list, "comma-separated tile sizes"),
     "max_offset": ("--max-offset", _parse_int, "largest horizontal element offset"),
     "dq": ("--dq", _parse_int, "receive element offset"),
-    "dt": ("--dt", float, "time lag, s"),
+    "dt": ("--dt", _parse_real, "time lag, s"),
     "points": ("--points", _parse_int, "number of lags or offsets"),
-    "dt_max": ("--dt-max", float, "largest time lag, s"),
-    "df_max": ("--df-max", float, "largest frequency offset, Hz"),
+    "dt_max": ("--dt-max", _parse_real, "largest time lag, s"),
+    "df_max": ("--df-max", _parse_real, "largest frequency offset, Hz"),
     "snr_db_list": ("--snr-db", _parse_number_list, "comma-separated SNR points, dB"),
     "normalize_each": ("--normalize-each", None, "normalize every matrix exactly instead of in expectation"),
     "phase_draws": ("--phase-draws", _parse_int, "ray-phase redraws averaged per field (variance reduction)"),
@@ -107,8 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     kind = args.command.replace("-", "_")
     try:
-        if args.n_realizations is not None and args.n_realizations < 1:
-            raise ValueError(f"--realizations must be >= 1, got {args.n_realizations}")
+        if args.n_realizations is not None:  # a kind without the key takes the flag unread, so it is checked here
+            _index("--realizations", args.n_realizations)
         cfg = load_config(args.config)
         # Unset flags whose default comes from the config (None) stay out of the sweep and the manifest.
         sweep = {key: value for key in SWEEP_KEYS[kind] if (value := vars(args).get(key)) is not None}

@@ -69,11 +69,6 @@ def _digits(text: str) -> int:
     return int(text)
 
 
-def _integral(v) -> bool:
-    """An int or an integral float; bool is rejected although it subclasses int."""
-    return not isinstance(v, bool) and (isinstance(v, int) or (isinstance(v, float) and v.is_integer()))
-
-
 def _index(name: str, v, lo: int = 1, hi: int | None = None) -> int:
     """The one integer rule for indices, counts and seeds: a Python or numpy integer, never a bool, in [lo, hi].
 
@@ -84,7 +79,12 @@ def _index(name: str, v, lo: int = 1, hi: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer {f'>= {lo}' if hi is None else f'in [{lo}, {hi}]'}, got {v!r}")
 
 
-# The count fields of ScenarioConfig; a JSON config may also give them as integral floats such as 64.0.
+def _json_index(name: str, v, lo: int = 1, hi: int | None = None) -> int:
+    """_index for config and sweep dicts, which may give a count as an integral float such as 64.0: it reads as 64."""
+    return _index(name, int(v) if isinstance(v, float) and v.is_integer() else v, lo, hi)
+
+
+# The count fields of ScenarioConfig, read from a dict through _json_index.
 _COUNT_FIELDS = ("P_h", "P_v", "Q", "L_clusters", "N_rays")
 
 
@@ -359,11 +359,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-    cleaned = {}
-    for key, value in data.items():
-        if key in _COUNT_FIELDS:
-            if not _integral(value):
-                raise ValueError(f"config field {key} must be an integer, got {value!r}")
-            value = int(value)
-        cleaned[key] = value
-    return ScenarioConfig(**cleaned)
+    return ScenarioConfig(
+        **{key: _json_index(f"config field {key}", v) if key in _COUNT_FIELDS else v for key, v in data.items()}
+    )

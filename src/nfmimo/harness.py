@@ -24,7 +24,7 @@ from .fileio import atomic_open
 from .geometry import (
     ScenarioConfig,
     _index,
-    _integral,
+    _json_index,
     _real,
     config_from_dict,
     rayleigh_distance,
@@ -80,7 +80,7 @@ class RunManifest:
 
     def to_json(self, path: str | Path) -> None:
         with atomic_open(path) as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True, default=np.generic.item)  # numpy scalars by value
             fh.write("\n")
 
 
@@ -119,40 +119,23 @@ def _sha256(path: Path) -> str:
 
 
 # Sweep readers: each turns the value given for key into the value its runner uses, or raises a
-# ValueError naming key. Numbers follow geometry._real's rule: finite ints or floats, never bools or
-# numeric strings, at least the reader's lo; lists are lists.
+# ValueError naming key. Integers follow geometry._json_index's rule and numbers geometry._real's, each
+# within the reader's bounds; a list is a nonempty list or tuple, read item by item. A runner reads a key
+# again with the bound its config sets (a tile side, max_offset, dq).
 
 
 def _model(key: str, value) -> WavefrontModel:
-    return WavefrontModel.parse(str(value))
+    if not isinstance(value, str):  # the manifest records the sweep as given, so a model is text
+        raise ValueError(f"sweep key {key!r} must be a model name such as 'planar', got {value!r}")
+    return WavefrontModel.parse(value)
 
 
-def _int_list(key: str, values) -> list[int]:
-    if not (isinstance(values, (list, tuple)) and all(map(_integral, values))):
-        raise ValueError(f"sweep key {key!r} must be a list of integers, got {values!r}")
-    if not values:
-        raise ValueError(f"sweep key {key!r} must be a nonempty list")
-    return [int(v) for v in values]
+def _int(key: str, value, lo: int = 1, hi: int | None = None) -> int:
+    return _json_index(f"sweep key {key!r}", value, lo, hi)
 
 
 def _finite(key: str, value, lo: float = -math.inf, above: bool = False) -> float:
     return float(_real(f"sweep key {key!r}", value, lo, above))
-
-
-_NONNEG = partial(_finite, lo=0)
-
-
-def _float_list(key: str, values, lo: float = -math.inf, above: bool = False) -> list[float]:
-    if not (isinstance(values, (list, tuple)) and values):
-        raise ValueError(f"sweep key {key!r} must be a nonempty list of finite numbers, got {values!r}")
-    return [_finite(key, v, lo, above) for v in values]
-
-
-def _int(key: str, value) -> int:
-    """An int or an integral float."""
-    if not _integral(value):
-        raise ValueError(f"sweep key {key!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _bool(key: str, value) -> bool:
@@ -161,17 +144,21 @@ def _bool(key: str, value) -> bool:
     return value
 
 
-def _apertures(key: str, value) -> list[tuple[float, float]]:
-    if not (
-        isinstance(value, (list, tuple))
-        and value
-        and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value)
-    ):
-        raise ValueError(
-            f"sweep key {key!r} must be a nonempty list of [width, height] pairs of positive finite numbers, "
-            f"got {value!r}"
-        )
-    return [(_finite(key, w, 0, above=True), _finite(key, h, 0, above=True)) for w, h in value]
+def _aperture(key: str, pair) -> tuple[float, float]:
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ValueError(f"sweep key {key!r} must hold [width, height] pairs of positive numbers, got {pair!r}")
+    return _finite(key, pair[0], 0, above=True), _finite(key, pair[1], 0, above=True)
+
+
+def _each(read, key: str, values, **bounds) -> list:
+    """read(key, v, **bounds) for every v of a nonempty list or tuple."""
+    if not (isinstance(values, (list, tuple)) and values):
+        raise ValueError(f"sweep key {key!r} must be a nonempty list, got {values!r}")
+    return [read(key, v, **bounds) for v in values]
+
+
+_NONNEG, _INT0 = partial(_finite, lo=0), partial(_int, lo=0)
+_int_list, _float_list = partial(_each, _int), partial(_each, _finite)
 
 
 def _read_sweep(kind: str, sweep: dict, cfg: ScenarioConfig) -> dict:
@@ -187,22 +174,12 @@ def _read_sweep(kind: str, sweep: dict, cfg: ScenarioConfig) -> dict:
     return values
 
 
-def _check_p_max(p_max_list: list[int], cfg: ScenarioConfig) -> None:
-    """Square tile sizes must lie within [1, min(P_h, P_v)]."""
-    limit = min(cfg.P_h, cfg.P_v)
-    for p_max in p_max_list:
-        if not 1 <= p_max <= limit:
-            raise ValueError(
-                f"p_max = {p_max} outside [1, {limit}]; tile sizes cannot exceed the array side"
-            )
-
-
 # The allowance per correlation axis point that _check_axis holds to MATRIX_BUDGET_BYTES (1,048,576 points).
 _AXIS_POINT_BYTES = 1024
 
 
 def _check_axis(key: str, count: int) -> None:
-    """Refuse an empty axis, or one of count points whose cost at _AXIS_POINT_BYTES per point exceeds the budget.
+    """Refuse an axis of count points whose cost at _AXIS_POINT_BYTES per point exceeds the budget.
 
     The statistics form a field's phases in runs of axis points, so a
     field's peak does not grow with the axis, the ray count or the
@@ -211,8 +188,6 @@ def _check_axis(key: str, count: int) -> None:
     measured with tracemalloc at one realization; the allowance is 1.7
     times the largest of them.
     """
-    if count < 1:
-        raise ValueError(f"sweep key {key!r} gives {count} axis points, not at least one")
     if (need := count * _AXIS_POINT_BYTES) > MATRIX_BUDGET_BYTES:
         raise ValueError(
             f"sweep key {key!r} gives {count} axis points, which need {need / 2**30:.2f} GiB at {_AXIS_POINT_BYTES} "
@@ -278,8 +253,6 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, 
         raise ValueError("error sweeps compare against the spherical reference; pick another model")
     deltas = []
     for side in sides:
-        if side < 1:
-            raise ValueError(f"array sides must be >= 1, got {side}")
         cfg_side = replace(cfg, P_h=side, P_v=side)
         if model.variant == "subarray":
             side_model = WavefrontModel.subarray(min(model.p_max_h, side), min(model.p_max_v, side))
@@ -292,7 +265,7 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, 
 
 def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, p_max_list, t) -> None:
     """Model error of square tilings as the tile size grows, one fixed field."""
-    _check_p_max(p_max_list, cfg)
+    _int_list("p_max_list", p_max_list, hi=min(cfg.P_h, cfg.P_v))
     fld = field_for_realization(cfg, exp.seed, 0)
     deltas = model_error_delta([WavefrontModel.subarray(p, p) for p in p_max_list], t, cfg, fld)
     _write_series(exp, outputs, "p_max", p_max_list, deltas, n_realizations=1, t=t)
@@ -300,7 +273,7 @@ def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict, 
 
 def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, p_max_list) -> None:
     """Operation counts of square tilings over tile size."""
-    _check_p_max(p_max_list, cfg)
+    _int_list("p_max_list", p_max_list, hi=min(cfg.P_h, cfg.P_v))
     totals = [ro_complexity(WavefrontModel.subarray(p, p), cfg).ro_total for p in p_max_list]
     _write_series(exp, outputs, "p_max", p_max_list, totals, n_realizations=0)
 
@@ -308,8 +281,8 @@ def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *
 def _run_spatial_ccf(
     exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, max_offset, dq, dt
 ) -> None:
-    if not 0 <= max_offset <= cfg.P_h - 1:
-        raise ValueError(f"max_offset must be within [0, {cfg.P_h - 1}], got {max_offset}")
+    _int("max_offset", max_offset, 0, cfg.P_h - 1)
+    _int("dq", dq, 0, cfg.Q - 1)  # from receive element 1, spatial_ccf_series's base_q
     _check_axis("max_offset", max_offset + 1)
     offsets = [(dh, 0) for dh in range(max_offset + 1)]
     series = spatial_ccf_series(offsets, dq, dt, t, cfg, model, n_realizations, seed=exp.seed)
@@ -369,7 +342,7 @@ KINDS = {
         "p_max_list": (_int_list, (1, 2, 4, 8, 16, 30)),
     }),
     "spatial_ccf": (_run_spatial_ccf, "spatial cross-correlation vs antenna offset", {
-        **_MONTE_CARLO, "max_offset": (_int, lambda cfg: min(32, cfg.P_h - 1)), "dq": (_int, 0), "dt": (_finite, 0.0),
+        **_MONTE_CARLO, "max_offset": (_INT0, lambda cfg: min(32, cfg.P_h - 1)), "dq": (_INT0, 0), "dt": (_finite, 0.0),
     }),
     "temporal_acf": (_run_lag_axis, "temporal autocorrelation vs time lag", {**_LAG_AXIS, "dt_max": (_NONNEG, 0.05)}),
     "frequency_cf": (_run_lag_axis, "frequency correlation vs frequency offset", {**_LAG_AXIS, "df_max": (_NONNEG, 1e7)}),
@@ -381,7 +354,7 @@ KINDS = {
     }),
     "rayleigh_table": (_run_rayleigh_table, "near/far boundary for standard apertures", {
         "frequencies_hz": (partial(_float_list, lo=0, above=True), (2.4e9, 5e9)),
-        "apertures_m": (_apertures, ((1.0, 0.1), (1.0, 2.0), (2.0, 2.0))),
+        "apertures_m": (partial(_each, _aperture), ((1.0, 0.1), (1.0, 2.0), (2.0, 2.0))),
     }),
 }
 SWEEP_KEYS = {kind: keys for kind, (_, _, keys) in KINDS.items()}

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, Vec3, _index, _real
+from .geometry import ScenarioConfig, Vec3, _digits, _index, _real
 
 _MAX_PLACEMENT_ATTEMPTS = 100
 _TWO_PI = 2.0 * math.pi
@@ -59,8 +59,9 @@ class Ray:
     phase: float
 
     def __post_init__(self) -> None:
-        if not -math.pi <= self.phase < math.pi:
-            raise ValueError(f"phase must lie in [-pi, pi), got {self.phase}")
+        object.__setattr__(self, "phase", float(_real("phase", self.phase, -math.pi)))
+        if not self.phase < math.pi:
+            raise ValueError(f"phase must lie in [-pi, pi), got {self.phase!r}")
 
 
 class ScattererField:
@@ -130,20 +131,23 @@ class ScattererField:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScattererField":
+        """The field of a to_csv file: clusters in cluster order, each cluster's rays in ray order."""
         groups: dict[int, list[tuple[int, Ray]]] = {}
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                ray = Ray(
-                    position=Vec3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"])),
-                    phase=float(row["phase_rad"]),
-                )
-                groups.setdefault(int(row["cluster"]), []).append((int(row["ray"]), ray))
-        clusters = []
-        for li in sorted(groups):
-            members = sorted(groups[li], key=lambda item: item[0])
-            clusters.append(tuple(ray for _, ray in members))
-        return cls(clusters=tuple(clusters), seed=None)
+            for row in csv.DictReader(fh):
+                ray = Ray(Vec3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"])), float(row["phase_rad"]))
+                groups.setdefault(_csv_index(row, "cluster"), []).append((_csv_index(row, "ray"), ray))
+        return cls(
+            tuple(tuple(ray for _, ray in sorted(groups[li], key=lambda item: item[0])) for li in sorted(groups))
+        )
+
+
+def _csv_index(row: dict, column: str) -> int:
+    """A 1-based index cell of a field CSV, ASCII digits only; int() would also take "1_0", "+1" and " 2 "."""
+    try:
+        return _digits(row[column])
+    except ValueError as exc:
+        raise ValueError(f"column {column}: {exc}") from None
 
 
 def _place_ray(

@@ -554,6 +554,7 @@ def model_error_delta(
     whole, and each group's terms go to one exactly rounded sum. A non-finite term (a zero or tiny reference
     entry) or a sum beyond the float range is a ValueError.
     """
+    t = _real("t", t, 0)  # checked here, since 1x1 tilings alone build no matrix that would check it
     single = isinstance(model, WavefrontModel)
     models = [model] if single else list(model)
     if not models:

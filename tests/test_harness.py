@@ -377,6 +377,37 @@ def test_cli_int_flags_take_one_leading_minus():
             _parse_int(text)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["capacity-sweep", "--snr-db", "1_0"],
+        ["capacity-sweep", "--snr-db", "0,1_0"],
+        ["capacity-sweep", "--t", "1_0e-3"],
+        ["spatial-ccf", "--dt", "1_0e-3"],
+        ["temporal-acf", "--points", "3", "--dt-max", "1_0e-3"],
+        ["frequency-cf", "--points", "3", "--df-max", "1_0e6"],
+    ],
+    ids=["snr-db", "snr-db-list", "t", "dt", "dt-max", "df-max"],
+)
+def test_cli_real_flags_refuse_underscores(tmp_path, capsys, args):
+    # float() ran "--snr-db 1_0" at 10 dB and "--t 1_0e-3" at t = 0.01 s
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, "--realizations", "1", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert "expected a" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_experiment_takes_a_model_only_as_text(tmp_path):
+    # str() read Path("planar") as the planar model, and the manifest could not record it after the CSV was written.
+    exp = Experiment(kind="capacity_sweep", sweep={"model": Path("planar"), "n_realizations": 1}, output=tmp_path / "run")
+    with pytest.raises(ValueError, match="sweep key 'model'"):
+        run_experiment(exp, validate_config(SMALL_CFG_JSON))
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_flags_cover_every_sweep_key_but_the_rayleigh_grid():
     keys = {key for table in SWEEP_KEYS.values() for key in table}
     assert set(_FLAGS) == keys - {"frequencies_hz", "apertures_m"}

@@ -13,8 +13,17 @@ sweep number refuses bools, numpy bools, strings, None, NaN, infinities and
 the value just past its bound with a ValueError that begins with its name
 (or its sweep key), accepts its bound, and gives for a numpy float the
 result of the equal Python float.
+
+The integers of a config or sweep dict follow one rule, geometry._json_index's:
+the integer rule, where an integral float such as 64.0 (as JSON may write a
+count) reads as its int. Every integer sweep key and config count field
+refuses bools, numpy bools, fractions, NaN, inf, strings, None and the
+values just past its bounds with a ValueError that names its sweep key or
+config field, and runs a numpy integer or an integral float as the equal
+Python int: the same CSV bytes and the same manifest sweep.
 """
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -301,3 +310,51 @@ def test_every_real_argument_follows_the_real_rule(site):
         kind, got = _outcome(call, x)
         assert kind == "value", (x, got)
         assert _same(call(np.float64(x)), got), x
+
+
+def _run(kind: str, key: str, wrap=lambda v: v, **rest):
+    """A call of v that runs kind on CFG with sweep key set to wrap(v) and rest; it gives the CSV bytes and the
+    manifest's sweep as read back from its JSON."""
+
+    def call(v) -> tuple:
+        with tempfile.TemporaryDirectory() as out:
+            run_experiment(Experiment(kind=kind, sweep={key: wrap(v), **rest}, output=Path(out)), CFG)
+            manifest = json.loads((Path(out) / "manifest.json").read_text(encoding="utf-8"))
+            return {path.name: path.read_bytes() for path in sorted(Path(out).glob("*.csv"))}, manifest["sweep"]
+
+    return call
+
+
+# site id -> (the text a refusal begins with, call with the value, lowest and highest accepted value, a value it accepts).
+# CFG has P_h = 4, P_v = 3 and Q = 2, so a tile side lies in [1, 3], max_offset in [0, 3] and dq in [0, 1].
+DICT_SITES = {
+    "sweep.points": ("sweep key 'points'", _run("temporal_acf", "points", n_realizations=1), 1, None, 2),
+    "sweep.n_realizations": ("sweep key 'n_realizations'", _run("temporal_acf", "n_realizations", points=2), 1, None, 2),
+    "sweep.phase_draws": (
+        "sweep key 'phase_draws'", _run("capacity_sweep", "phase_draws", n_realizations=1, snr_db_list=[10.0]), 1, None, 2
+    ),
+    "sweep.max_offset": ("sweep key 'max_offset'", _run("spatial_ccf", "max_offset", n_realizations=1), 0, 3, 1),
+    "sweep.dq": ("sweep key 'dq'", _run("spatial_ccf", "dq", n_realizations=1, max_offset=1), 0, 1, 1),
+    "sweep.sides": ("sweep key 'sides'", _run("error_vs_array", "sides", lambda v: [2, v]), 1, None, 3),
+    "sweep.p_max_list": ("sweep key 'p_max_list'", _run("error_vs_subarray", "p_max_list", lambda v: [1, v]), 1, 3, 2),
+    "sweep.p_max_list.complexity": (
+        "sweep key 'p_max_list'", _run("complexity_sweep", "p_max_list", lambda v: [1, v]), 1, 3, 2
+    ),
+    **{f"config_from_dict.{name}": (f"config field {name} ", lambda v, name=name: repr(config_from_dict({name: v})), 1,
+                                     None, 2)
+       for name in ("P_h", "P_v", "Q", "L_clusters", "N_rays")},
+}
+
+
+@pytest.mark.parametrize("site", list(DICT_SITES))
+def test_every_dict_integer_follows_the_json_integer_rule(site):
+    text, call, lo, hi, ok = DICT_SITES[site]
+    past = [lo - 1] + ([] if hi is None else [hi + 1])
+    for v in (True, np.True_, 2.5, math.nan, math.inf, "1", None, *past):
+        kind, got = _outcome(call, v)
+        assert kind == "ValueError" and got.startswith(text), (v, got)
+    kind, ref = _outcome(call, ok)
+    assert kind == "value", ref
+    # A numpy integer runs, and is written to the manifest, as the Python int; a float is recorded as given.
+    assert repr(_outcome(call, np.int64(ok))) == repr(("value", ref))
+    assert _outcome(call, float(ok)) == ("value", ref)

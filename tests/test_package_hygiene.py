@@ -18,7 +18,8 @@ No module checks for an integer by hand: isinstance(..., int), alone or in
 a tuple, appears only inside geometry's number predicates, so every index,
 count and seed goes through geometry._index. Likewise no module reads the
 predicate geometry._finite_number outside geometry._real, so every real
-number goes through that one rule.
+number goes through that one rule, and no module reads is_integer outside
+geometry._json_index, so every integer of a config or sweep dict does too.
 """
 
 import ast
@@ -220,7 +221,7 @@ def test_no_module_reads_the_environment(path):
 
 
 # The functions of geometry.py that may test for int: its number predicates.
-INTEGER_PREDICATES = {"_finite_number", "_integral", "_index"}
+INTEGER_PREDICATES = {"_finite_number", "_index"}
 
 
 def integer_checks(source: str, allowed=frozenset()) -> list[str]:
@@ -296,3 +297,9 @@ def test_name_read_scan_flags_calls_and_references_outside_the_allowed_functions
 def test_every_real_number_goes_through_real(path):
     allowed = {"_real"} if path.name == "geometry.py" else frozenset()
     assert name_reads(path.read_text(encoding="utf-8"), "_finite_number", allowed) == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(nfmimo.__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_dict_integer_goes_through_json_index(path):
+    allowed = {"_json_index"} if path.name == "geometry.py" else frozenset()
+    assert name_reads(path.read_text(encoding="utf-8"), "is_integer", allowed) == []

@@ -316,6 +316,16 @@ def test_ray_phase_range_enforced():
         Ray(position=__import__("nfmimo").Vec3(1, 2, 3), phase=math.pi)
 
 
+def test_ray_phase_follows_the_real_rule():
+    # True was stored as the phase and used as 1.0 rad; "x" ended in a TypeError.
+    for bad in (True, np.True_, "x", None, math.nan, math.inf, math.nextafter(-math.pi, -math.inf), math.pi):
+        with pytest.raises(ValueError, match="^phase "):
+            Ray(Vec3(1.0, 2.0, 3.0), bad)
+    for ok in (0, np.float64(0.5), -math.pi):
+        ray = Ray(Vec3(1.0, 2.0, 3.0), ok)
+        assert type(ray.phase) is float and ray.phase == ok
+
+
 def test_empty_field_rejected():
     with pytest.raises(ValueError):
         ScattererField(clusters=(), seed=None)
@@ -336,6 +346,22 @@ def test_field_csv_roundtrip(tmp_path):
     assert back.n_clusters == 3 and back.n_rays == 12
     assert np.array_equal(back.positions(), field.positions())
     assert np.array_equal(back.phases(), field.phases())
+
+
+@pytest.mark.parametrize("column", ["cluster", "ray"])
+@pytest.mark.parametrize("cell", ["1_0", "+1", " 2 ", "-1", "1.0", "", "\u0661"])
+def test_field_csv_indices_take_digits_only(tmp_path, column, cell):
+    # int() read "1_0" as 10, "+1" as 1 and " 2 " as 2.
+    path = tmp_path / "field.csv"
+    generate_scatterers(ScenarioConfig(L_clusters=2, N_rays=2), 5).to_csv(path)
+    rows = list(csv.DictReader(path.open(newline="", encoding="utf-8")))
+    rows[1][column] = cell
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(ValueError, match=f"^column {column}: expected digits 0-9 only"):
+        ScattererField.from_csv(path)
 
 
 def ray_loop_csv(field, path):

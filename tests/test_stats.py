@@ -527,6 +527,16 @@ def test_model_error_exact_match_is_minus_inf():
     )
 
 
+@pytest.mark.parametrize("t", [-1.0, "x", True, math.nan])
+def test_model_error_checks_t_when_no_matrix_is_built(t):
+    # 1x1 tilings build no matrix, so -inf came back for any t.
+    cfg = ScenarioConfig(P_h=2, P_v=2, Q=1)
+    field = field_for_realization(cfg, 0, 0)
+    for model in (WavefrontModel.subarray(1, 1), [WavefrontModel.subarray(1, 1)] * 2):
+        with pytest.raises(ValueError, match="^t "):
+            model_error_delta(model, t, cfg, field)
+
+
 def test_model_error_ordering_small_array():
     # coarser approximations accumulate more error than finer ones
     cfg = ScenarioConfig(P_h=8, P_v=8, Q=2)
