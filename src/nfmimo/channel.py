@@ -615,22 +615,19 @@ def _direct_phasors(cfg: ScenarioConfig, partition: SubarrayPartition, rx, bulk,
     """Direct-path phasors (M, v1 - v0, P_h) of element rows v0:v1 (0-based) toward the M receive points rx.
 
     rx has rows x, y, z, kq, t, and bulk is their delay phase, as in matrix_parts' direct slot. The
-    gains are evaluated on the tile grid of those rows, then gathered per element into two buffers
-    that sum kh*a1 + kv*a2 + mr + bulk in place.
+    gains are evaluated on the tile grid of those rows, then gathered per element (_tiles) into two
+    buffers that sum kh*a1 + kv*a2 + mr + bulk in place; for 1x1 tiles the gather is the identity.
     """
-    n_h, ph, pv = partition.counts_h, partition.p_max_h, partition.p_max_v
-    s0 = v0 // pv  # first tile row; the grid is (M, tile rows, tile columns)
-    a1, a2, mr = _direct(np.arange(n_h), np.arange(s0, (v1 - 1) // pv + 1)[:, None], rx[:, :, None, None], cfg, partition)
-    _, _, kh, kv = _tiles(np.arange(1, cfg.P_h + 1), np.arange(v0 + 1, v1 + 1), cfg, partition)
-    if ph == pv == 1:  # the tile grid is the element grid
-        phase, term = a1, a2
-    else:
-        tile = (np.arange(v0, v1) // pv - s0)[:, None] * n_h + np.arange(cfg.P_h) // ph
-        phase, term = (np.take(g.reshape(len(g), -1), tile, axis=1, mode="clip") for g in (a1, a2))
+    n_h = partition.counts_h
+    sh, sv, kh, kv = _tiles(np.arange(1, cfg.P_h + 1), np.arange(v0 + 1, v1 + 1)[:, None], cfg, partition)
+    s0 = sv[0, 0]  # first tile row; the grid is (M, tile rows, tile columns)
+    a1, a2, mr = _direct(np.arange(n_h), np.arange(s0, sv[-1, 0] + 1)[:, None], rx[:, :, None, None], cfg, partition)
+    tile = (sv - s0) * n_h + sh
+    phase, term = (np.take(g.reshape(len(g), -1), tile, axis=1, mode="clip") for g in (a1, a2))
     phase *= kh
-    term *= kv[:, None]
+    term *= kv
     phase += term
-    phase += mr if ph == pv == 1 else np.take(mr.reshape(len(mr), -1), tile, axis=1, out=term, mode="clip")
+    phase += np.take(mr.reshape(len(mr), -1), tile, axis=1, out=term, mode="clip")
     phase += bulk
     return _cis(phase)
 

@@ -249,8 +249,6 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, 
     Subarray tile sizes are clamped to the current side so one sweep can
     cross sides smaller than the requested tile.
     """
-    if model.variant == "spherical":
-        raise ValueError("error sweeps compare against the spherical reference; pick another model")
     deltas = []
     for side in sides:
         cfg_side = replace(cfg, P_h=side, P_v=side)

@@ -463,14 +463,15 @@ def mean_capacity(
 
     def one(i: int) -> np.ndarray:
         fld = field_for_realization(cfg, seed, i)
-        if phase_draws == 1:
-            return _capacities(channel_matrix(t, cfg, model, fld).H, rho_snrs, normalize_each)
         parts = matrix_parts(t, cfg, model, fld)
-        rng = np.random.default_rng([seed, i, _PHASE_STREAM])
-        # A combine forms the P * N departure phasors once for all its draws; up to N // Q
-        # draws per combine keep the (D * Q, P) stack within the P * N elements MATRIX_BUDGET_BYTES allows.
-        step = max(1, fld.n_rays // cfg.Q)
-        draws = (rng.uniform(-math.pi, math.pi, (min(step, phase_draws - lo), fld.n_rays)) for lo in range(0, phase_draws, step))
+        if phase_draws == 1:  # the field's own phases
+            draws = [fld.phases()[None]]
+        else:
+            rng = np.random.default_rng([seed, i, _PHASE_STREAM])
+            # A combine forms the P * N departure phasors once for all its draws; up to N // Q
+            # draws per combine keep the (D * Q, P) stack within the P * N elements MATRIX_BUDGET_BYTES allows.
+            step = max(1, fld.n_rays // cfg.Q)
+            draws = (rng.uniform(-math.pi, math.pi, (min(step, phase_draws - lo), fld.n_rays)) for lo in range(0, phase_draws, step))
         return sum(_capacities(H, rho_snrs, normalize_each) for d in draws for H in combine_parts(parts, d, cfg.K)) / phase_draws
 
     means = _realization_mean(one, n_realizations)

@@ -640,7 +640,7 @@ def test_mean_capacity_builds_one_matrix_per_field(monkeypatch):
         original = getattr(stats, name)
         monkeypatch.setattr(stats, name, lambda *a, _f=original, _n=name: built.append(_n) or _f(*a))
     mean_capacity(SWEEP_CFG, SPHERICAL, SNRS, 3, seed=1)
-    assert built == ["channel_matrix"] * 3
+    assert built == ["matrix_parts"] * 3
     built.clear()
     mean_capacity(SWEEP_CFG, SPHERICAL, SNRS, 3, seed=1, phase_draws=4)
     assert built == ["matrix_parts"] * 3
