@@ -431,10 +431,11 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
     function of a scatterer field giving the (n_points, n_rays)
     deterministic per-ray phases (random phase excluded). The geometry
     that does not depend on the field is evaluated here once, so a sweep
-    makes one call and evaluates scattered once per field. An f that
-    makes a delay phase non-finite is a ValueError.
+    makes one call and evaluates scattered once per field. f follows the
+    real rule above 0, and an f that makes a delay phase non-finite is a
+    ValueError.
     """
-    freq = cfg.f_c if f is None else f
+    freq = cfg.f_c if f is None else _real("f", f, 0, above=True)
     # Each point indexes its distinct element and its distinct (q, t) pair.
     elements: dict[tuple[int, int], int] = {}
     receivers: dict[tuple[int, float], int] = {}
@@ -527,6 +528,7 @@ def transfer_function(
     time-domain coefficient exactly. f must stay within half of
     BANDWIDTH_HZ of the carrier unless check_band is disabled.
     """
+    f = _real("f", f, 0, above=True)
     if check_band and not abs(f - cfg.f_c) <= BANDWIDTH_HZ / 2:  # a NaN f fails it too
         raise ValueError(
             f"f = {f} Hz lies outside the band [f_c - {BANDWIDTH_HZ/2:.0f}, "

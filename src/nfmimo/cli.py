@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .geometry import _digits, _index
+from .geometry import _digits, _index, _number
 from .harness import KINDS, SWEEP_KEYS, Experiment, load_config, run_experiment
 
 
@@ -25,13 +25,6 @@ def _flag_type(parse, expected: str):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
 
     return read
-
-
-def _number(text: str) -> float:
-    """float(text) without the digit-group underscores float() takes ("1_0"); nan and inf go on to the sweep readers."""
-    if "_" in text:
-        raise ValueError(text)
-    return float(text)
 
 
 def _items(parse):

@@ -69,6 +69,13 @@ def _digits(text: str) -> int:
     return int(text)
 
 
+def _number(text: str) -> float:
+    """float(text) without the digit-group underscores float() takes ("1_0"); nan and inf pass, for _real to judge."""
+    if "_" in text:
+        raise ValueError(f"expected a number without '_', got {text!r}")
+    return float(text)
+
+
 def _index(name: str, v, lo: int = 1, hi: int | None = None) -> int:
     """The one integer rule for indices, counts and seeds: a Python or numpy integer, never a bool, in [lo, hi].
 
@@ -215,9 +222,9 @@ def mr_element_position(q: int, t: float, cfg: ScenarioConfig) -> Vec3:
 
 
 def rayleigh_distance_aperture(diagonal: float, wavelength: float) -> float:
-    """Near/far boundary 2 d^2 / lambda for an aperture with the given diagonal."""
+    """Near/far boundary 2 d^2 / lambda for an aperture with the given diagonal: finite and above 0, or a ValueError."""
     diagonal, wavelength = _real("diagonal", diagonal, 0, above=True), _real("wavelength", wavelength, 0, above=True)
-    return 2.0 * diagonal * diagonal / wavelength
+    return _real("the near-field boundary", 2.0 * diagonal * diagonal / wavelength, 0, above=True)
 
 
 def rayleigh_distance(cfg: ScenarioConfig) -> float:

@@ -57,6 +57,8 @@ class Experiment:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; expected one of {', '.join(EXPERIMENT_KINDS)}"
             )
+        if not isinstance(self.sweep, dict):
+            raise ValueError(f"sweep must be a dict of sweep keys, got {self.sweep!r}")
         object.__setattr__(self, "seed", _index("seed", self.seed, 0))
         object.__setattr__(self, "output", Path(self.output))
 
@@ -229,7 +231,6 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, 
         for w, h in apertures_m:
             try:  # the diagonal, the wavelength and the boundary may each leave the float range
                 boundary = rayleigh_distance_aperture(math.hypot(w, h), cfg.c / f_c)
-                boundary = _real("the near-field boundary", boundary, 0, above=True)
             except ValueError as exc:
                 raise ValueError(
                     f"sweep keys 'frequencies_hz' and 'apertures_m': a {w!r} m x {h!r} m aperture at {f_c!r} Hz: {exc}"

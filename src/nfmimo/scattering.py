@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_open
-from .geometry import ScenarioConfig, Vec3, _digits, _index, _real
+from .geometry import ScenarioConfig, Vec3, _digits, _index, _number, _real
 
 _MAX_PLACEMENT_ATTEMPTS = 100
 _TWO_PI = 2.0 * math.pi
@@ -135,17 +135,21 @@ class ScattererField:
         groups: dict[int, list[tuple[int, Ray]]] = {}
         with open(path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
-                ray = Ray(Vec3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"])), float(row["phase_rad"]))
-                groups.setdefault(_csv_index(row, "cluster"), []).append((_csv_index(row, "ray"), ray))
+                x, y, z, phase = (_csv_cell(row, c, _number) for c in ("x_m", "y_m", "z_m", "phase_rad"))
+                ray = Ray(Vec3(x, y, z), phase)
+                groups.setdefault(_csv_cell(row, "cluster", _digits), []).append((_csv_cell(row, "ray", _digits), ray))
         return cls(
             tuple(tuple(ray for _, ray in sorted(groups[li], key=lambda item: item[0])) for li in sorted(groups))
         )
 
 
-def _csv_index(row: dict, column: str) -> int:
-    """A 1-based index cell of a field CSV, ASCII digits only; int() would also take "1_0", "+1" and " 2 "."""
+def _csv_cell(row: dict, column: str, read):
+    """A cell of a field CSV through read (geometry._digits for an index, _number for a real); a refused or
+    missing cell is a ValueError naming column. int() would also take "1_0", "+1" and " 2 ", and float() "1_0"."""
     try:
-        return _digits(row[column])
+        if (text := row.get(column)) is None:  # csv.DictReader gives None for the cells a short row lacks
+            raise ValueError("missing cell")
+        return read(text)
     except ValueError as exc:
         raise ValueError(f"column {column}: {exc}") from None
 

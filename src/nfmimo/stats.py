@@ -358,6 +358,7 @@ def frequency_cf_series(
     the scattered part the per-field normalized per-ray sum.
     """
     dfs_arr = _lag_axis("dfs", dfs)
+    model.partition_for(cfg)  # a tile larger than the array is refused before any field is drawn, as elsewhere
 
     def delay_phases(delays: np.ndarray, runs=_axis_runs(len(dfs), cfg)):
         # Delays are positive, so the largest offset and delay bound every phase argument.

@@ -250,6 +250,14 @@ def test_model_partition_validation():
     assert part.counts_h == part.counts_v == 1
 
 
+def test_model_refuses_an_unknown_variant_and_tile_sizes_off_subarray():
+    with pytest.raises(ValueError, match="^variant must be one of"):
+        WavefrontModel("cylindrical")
+    for variant, sizes in (("spherical", (2, 2)), ("planar", (None, 3))):
+        with pytest.raises(ValueError, match=f"^{variant} models take no tile sizes"):
+            WavefrontModel(variant, *sizes)
+
+
 # ---------------------------------------------------------------------------
 # Direct path
 
@@ -304,6 +312,13 @@ def test_degenerate_geometry_unreachable():
         ScenarioConfig(P_h=1, P_v=1, Q=1, D_0=1e-300, H_0=0.0, delta_T=1e-300)
     with pytest.raises(ValueError):
         ScenarioConfig(D_0=0.0)
+
+
+def test_tau_los_refuses_midpoints_at_a_zero_float_distance():
+    # The midpoints lie 1.4e-170 m apart, but the squares of their offsets underflow, so their distance reads 0.
+    cfg = ScenarioConfig(H_0=1e-170, D_0=1e-170, delta_T=1e-172, delta_R=1e-172, P_h=1, P_v=1, Q=1, r_min=1e-170)
+    with pytest.raises(ValueError):
+        tau_los(0.0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +441,20 @@ def test_channel_matrix_shape_and_immutability():
     assert np.all(np.isfinite(real.H.real)) and np.all(np.isfinite(real.H.imag))
     with pytest.raises((ValueError, RuntimeError)):
         real.H[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "H, message",
+    [
+        (np.ones(3, dtype=complex), "^H must be a 2-D matrix"),
+        (np.array([[1.0, np.nan]], dtype=complex), "^H contains non-finite entries"),
+        (np.array([[1.0, complex(0.0, np.inf)]]), "^H contains non-finite entries"),
+    ],
+    ids=["1-D", "nan", "inf"],
+)
+def test_channel_realization_refuses_a_matrix_that_is_not_2d_or_not_finite(H, message):
+    with pytest.raises(ValueError, match=message):
+        ChannelRealization(t=0.0, H=H, tau_los=1e-7, tau_nlos=np.zeros(2), model=SPHERICAL)
 
 
 def test_channel_matrix_los_only_modulus():
@@ -982,14 +1011,14 @@ def test_non_finite_frequency_is_refused(f):
     cfg = ScenarioConfig(P_h=2, P_v=2, Q=1)
     field = field_for_realization(cfg, 6, 0)
     for check_band in (True, False):
-        with pytest.raises(ValueError, match="f = "):
+        with pytest.raises(ValueError, match="^f (=|must)"):
             transfer_function(1, 1, 0.0, f, cfg, SPHERICAL, field, check_band=check_band)
     for phases in (
         lambda: los_phase(1, 1, 0.0, cfg, SPHERICAL, f=f),
         lambda: nlos_ray_phases(1, 1, 0.0, cfg, SPHERICAL, field, f=f),
         lambda: point_phases([(1, 1, 0.0), (4, 1, 0.1)], cfg, PLANAR, f),
     ):
-        with pytest.raises(ValueError, match="f = "):
+        with pytest.raises(ValueError, match="^f (=|must)"):
             phases()
 
 

@@ -211,6 +211,19 @@ def test_rayleigh_distance_refuses_a_boundary_out_of_range(delta_T):
         rayleigh_distance(ScenarioConfig(P_h=2, P_v=2, delta_T=delta_T))
 
 
+@pytest.mark.parametrize("diagonal, wavelength", [(1e200, 1e-100), (1e-200, 1e100)], ids=["overflow", "underflow"])
+def test_rayleigh_distance_aperture_refuses_a_boundary_out_of_range(diagonal, wavelength):
+    # Used to return inf and 0.0.
+    with pytest.raises(ValueError, match="^the near-field boundary must be finite and > 0"):
+        rayleigh_distance_aperture(diagonal, wavelength)
+
+
+@pytest.mark.parametrize("value", [1, 0, "yes", None, np.True_])
+def test_cluster_level_angles_must_be_a_bool(value):
+    with pytest.raises(ValueError, match="^cluster_level_angles must be a bool"):
+        ScenarioConfig(cluster_level_angles=value)
+
+
 # ---------------------------------------------------------------------------
 # Partitioning
 

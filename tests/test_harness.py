@@ -1083,6 +1083,24 @@ def test_cli_refuses_a_negative_t_for_every_kind(tmp_path, capsys, kind):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("kind", [kind.replace("_", "-") for kind, keys in SWEEP_KEYS.items() if "n_realizations" in keys])
+def test_cli_refuses_a_tile_larger_than_the_array_for_every_monte_carlo_kind(tmp_path, capsys, kind):
+    # frequency-cf used to run with a 5x5 tile on the 4x4 array, exit 0 and write frequency_cf__subarray_5x5.csv.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(SMALL_CFG_JSON)
+    args = [kind, "--model", "subarray:5x5", "--realizations", "1", "--config", str(cfg_path), "--out", str(out)]
+    assert main(args) == 2
+    assert "subarray tile 5x5 exceeds the 4x4 array" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("sweep", [None, [("points", 3)], "points=3"], ids=["None", "list", "str"])
+def test_experiment_refuses_a_sweep_that_is_not_a_dict(tmp_path, sweep):
+    # None used to end in "TypeError: 'NoneType' object is not iterable" and a list in "unhashable type: 'list'".
+    with pytest.raises(ValueError, match="^sweep must be a dict"):
+        Experiment(kind="temporal_acf", sweep=sweep, output=tmp_path)
+
+
 def test_rayleigh_table_writes_numpy_config_floats_as_python_floats(tmp_path):
     # The configured row used to read np.float64(5000000000.0),configured,configured,np.float64(237.97525316039997).
     for name, number in (("python", float), ("numpy", np.float64)):

@@ -33,7 +33,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfmimo.channel import WavefrontModel, channel_matrix, los_phase, rician_weights, tau_los
+from nfmimo.channel import (
+    WavefrontModel,
+    channel_matrix,
+    los_phase,
+    nlos_ray_phases,
+    point_phases,
+    rician_weights,
+    tau_los,
+    transfer_function,
+)
 from nfmimo.geometry import (
     ScenarioConfig,
     Vec3,
@@ -275,6 +284,11 @@ MORE_REAL_SITES = {
     "rayleigh_distance_aperture.wavelength": (
         "wavelength", lambda v: rayleigh_distance_aperture(1.0, v), (0, True, 0.06)
     ),
+    # The frequency of the delay phase: f_c's bound, also for transfer_function, whose band check comes after.
+    "los_phase.f": ("f", lambda v: los_phase(2, 1, 0.0, CFG, PLANAR, f=v), (0, True, 5e9)),
+    "nlos_ray_phases.f": ("f", lambda v: nlos_ray_phases(2, 1, 0.0, CFG, PLANAR, FIELD, f=v), (0, True, 5e9)),
+    "point_phases.f": ("f", lambda v: point_phases([(1, 1, 0.0), (3, 2, 0.1)], CFG, PLANAR, v)[0], (0, True, 5e9)),
+    "transfer_function.f": ("f", lambda v: transfer_function(2, 1, 0.0, v, CFG, PLANAR, FIELD), (0, True, CFG.f_c)),
     "Vec3.x": ("Vec3.x", lambda v: Vec3(v, 0.0, 0.0), ANY),
     "Vec3.y": ("Vec3.y", lambda v: Vec3(0.0, v, 0.0), ANY),
     "Vec3.z": ("Vec3.z", lambda v: Vec3(0.0, 0.0, v), ANY),
@@ -290,10 +304,10 @@ MORE_REAL_SITES = {
 }
 REAL_SITES.update({site: (name, call) for site, (name, call, _) in MORE_REAL_SITES.items()})
 REAL_BOUNDS = {site: MORE_REAL_SITES[site][2] if site in MORE_REAL_SITES else AT_LEAST_0 for site in REAL_SITES}
-# Fields for which None picks the default.
+# Fields and arguments for which None picks the default (f: the carrier f_c).
 TAKE_NONE = {
     f"{how}.{name}" for how in ("ScenarioConfig", "config_from_dict") for name in ("delta_T", "delta_R", "r_max")
-}
+} | {"los_phase.f", "nlos_ray_phases.f", "point_phases.f"}
 
 
 @pytest.mark.parametrize("site", list(REAL_SITES))

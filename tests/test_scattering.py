@@ -364,6 +364,31 @@ def test_field_csv_indices_take_digits_only(tmp_path, column, cell):
         ScattererField.from_csv(path)
 
 
+@pytest.mark.parametrize("column", ["x_m", "y_m", "z_m", "phase_rad"])
+@pytest.mark.parametrize("cell", ["1_0", "0_5"])
+def test_field_csv_reals_refuse_underscores(tmp_path, column, cell):
+    # float() read "1_0" as 10.0 and "0_5" as 0.5, where the real CLI flags refuse both.
+    path = tmp_path / "field.csv"
+    generate_scatterers(ScenarioConfig(L_clusters=2, N_rays=2), 5).to_csv(path)
+    rows = list(csv.DictReader(path.open(newline="", encoding="utf-8")))
+    rows[1][column] = cell
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(ValueError, match=f"^column {column}: expected a number without '_', got '{cell}'"):
+        ScattererField.from_csv(path)
+
+
+@pytest.mark.parametrize("row, column", [("1", "x_m"), ("1,1,1.0,2.0,3.0", "phase_rad")])
+def test_field_csv_short_row_names_its_first_missing_column(tmp_path, row, column):
+    # A row "1" used to end in "TypeError: float() argument must be a string or a real number, not 'NoneType'".
+    path = tmp_path / "field.csv"
+    path.write_text(f"cluster,ray,x_m,y_m,z_m,phase_rad\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^column {column}: missing cell"):
+        ScattererField.from_csv(path)
+
+
 def ray_loop_csv(field, path):
     """The per-Ray writer loop over the cluster view: the reference for ScattererField.to_csv."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -1,6 +1,7 @@
 """Correlation statistics, capacity, model error, and operation counts."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,24 @@ def test_frequency_cf_validation():
         frequency_cf(-1.0, 0.0, cfg, SPHERICAL, 1)
     with pytest.raises(ValueError):
         frequency_cf(1e5, 0.0, cfg, SPHERICAL, 0)
+
+
+def test_frequency_cf_refuses_a_tile_larger_than_the_array_before_drawing_a_field(monkeypatch):
+    # Used to draw its fields and return a series, as the model's partition was never resolved.
+    import nfmimo.stats as stats
+
+    def no_field(*args):
+        raise AssertionError("a field was drawn")
+
+    monkeypatch.setattr(stats, "field_for_realization", no_field)
+    cfg = ScenarioConfig(P_h=4, P_v=4, Q=1)
+    with pytest.raises(ValueError, match="^subarray tile 5x5 exceeds the 4x4 array"):
+        frequency_cf_series([0.0, 1e6], 0.0, cfg, WavefrontModel.subarray(5, 5), 1)
+
+
+def test_temporal_acf_refuses_an_empty_lag_list():
+    with pytest.raises(ValueError, match="^dts must hold at least one lag"):
+        temporal_acf_series([], 0.0, ScenarioConfig(P_h=2, P_v=2, Q=1), SPHERICAL, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +440,15 @@ def test_capacity_scale_invariance():
     # 1e200 and 1e-200 overflow and underflow the squared Frobenius norm.
     for scale in (3 - 4j, 1e200, 1e-200):
         assert abs(capacity(H, 10.0) - capacity(H * scale, 10.0)) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-161, 1e-162])
+def test_capacity_scale_invariance_below_the_normal_range(scale):
+    # The squared Frobenius norm of H * scale is subnormal, below sys.float_info.min.
+    H = np.random.default_rng(5).normal(size=(3, 5)) + 1j * np.random.default_rng(6).normal(size=(3, 5))
+    scaled = H * scale
+    assert float(np.sum(scaled.real**2 + scaled.imag**2)) < sys.float_info.min
+    assert abs(capacity(scaled, 10.0) - capacity(H, 10.0)) <= 2e-15
 
 
 def test_capacity_monotone_in_snr():
