@@ -529,7 +529,7 @@ def transfer_function(
     BANDWIDTH_HZ of the carrier unless check_band is disabled.
     """
     f = _real("f", f, 0, above=True)
-    if check_band and not abs(f - cfg.f_c) <= BANDWIDTH_HZ / 2:  # a NaN f fails it too
+    if check_band and not abs(f - cfg.f_c) <= BANDWIDTH_HZ / 2:
         raise ValueError(
             f"f = {f} Hz lies outside the band [f_c - {BANDWIDTH_HZ/2:.0f}, "
             f"f_c + {BANDWIDTH_HZ/2:.0f}] around f_c = {cfg.f_c} Hz"

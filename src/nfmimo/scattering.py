@@ -51,6 +51,14 @@ def sample_von_mises(mu: float, kappa: float, rng: np.random.Generator, size=Non
     return np.where(raw >= np.pi, raw - 2.0 * np.pi, raw)
 
 
+def _ray_phase(v) -> float:
+    """The Ray phase rule: a finite real in [-pi, pi), returned as a Python float."""
+    v = float(_real("phase", v, -math.pi))
+    if not v < math.pi:
+        raise ValueError(f"phase must lie in [-pi, pi), got {v!r}")
+    return v
+
+
 @dataclass(frozen=True, slots=True)
 class Ray:
     """One scattered path: a scatterer position and its random phase."""
@@ -59,9 +67,7 @@ class Ray:
     phase: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", float(_real("phase", self.phase, -math.pi)))
-        if not self.phase < math.pi:
-            raise ValueError(f"phase must lie in [-pi, pi), got {self.phase!r}")
+        object.__setattr__(self, "phase", _ray_phase(self.phase))
 
 
 class ScattererField:
@@ -135,8 +141,8 @@ class ScattererField:
         groups: dict[int, list[tuple[int, Ray]]] = {}
         with open(path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
-                x, y, z, phase = (_csv_cell(row, c, _number) for c in ("x_m", "y_m", "z_m", "phase_rad"))
-                ray = Ray(Vec3(x, y, z), phase)
+                x, y, z = (_csv_cell(row, c, lambda s: _real("a coordinate", _number(s))) for c in ("x_m", "y_m", "z_m"))
+                ray = Ray(Vec3(x, y, z), _csv_cell(row, "phase_rad", lambda s: _ray_phase(_number(s))))
                 groups.setdefault(_csv_cell(row, "cluster", _digits), []).append((_csv_cell(row, "ray", _digits), ray))
         return cls(
             tuple(tuple(ray for _, ray in sorted(groups[li], key=lambda item: item[0])) for li in sorted(groups))
@@ -144,8 +150,9 @@ class ScattererField:
 
 
 def _csv_cell(row: dict, column: str, read):
-    """A cell of a field CSV through read (geometry._digits for an index, _number for a real); a refused or
-    missing cell is a ValueError naming column. int() would also take "1_0", "+1" and " 2 ", and float() "1_0"."""
+    """A cell of a field CSV through read (geometry._digits for an index, _number and the value's rule for a
+    real); a refused or missing cell is a ValueError naming column. int() would also take "1_0", "+1" and
+    " 2 ", and float() "1_0"."""
     try:
         if (text := row.get(column)) is None:  # csv.DictReader gives None for the cells a short row lacks
             raise ValueError("missing cell")

@@ -1022,6 +1022,24 @@ def test_non_finite_frequency_is_refused(f):
             phases()
 
 
+@pytest.mark.parametrize("f", [True, np.True_, "5e9", 0.0, -1.0, None])
+def test_frequency_follows_the_real_rule(f):
+    # f=True ran at 1 Hz, "5e9" ended in a TypeError, and 0 or -1 Hz ran; f_c itself must be > 0.
+    cfg = ScenarioConfig(P_h=2, P_v=2, Q=1)
+    field = field_for_realization(cfg, 6, 0)
+    calls = [
+        lambda: los_phase(1, 1, 0.0, cfg, SPHERICAL, f=f),
+        lambda: nlos_ray_phases(1, 1, 0.0, cfg, SPHERICAL, field, f=f),
+        lambda: point_phases([(1, 1, 0.0), (4, 1, 0.1)], cfg, PLANAR, f),
+        lambda: transfer_function(1, 1, 0.0, f, cfg, SPHERICAL, field, check_band=False),
+    ]
+    if f is None:  # None means f_c for the phases, and is no frequency for transfer_function
+        calls = calls[3:]
+    for call in calls:
+        with pytest.raises(ValueError, match="^f must be finite and > 0"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Exports
 

@@ -348,10 +348,8 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(back.phases(), field.phases())
 
 
-@pytest.mark.parametrize("column", ["cluster", "ray"])
-@pytest.mark.parametrize("cell", ["1_0", "+1", " 2 ", "-1", "1.0", "", "\u0661"])
-def test_field_csv_indices_take_digits_only(tmp_path, column, cell):
-    # int() read "1_0" as 10, "+1" as 1 and " 2 " as 2.
+def field_csv_with(tmp_path, column, cell):
+    """A to_csv file of a small field whose second row holds cell in column."""
     path = tmp_path / "field.csv"
     generate_scatterers(ScenarioConfig(L_clusters=2, N_rays=2), 5).to_csv(path)
     rows = list(csv.DictReader(path.open(newline="", encoding="utf-8")))
@@ -360,24 +358,37 @@ def test_field_csv_indices_take_digits_only(tmp_path, column, cell):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("column", ["cluster", "ray"])
+@pytest.mark.parametrize("cell", ["1_0", "+1", " 2 ", "-1", "1.0", "", "\u0661"])
+def test_field_csv_indices_take_digits_only(tmp_path, column, cell):
+    # int() read "1_0" as 10, "+1" as 1 and " 2 " as 2.
     with pytest.raises(ValueError, match=f"^column {column}: expected digits 0-9 only"):
-        ScattererField.from_csv(path)
+        ScattererField.from_csv(field_csv_with(tmp_path, column, cell))
 
 
 @pytest.mark.parametrize("column", ["x_m", "y_m", "z_m", "phase_rad"])
 @pytest.mark.parametrize("cell", ["1_0", "0_5"])
 def test_field_csv_reals_refuse_underscores(tmp_path, column, cell):
     # float() read "1_0" as 10.0 and "0_5" as 0.5, where the real CLI flags refuse both.
-    path = tmp_path / "field.csv"
-    generate_scatterers(ScenarioConfig(L_clusters=2, N_rays=2), 5).to_csv(path)
-    rows = list(csv.DictReader(path.open(newline="", encoding="utf-8")))
-    rows[1][column] = cell
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
     with pytest.raises(ValueError, match=f"^column {column}: expected a number without '_', got '{cell}'"):
-        ScattererField.from_csv(path)
+        ScattererField.from_csv(field_csv_with(tmp_path, column, cell))
+
+
+@pytest.mark.parametrize("column", ["x_m", "y_m", "z_m", "phase_rad"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_field_csv_non_finite_reals_name_their_column(tmp_path, column, cell):
+    # Vec3 and Ray refused these, but as "Vec3.x must ..." or "phase must ...", naming no column.
+    with pytest.raises(ValueError, match=f"^column {column}: .* must be (a )?finite"):
+        ScattererField.from_csv(field_csv_with(tmp_path, column, cell))
+
+
+@pytest.mark.parametrize("cell", ["3.5", "-4.0"])
+def test_field_csv_phase_outside_its_range_names_its_column(tmp_path, cell):
+    with pytest.raises(ValueError, match="^column phase_rad: phase must"):
+        ScattererField.from_csv(field_csv_with(tmp_path, "phase_rad", cell))
 
 
 @pytest.mark.parametrize("row, column", [("1", "x_m"), ("1,1,1.0,2.0,3.0", "phase_rad")])
