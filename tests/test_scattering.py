@@ -377,18 +377,15 @@ def test_field_csv_reals_refuse_underscores(tmp_path, column, cell):
         ScattererField.from_csv(field_csv_with(tmp_path, column, cell))
 
 
-@pytest.mark.parametrize("column", ["x_m", "y_m", "z_m", "phase_rad"])
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
-def test_field_csv_non_finite_reals_name_their_column(tmp_path, column, cell):
+@pytest.mark.parametrize(
+    "column, cell",
+    [(c, v) for c in ("x_m", "y_m", "z_m", "phase_rad") for v in ("nan", "inf", "-inf", "1e400")]
+    + [("phase_rad", "3.5"), ("phase_rad", "-4.0")],
+)
+def test_field_csv_reals_outside_their_rule_name_their_column(tmp_path, column, cell):
     # Vec3 and Ray refused these, but as "Vec3.x must ..." or "phase must ...", naming no column.
-    with pytest.raises(ValueError, match=f"^column {column}: .* must be (a )?finite"):
+    with pytest.raises(ValueError, match=f"^column {column}: .* must"):
         ScattererField.from_csv(field_csv_with(tmp_path, column, cell))
-
-
-@pytest.mark.parametrize("cell", ["3.5", "-4.0"])
-def test_field_csv_phase_outside_its_range_names_its_column(tmp_path, cell):
-    with pytest.raises(ValueError, match="^column phase_rad: phase must"):
-        ScattererField.from_csv(field_csv_with(tmp_path, "phase_rad", cell))
 
 
 @pytest.mark.parametrize("row, column", [("1", "x_m"), ("1,1,1.0,2.0,3.0", "phase_rad")])
