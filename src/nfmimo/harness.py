@@ -1,9 +1,10 @@
 """Experiment orchestration: sweeps, CSV emission, manifests, config loading.
 
-Each experiment kind produces one plot-ready sweep: it runs
-the relevant statistic over an axis, writes one CSV per curve plus a JSON
-manifest (config snapshot, seed, wall clock, sha256 digest per output), and
-is deterministic for a fixed seed and config.
+Each experiment kind produces one plot-ready curve: its runner computes
+the relevant statistic over an axis and returns it, and run_experiment
+writes it as one CSV plus a JSON manifest (config snapshot, seed, wall
+clock, sha256 digest of the CSV). A run is deterministic for a fixed seed
+and config.
 """
 
 from __future__ import annotations
@@ -197,30 +198,32 @@ def _check_axis(key: str, count: int) -> None:
         )
 
 
-def _write_series(
-    exp: Experiment, outputs: dict, axis_name: str, axis, values, *, n_realizations: int, t: float = 0.0, model=None
-) -> None:
-    """Write one curve as <kind>.csv, or as <kind>__<model label>.csv for a model's curve, and record its digest.
-
-    model is the WavefrontModel of the curve, or None for the kinds without
-    one, which sweep square tilings and so carry the label "subarray".
-    """
-    series = CorrelationSeries(
+def _curve(axis_name: str, axis, values, seed: int, *, n_realizations: int, t: float = 0.0, model=None):
+    """One computed curve as a series; model is None for the kinds that sweep square tilings, labelled "subarray"."""
+    return CorrelationSeries(
         axis_name=axis_name,
         lag_axis=np.asarray(axis, dtype=float),
         values=np.asarray(values, dtype=complex),
         t=t,
         model_label="subarray" if model is None else model.label,
         n_realizations=n_realizations,
-        seed=exp.seed,
+        seed=seed,
     )
-    stem = exp.kind if model is None else f"{exp.kind}__{model.label.replace(':', '_')}"
-    path = exp.output / f"{stem}.csv"
-    series.to_csv(path)
-    outputs[path.name] = _sha256(path)
 
 
-def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, frequencies_hz, apertures_m) -> None:
+@dataclass(frozen=True)
+class _RayleighRows:
+    """The rayleigh table's CSV lines, written under its header by to_csv as CorrelationSeries writes its rows."""
+
+    rows: list[str]
+
+    def to_csv(self, path: str | Path) -> None:
+        with atomic_open(path, newline="") as fh:
+            fh.write("frequency_hz,width_m,height_m,rayleigh_m\n")
+            fh.writelines(self.rows)
+
+
+def _run_rayleigh_table(cfg: ScenarioConfig, seed: int, *, frequencies_hz, apertures_m) -> _RayleighRows:
     """Near/far boundary for the standard frequency x aperture grid.
 
     Also appends the configured scenario's own array as a final row so the
@@ -237,14 +240,10 @@ def _run_rayleigh_table(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, 
                 ) from None
             rows.append(f"{f_c!r},{w!r},{h!r},{boundary!r}\n")
     rows.append(f"{cfg.f_c!r},configured,configured,{rayleigh_distance(cfg)!r}\n")
-    path = exp.output / "rayleigh_table.csv"
-    with atomic_open(path, newline="") as fh:
-        fh.write("frequency_hz,width_m,height_m,rayleigh_m\n")
-        fh.writelines(rows)
-    outputs[path.name] = _sha256(path)
+    return _RayleighRows(rows)
 
 
-def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, sides, model, t) -> None:
+def _run_error_vs_array(cfg: ScenarioConfig, seed: int, *, sides, model, t) -> CorrelationSeries:
     """Model error against the per-element reference as the array side grows.
 
     Subarray tile sizes are clamped to the current side so one sweep can
@@ -257,42 +256,37 @@ def _run_error_vs_array(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, 
             side_model = WavefrontModel.subarray(min(model.p_max_h, side), min(model.p_max_v, side))
         else:
             side_model = model
-        fld = field_for_realization(cfg_side, exp.seed, 0)
+        fld = field_for_realization(cfg_side, seed, 0)
         deltas.append(model_error_delta(side_model, t, cfg_side, fld))
-    _write_series(exp, outputs, "array_side", sides, deltas, n_realizations=1, t=t, model=model)
+    return _curve("array_side", sides, deltas, seed, n_realizations=1, t=t, model=model)
 
 
-def _run_error_vs_subarray(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, p_max_list, t) -> None:
+def _run_error_vs_subarray(cfg: ScenarioConfig, seed: int, *, p_max_list, t) -> CorrelationSeries:
     """Model error of square tilings as the tile size grows, one fixed field."""
     _int_list("p_max_list", p_max_list, hi=min(cfg.P_h, cfg.P_v))
-    fld = field_for_realization(cfg, exp.seed, 0)
+    fld = field_for_realization(cfg, seed, 0)
     deltas = model_error_delta([WavefrontModel.subarray(p, p) for p in p_max_list], t, cfg, fld)
-    _write_series(exp, outputs, "p_max", p_max_list, deltas, n_realizations=1, t=t)
+    return _curve("p_max", p_max_list, deltas, seed, n_realizations=1, t=t)
 
 
-def _run_complexity_sweep(exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, p_max_list) -> None:
+def _run_complexity_sweep(cfg: ScenarioConfig, seed: int, *, p_max_list) -> CorrelationSeries:
     """Operation counts of square tilings over tile size."""
     _int_list("p_max_list", p_max_list, hi=min(cfg.P_h, cfg.P_v))
     totals = [ro_complexity(WavefrontModel.subarray(p, p), cfg).ro_total for p in p_max_list]
-    _write_series(exp, outputs, "p_max", p_max_list, totals, n_realizations=0)
+    return _curve("p_max", p_max_list, totals, seed, n_realizations=0)
 
 
 def _run_spatial_ccf(
-    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, max_offset, dq, dt
-) -> None:
+    cfg: ScenarioConfig, seed: int, *, model, t, n_realizations, max_offset, dq, dt
+) -> CorrelationSeries:
     _int("max_offset", max_offset, 0, cfg.P_h - 1)
     _int("dq", dq, 0, cfg.Q - 1)  # from receive element 1, spatial_ccf_series's base_q
     _check_axis("max_offset", max_offset + 1)
     offsets = [(dh, 0) for dh in range(max_offset + 1)]
-    series = spatial_ccf_series(offsets, dq, dt, t, cfg, model, n_realizations, seed=exp.seed)
-    _write_series(
-        exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
-    )
+    return spatial_ccf_series(offsets, dq, dt, t, cfg, model, n_realizations, seed=seed)
 
 
-def _run_lag_axis(
-    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, points, **lag
-) -> None:
+def _run_lag_axis(cfg: ScenarioConfig, seed: int, *, model, t, n_realizations, points, **lag) -> CorrelationSeries:
     """The temporal ACF (lag key dt_max) or frequency CF (df_max) at points lags from 0 to the lag key's value."""
     ((key, lag_max),) = lag.items()
     _check_axis("points", points)
@@ -301,16 +295,12 @@ def _run_lag_axis(
         _check_lag(key, lags, t, cfg)
     # Read from this module at call time, where perfbench's tracer rebinds both.
     series_of = temporal_acf_series if key == "dt_max" else frequency_cf_series
-    series = series_of(lags, t, cfg, model, n_realizations, seed=exp.seed)
-    _write_series(
-        exp, outputs, series.axis_name, series.lag_axis, series.values, n_realizations=n_realizations, t=t, model=model
-    )
+    return series_of(lags, t, cfg, model, n_realizations, seed=seed)
 
 
 def _run_capacity_sweep(
-    exp: Experiment, cfg: ScenarioConfig, outputs: dict, *, model, t, n_realizations, snr_db_list, normalize_each,
-    phase_draws,
-) -> None:
+    cfg: ScenarioConfig, seed: int, *, model, t, n_realizations, snr_db_list, normalize_each, phase_draws
+) -> CorrelationSeries:
     rho_snrs = []
     for db in snr_db_list:
         try:  # a finite float power is finite or raises
@@ -318,9 +308,9 @@ def _run_capacity_sweep(
         except OverflowError:
             raise ValueError(f"sweep key 'snr_db_list' holds {db!r} dB, whose linear SNR is not finite") from None
     values = mean_capacity(
-        cfg, model, rho_snrs, n_realizations, seed=exp.seed, t=t, normalize_each=normalize_each, phase_draws=phase_draws
+        cfg, model, rho_snrs, n_realizations, seed=seed, t=t, normalize_each=normalize_each, phase_draws=phase_draws
     )
-    _write_series(exp, outputs, "snr_db", snr_db_list, values, n_realizations=n_realizations, t=t, model=model)
+    return _curve("snr_db", snr_db_list, values, seed, n_realizations=n_realizations, t=t, model=model)
 
 
 _TIME = {"t": (_NONNEG, 0.0)}
@@ -329,7 +319,8 @@ _LAG_AXIS = {**_MONTE_CARLO, "points": (_int, 101)}
 
 # Every experiment kind, in the CLI's order: kind -> (runner, one-line help, sweep schema of key -> (reader,
 # default)), where a callable default is computed from the config. run_experiment refuses any sweep key
-# outside the kind's schema and passes the runner each key's read value; the CLI makes one subcommand per kind.
+# outside the kind's schema, calls runner(cfg, seed, **sweep) with each key's read value and writes the curve
+# it returns (anything with to_csv(path)); the CLI makes one subcommand per kind.
 KINDS = {
     "error_vs_array": (_run_error_vs_array, "model error vs array side length", {
         "sides": (_int_list, (8, 16, 32, 64)), "model": (_model, "planar"), **_TIME,
@@ -361,17 +352,23 @@ EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def run_experiment(exp: Experiment, cfg: ScenarioConfig) -> RunManifest:
-    """Execute one experiment: write its CSV curve(s) and a manifest.
+    """Execute one experiment: compute its curve, write it as one CSV, and write a manifest.
 
-    Deterministic for fixed (seed, config, sweep): output CSV bytes are
-    identical across runs; only the manifest's wall-clock field varies.
-    The manifest records the sweep as given and the sweep that ran.
+    The CSV is <kind>.csv, or <kind>__<model label>.csv for a kind with a
+    model sweep key. Deterministic for fixed (seed, config, sweep): output
+    CSV bytes are identical across runs; only the manifest's wall-clock
+    field varies. The manifest records the sweep as given and the sweep
+    that ran.
     """
     values = _read_sweep(exp.kind, exp.sweep, cfg)
     exp.output.mkdir(parents=True, exist_ok=True)
-    outputs: dict[str, str] = {}
     start = time.perf_counter()
-    KINDS[exp.kind][0](exp, cfg, outputs, **values)
+    curve = KINDS[exp.kind][0](cfg, exp.seed, **values)
+    model = values.get("model")
+    stem = exp.kind if model is None else f"{exp.kind}__{model.label.replace(':', '_')}"
+    path = exp.output / f"{stem}.csv"
+    curve.to_csv(path)
+    outputs = {path.name: _sha256(path)}
     elapsed = time.perf_counter() - start
     manifest = RunManifest(
         experiment=exp.kind,
