@@ -50,7 +50,9 @@ from .geometry import (
     SubarrayPartition,
     _digits,
     _index,
+    _midpoint_distance,
     _real,
+    _too_far,
     element_rowcol,
     k_index,
     make_partition,
@@ -198,15 +200,7 @@ def rician_weights(K: float) -> tuple[float, float]:
 
 def tau_los(t: float, cfg: ScenarioConfig) -> float:
     """Delay of the direct path between the array midpoints at time t."""
-    try:  # mr_midpoint gives Python floats, whose overflowing square raises instead of warning
-        xi = cfg.bs_midpoint().distance_to(cfg.mr_midpoint(t))
-    except OverflowError:
-        xi = math.inf
-    if not math.isfinite(xi):
-        raise ValueError(
-            f"the direct path at t = {float(t)!r} s has no finite length: D_0 = {cfg.D_0!r} m, H_0 = {cfg.H_0!r} m, "
-            f"delta_T = {cfg.delta_T!r} m and v_R*t = {cfg.v_R * float(t)!r} m put the array midpoints too far apart"
-        )
+    xi = _midpoint_distance(t, cfg)
     if xi == 0.0:
         raise GeometryError("receive midpoint coincides with transmit midpoint")
     return xi / cfg.c
@@ -217,19 +211,22 @@ def _midpoints(times, cfg: ScenarioConfig) -> np.ndarray:
     return np.array([cfg.mr_midpoint(t).as_tuple() for t in times], dtype=float).reshape(-1, 3)
 
 
-def _path_delays(pos: np.ndarray, mids: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """(xi_T + xi_R) / c per receive midpoint (rows of mids) and ray position (rows of pos).
+def _path_delays(pos: np.ndarray, times: list, mids: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """(xi_T + xi_R) / c per receive midpoint (rows of mids, at times) and ray position (rows of pos).
 
     Every scattered phase starts from these path lengths, so a ray whose transmit leg overflows is
-    refused here with a ValueError naming r_max, before any of its phases is formed.
+    refused here with a ValueError naming r_max, and one whose receive leg overflows with one naming
+    the fields that tau_los names, before any of its phases is formed.
     """
     bs = cfg.bs_midpoint()
     mx, my, mz = mids.T[:, :, None]
     with np.errstate(over="ignore"):
         xi_t = np.sqrt((pos[:, 0] - bs.x) ** 2 + (pos[:, 1] - bs.y) ** 2 + (pos[:, 2] - bs.z) ** 2)
+        xi_r = np.sqrt((pos[:, 0] - mx) ** 2 + (pos[:, 1] - my) ** 2 + (pos[:, 2] - mz) ** 2)
     if not np.isfinite(xi_t).all():
         raise ValueError(f"r_max = {cfg.r_max!r} m puts a scatterer too far out for a finite path length")
-    xi_r = np.sqrt((pos[:, 0] - mx) ** 2 + (pos[:, 1] - my) ** 2 + (pos[:, 2] - mz) ** 2)
+    if not (finite := np.isfinite(xi_r).all(axis=1)).all():
+        raise _too_far("the receive leg of a scattered path", times[finite.argmin()], cfg)
     return (xi_t + xi_r) / cfg.c
 
 
@@ -238,7 +235,8 @@ def nlos_delays(t, cfg: ScenarioConfig, field: ScattererField) -> np.ndarray:
 
     t is one time (shape (n_rays,)) or a 1-D array of times (one row each).
     """
-    delays = _path_delays(field.positions(), _midpoints(np.atleast_1d(t).tolist(), cfg), cfg)
+    times = np.atleast_1d(t).tolist()
+    delays = _path_delays(field.positions(), times, _midpoints(times, cfg), cfg)
     return delays if np.ndim(t) else delays[0]
 
 
@@ -448,13 +446,14 @@ def point_phases(points, cfg: ScenarioConfig, model: WavefrontModel, f: float | 
     sh, sv, kh, kv = _tiles(p_h, p_v, cfg, partition := model.partition_for(cfg))
     bulk = _bulk(freq, np.array([tau_los(t, cfg) for _, t in receivers]))
     rx = _receivers(receivers, cfg)
-    mids = _midpoints([t for _, t in receivers], cfg)
+    times = [t for _, t in receivers]
+    mids = _midpoints(times, cfg)
     a1, a2, mr = _direct(sh[i_el], sv[i_el], rx[:, i_rx], cfg, partition)
     direct = kh[i_el] * a1 + kv[i_el] * a2 + mr + bulk[i_rx]
 
     def scattered(field: ScattererField) -> np.ndarray:
         pos = field.positions()
-        arr = _arrival_phases(pos, rx, _bulk(freq, _path_delays(pos, mids, cfg)), cfg)
+        arr = _arrival_phases(pos, rx, _bulk(freq, _path_delays(pos, times, mids, cfg)), cfg)
         g1, g2 = _gains(*_tile_pieces(pos, cfg, partition, sh, sv), cfg)
         return (kh[:, None] * g1 + kv[:, None] * g2)[i_el] + arr[i_rx]
 
@@ -657,23 +656,20 @@ def _matrix_groups(parts, rand_phases: np.ndarray, K: float, out=None):
     height = rows * max(1, _GROUP_PHASORS // (n_q * n_h * rows))  # element rows per group
     one_by_one = factored and n_q * n_h * rows > _GROUP_PHASORS
     receive = [slice(q, None, n_q) for q in range(n_q)] if one_by_one else [slice(None)]
-    scratch = ab = prod = None
+    scratch = None
     if out is None:
         scratch = np.empty((len(c) // len(receive), min(height, cfg.P_v), n_h), dtype=complex)
 
     def fill(region, group, cs, v0):
         """Store in region, from element row v0, the scattered sums of the runs of group for the rows cs of c."""
-        nonlocal ab, prod
         for v, a, b in group:
             if b is None:
                 r = np.matmul(cs, a.reshape(-1, n_rays).T).reshape(len(cs), -1, partition.counts_h * partition.p_max_h)
                 region[:, v - v0:v - v0 + r.shape[1]] = r[:, :cfg.P_v - v, :n_h]  # both slices stop at the array edge
                 continue
-            if ab is None:  # the first run is the tallest
-                ab, prod = np.empty(a.shape, dtype=complex), np.empty((*a.shape[:3], pv), dtype=complex)
             k, bt = len(a), b.transpose(0, 2, 3, 1)
             for ci, dst in zip(cs, region[:, v - v0:]):  # the (k, counts_h, p_max_h, p_max_v) tile products of ci
-                p = np.matmul(np.multiply(a, ci, out=ab[:k]), bt, out=prod[:k])
+                p = np.matmul(a * ci, bt)
                 # the element rows of the k tile rows in element order, up to the array edge
                 dst[:k * pv] = p.transpose(0, 3, 1, 2).reshape(k * pv, -1)[:len(dst), :n_h]
 
@@ -699,7 +695,7 @@ def _matrix_groups(parts, rand_phases: np.ndarray, K: float, out=None):
             fill(region, group, c[qs], g0)
             if g0 + h == cfg.P_v and qs is receive[-1]:  # the departure buffers go before the last direct phasors
                 runs.close()
-                group = ab = prod = c = None
+                group = c = None
             finish(region, qs, g0)
             yield qs, g0, region
 

@@ -221,6 +221,25 @@ def mr_element_position(q: int, t: float, cfg: ScenarioConfig) -> Vec3:
     return Vec3(x, y, z)
 
 
+def _midpoint_distance(t: float, cfg: ScenarioConfig) -> float:
+    """Distance between the array midpoints at time t; a ValueError names the fields that set it when it overflows."""
+    try:  # mr_midpoint gives Python floats, whose overflowing square raises instead of warning
+        xi = cfg.bs_midpoint().distance_to(cfg.mr_midpoint(t))
+    except OverflowError:
+        xi = math.inf
+    if not math.isfinite(xi):
+        raise _too_far("the direct path", t, cfg)
+    return xi
+
+
+def _too_far(path: str, t: float, cfg: ScenarioConfig) -> ValueError:
+    """The error for a path at time t with no finite length, naming the fields that place the array midpoints."""
+    return ValueError(
+        f"{path} at t = {float(t)!r} s has no finite length: D_0 = {cfg.D_0!r} m, H_0 = {cfg.H_0!r} m, "
+        f"delta_T = {cfg.delta_T!r} m and v_R*t = {cfg.v_R * float(t)!r} m put the array midpoints too far apart"
+    )
+
+
 def rayleigh_distance_aperture(diagonal: float, wavelength: float) -> float:
     """Near/far boundary 2 d^2 / lambda for an aperture with the given diagonal: finite and above 0, or a ValueError."""
     diagonal, wavelength = _real("diagonal", diagonal, 0, above=True), _real("wavelength", wavelength, 0, above=True)
@@ -349,10 +368,14 @@ def optimal_subarray_size(cfg: ScenarioConfig, t: float = 0.0) -> int:
     boundary 2 (p-1)^2 delta_T^2 * 2 / lambda (square tile diagonal). Always
     at least 1; capped at min(P_h, P_v).
     """
-    dist = cfg.bs_midpoint().distance_to(cfg.mr_midpoint(t))
+    dist = _midpoint_distance(t, cfg)
+    try:  # a float power raises on overflow
+        square = cfg.delta_T**2
+    except OverflowError:
+        raise ValueError(f"delta_T = {cfg.delta_T!r} m has no finite square, so no tile has a finite boundary") from None
     best = 1
     for p in range(1, min(cfg.P_h, cfg.P_v) + 1):
-        d2 = (cfg.delta_T**2) * 2.0 * (p - 1) ** 2
+        d2 = square * 2.0 * (p - 1) ** 2
         if 2.0 * d2 / cfg.wavelength <= dist:
             best = p
         else:

@@ -429,6 +429,25 @@ def test_nlos_delays_midpoint_based():
         assert d == pytest.approx(xi / cfg.c, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "fields, t",
+    [({"H_0": 1e200}, 0.0), ({"delta_T": 1e200}, 0.0), ({"v_R": 1e300}, 0.1)],
+    ids=["H_0", "delta_T", "v_R*t"],
+)
+def test_nlos_delays_refuses_a_receive_leg_that_overflows(fields, t):
+    # Used to return inf delays after an overflow warning: only the transmit leg was checked.
+    cfg = ScenarioConfig(P_h=4, P_v=4, Q=2, L_clusters=2, N_rays=3, **fields)
+    field = field_for_realization(cfg, 0, 0)
+    message = (
+        rf"^the receive leg of a scattered path at t = {t!r} s has no finite length: "
+        r"D_0 = .* H_0 = .* delta_T = .* v_R\*t = "
+    )
+    with pytest.raises(ValueError, match=message):
+        nlos_delays(t, cfg, field)
+    with pytest.raises(ValueError, match=message):
+        nlos_delays(np.array([0.0, t]), cfg, field)  # the first time whose leg overflows is named
+
+
 # ---------------------------------------------------------------------------
 # Matrix assembly
 

@@ -6,10 +6,12 @@ noted next to it.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from nfmimo.channel import tau_los
 from nfmimo.geometry import (
     ScenarioConfig,
     SubarrayPartition,
@@ -409,3 +411,27 @@ def test_optimal_subarray_size_tiny_array():
     # a 2x2 array's full aperture is still tiny vs 50 m, so the whole array fits
     cfg = ScenarioConfig(P_h=2, P_v=2)
     assert optimal_subarray_size(cfg) == 2
+
+
+@pytest.mark.parametrize(
+    "fields, t",
+    [({"D_0": 1e200}, 0.0), ({"H_0": 1e200}, 0.0), ({"c": 1e300}, 0.0), ({"v_R": 1e300}, 0.1)],
+    ids=["D_0", "H_0", "c", "v_R*t"],
+)
+def test_optimal_subarray_size_refuses_midpoints_too_far_apart_as_tau_los_does(fields, t):
+    # The midpoint distance used to end in OverflowError from Vec3.distance_to's float powers.
+    cfg = ScenarioConfig(**fields)
+    with pytest.raises(ValueError) as tiles:
+        optimal_subarray_size(cfg, t)
+    with pytest.raises(ValueError) as delay:
+        tau_los(t, cfg)
+    assert str(tiles.value) == str(delay.value)
+    fields_named = r"the direct path at t = .* s has no finite length: D_0 = .* H_0 = .* delta_T = .* v_R\*t = "
+    assert re.match(fields_named, str(tiles.value))
+
+
+def test_optimal_subarray_size_refuses_a_delta_t_whose_square_overflows():
+    cfg = ScenarioConfig(delta_T=1.4e154, P_h=1, P_v=1)
+    assert tau_los(0.0, cfg) > 0  # the midpoints are a finite distance apart
+    with pytest.raises(ValueError, match=r"^delta_T = 1\.4e\+154 m has no finite square"):
+        optimal_subarray_size(cfg)
