@@ -87,6 +87,18 @@ def test_compare_dirs_reads_manifests_without_the_wall_clock(tmp_path):
     }
 
 
+def test_summary_counts_equal_outputs_and_names_the_missing_ones():
+    report = [
+        ("a.csv", "equal", 0.0), ("a/manifest.json", "equal", None), ("b.csv", "differs", 1e-16),
+        ("old.csv", "only in A", None), ("64_planar.npz:H", "equal", 0.0), ("new.npz:x", "only in B", None),
+    ]
+    assert compare_revisions.summary(report) == (
+        "3 of 4 compared outputs equal; missing on one side: old.csv (only in A), new.npz:x (only in B)"
+    )
+    assert compare_revisions.summary(report[:2]) == "2 of 2 compared outputs equal"
+    assert compare_revisions.summary([]) == "0 of 0 compared outputs equal"
+
+
 def test_off_axis_invocations_cover_every_sweep_flag_and_model():
     from nfmimo.cli import _FLAGS
 

@@ -20,9 +20,15 @@ count and seed goes through geometry._index. Likewise no module reads the
 predicate geometry._finite_number outside geometry._real, so every real
 number goes through that one rule, and no module reads is_integer outside
 geometry._json_index, so every integer of a config or sweep dict does too.
+
+A run's I/O has one place: every runner of harness.KINDS computes its curve
+from (cfg, seed, **sweep) and returns it, and harness.run_experiment alone
+names, writes and digests it; within harness.py only the writers of the
+manifest and of the rayleigh table's rows open a file.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -303,3 +309,56 @@ def test_every_real_number_goes_through_real(path):
 def test_every_dict_integer_goes_through_json_index(path):
     allowed = {"_json_index"} if path.name == "geometry.py" else frozenset()
     assert name_reads(path.read_text(encoding="utf-8"), "is_integer", allowed) == []
+
+
+def readers(source: str, names: set[str]) -> list[str]:
+    """Sorted qualified names (Class.function) of the functions that read any of names, bare or as an attribute.
+
+    A read in a nested def counts for the outermost def around it; a read outside every def is <module>.
+    """
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                if (child.id if isinstance(child, ast.Name) else child.attr) in names:
+                    found.add(scope or "<module>")
+            if isinstance(child, ast.ClassDef) and not scope:
+                visit(child, f"{child.name}.")
+            elif isinstance(child, FUNCTIONS) and (not scope or scope.endswith(".")):
+                visit(child, scope + child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_reader_scan_names_methods_by_class_and_nested_defs_by_their_outer_def():
+    source = (
+        "import hashlib\n"
+        "def _sha256(p):\n    return hashlib.sha256(p.read_bytes())\n"
+        "class Rows:\n    def to_csv(self, path):\n        with open(path) as fh:\n            pass\n"
+        "def run(path):\n    def inner():\n        return _sha256(path)\n    return inner()\n"
+        "flagged = open\n"
+    )
+    assert readers(source, {"open"}) == ["<module>", "Rows.to_csv"]
+    assert readers(source, {"_sha256"}) == ["run"]
+    assert readers(source, {"read_bytes", "sha256"}) == ["_sha256"]
+
+
+HARNESS = Path(nfmimo.__file__).resolve().parent / "harness.py"
+
+
+def test_runners_compute_and_run_experiment_alone_writes_their_curves():
+    from nfmimo.harness import KINDS
+
+    io_parameters = {
+        kind: sorted({"exp", "outputs"} & set(inspect.signature(runner).parameters))
+        for kind, (runner, _, _) in KINDS.items()
+    }
+    assert io_parameters == {kind: [] for kind in KINDS}
+    source = HARNESS.read_text(encoding="utf-8")
+    assert readers(source, {"_sha256"}) == ["run_experiment"]
+    writes = {"open", "atomic_open", "to_csv", "to_json"}
+    assert readers(source, writes) == ["RunManifest.to_json", "_RayleighRows.to_csv", "run_experiment"]

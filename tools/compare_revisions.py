@@ -26,8 +26,10 @@ the field at one fixed batch of points that mix elements, receive elements
 and times) for each of ARRAY_MODELS at each of ARRAY_SIDES, default
 scenario, seed 0, t = 0; each array is then compared with np.array_equal
 (NaN equal to NaN, dtypes equal), and differing arrays of one shape and
-dtype print their largest relative difference as the CSVs do. The script exits 1 when a run fails or an
-output or array is missing on one side, otherwise 0. It needs git and numpy.
+dtype print their largest relative difference as the CSVs do. The report ends with one summary line: how
+many of the outputs and arrays present on both sides are equal, and each one missing on one side. The
+script exits 1 when a run fails or an output or array is missing on one side, otherwise 0. It needs git
+and numpy.
 """
 
 from __future__ import annotations
@@ -247,6 +249,14 @@ def compare_arrays(a: Path, b: Path) -> list[tuple[str, str, float | None]]:
     return report
 
 
+def summary(report: list[tuple[str, str, float | None]]) -> str:
+    """One line for a compare_dirs and compare_arrays report: equal out of compared, and each name on one side only."""
+    compared = [status for _, status, _ in report if not status.startswith("only")]
+    line = f"{compared.count('equal')} of {len(compared)} compared outputs equal"
+    missing = [f"{name} ({status})" for name, status, _ in report if status.startswith("only")]
+    return f"{line}; missing on one side: {', '.join(missing)}" if missing else line
+
+
 def run_arrays(tree: Path, out: Path, sides=ARRAY_SIDES, models=ARRAY_MODELS) -> list[str]:
     """Save the matrix arrays of tree's src/ into out in one fresh process; returns the failures."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -310,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     width = max((len(name) for name, _, _ in report), default=0)
     for name, status, rel in report:
         print(f"{name:{width}s} {status:10s} {'-' if rel is None else f'{rel:.3g}'}")
+    print(summary(report))
     for line in failures:
         print(f"failed: {line}", file=sys.stderr)
     missing = any(status.startswith("only") for _, status, _ in report)
