@@ -366,7 +366,9 @@ def optimal_subarray_size(cfg: ScenarioConfig, t: float = 0.0) -> int:
 
     Uses the midpoint-to-midpoint distance at time t; a tile of side p has
     boundary 2 (p-1)^2 delta_T^2 * 2 / lambda (square tile diagonal). Always
-    at least 1; capped at min(P_h, P_v).
+    at least 1; capped at min(P_h, P_v). Midpoints too far apart for a
+    finite distance, or a delta_T whose square overflows, are a ValueError
+    naming the fields.
     """
     dist = _midpoint_distance(t, cfg)
     try:  # a float power raises on overflow
